@@ -1,10 +1,10 @@
 """Exact partition-algebra engine for stable plethysm coefficients.
 
 The package computes the stable values of rectangle plethysm coefficients by
-the no-singleton-orbit character sum, realises the diagrammatic module whose
-decomposition produces that formula, and backs every computable claim with
-two independent oracles: symmetric-function plethysm by power sums and the
-explicit diagram action on small tensor powers.
+the no-singleton-orbit character sum, read off one power-sum plethysm
+kernel, and realises the diagrammatic module whose decomposition produces
+that formula.  Brute-force fixed-point counting on set-partitions and the
+explicit diagram action on small tensor powers check it in ``verify``.
 """
 
 from .characters import (
@@ -54,7 +54,6 @@ from .setpartitions import (
     SetPartition,
     bell_number,
     foulkes_pairs,
-    in_truncated_poset,
     set_partitions,
 )
 from .tensor import (
@@ -95,7 +94,6 @@ __all__ = [
     "homogeneous_plethysm",
     "identity_diagram",
     "in_depth_radical",
-    "in_truncated_poset",
     "layer_matrix",
     "module_multiplicities",
     "multiply_diagrams",

@@ -1,9 +1,12 @@
-"""Symmetric-group character machinery and the symmetric-function plethysm oracle.
+"""Symmetric-group characters and the power-sum kernel behind every multiplicity.
 
 Integer partitions are plain tuples of weakly decreasing positive ints; the
 empty partition is ``()``.  Irreducible characters come from the border-strip
-recursion on beta-sets; permutation characters of set-partition stabilisers
-come from brute-force fixed-point counting, vectorised with numpy but exact.
+recursion on beta-sets.  The permutation module on set-partitions of shape mu
+has Frobenius characteristic prod over distinct parts a of h_b[h_a], b the
+multiplicity of a; one cached exact expansion of it in power sums gives the
+permutation character, the generalized plethysm multiplicities and the
+rectangle plethysm h_n[h_m].
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import (
     InternalConsistencyError,
@@ -165,111 +166,91 @@ def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
     return results
 
 
-def _canonical_permutation(rho: Partition) -> np.ndarray:
-    """0-based image array of the permutation with cycles (1..k1)(k1+1..k1+k2)..."""
-    r = sum(rho)
-    sigma = np.arange(r)
-    start = 0
-    for k in rho:
-        for off in range(k):
-            sigma[start + off] = start + (off + 1) % k
-        start += k
-    return sigma
+Expansion = dict[Partition, Fraction]
+
+
+def _multiply(f: Expansion, g: Expansion) -> Expansion:
+    """Product of two power-sum expansions; p_rho * p_sigma is p of the merged parts."""
+    out: Expansion = defaultdict(Fraction)
+    for rho, a in f.items():
+        for sigma, b in g.items():
+            out[tuple(sorted(rho + sigma, reverse=True))] += a * b
+    return out
 
 
 @lru_cache(maxsize=None)
-def _fixed_counts(mu: Partition) -> dict[Partition, int]:
-    """For each cycle type rho: number of shape-mu set-partitions fixed by it."""
-    r = sum(mu)
-    if r == 0:
-        return {(): 1}
-    rows = np.array([sp.labels for sp in set_partitions_of_shape(mu)], dtype=np.int16)
-    ii, jj = np.triu_indices(r, k=1)
-    base_pattern = rows[:, ii] == rows[:, jj]
-    counts: dict[Partition, int] = {}
-    for rho in partitions(r):
-        sigma = _canonical_permutation(rho)
-        inverse = np.argsort(sigma)
-        moved = rows[:, inverse]
-        pattern = moved[:, ii] == moved[:, jj]
-        counts[rho] = int((pattern == base_pattern).all(axis=1).sum())
-    return counts
+def _h_plethysm_h(b: int, a: int) -> Expansion:
+    """h_b[h_a] in power sums, from Newton's identity b h_b = sum_k p_k h_{b-k}.
+
+    Plethysm by h_a is a ring map with p_k[h_a] = sum_rho p_{k rho} / z_rho,
+    since p_k[p_l] = p_{kl}.
+    """
+    if b == 0:
+        return {(): Fraction(1)}
+    out: Expansion = defaultdict(Fraction)
+    for k in range(1, b + 1):
+        p_k_of_h_a = {
+            tuple(k * part for part in rho): Fraction(1, b * cycle_type_centralizer(rho))
+            for rho in partitions(a)
+        }
+        for gamma, c in _multiply(p_k_of_h_a, _h_plethysm_h(b - k, a)).items():
+            out[gamma] += c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shape_characteristic(mu: Partition) -> Expansion:
+    """Frobenius characteristic of the shape-mu set-partition module.
+
+    The module is induced from a product of wreath products, one per distinct
+    part a of multiplicity b, so its characteristic is the product of h_b[h_a].
+    """
+    out: Expansion = {(): Fraction(1)}
+    for a, group in itertools.groupby(mu):
+        out = _multiply(out, _h_plethysm_h(len(list(group)), a))
+    return out
 
 
 def stab_permutation_character(mu: Partition, rho: Partition) -> int:
-    """Fixed shape-mu set-partitions under a permutation of cycle type rho.
-
-    This is the permutation character of the symmetric group acting on
-    set-partitions with block sizes mu (cosets of a product of wreath
-    products), evaluated by direct counting.
-    """
+    """Fixed shape-mu set-partitions under a permutation of cycle type rho:
+    z_rho times the coefficient of p_rho in the shape-mu characteristic."""
+    mu, rho = check_partition(mu), check_partition(rho)
     if sum(mu) != sum(rho):
         raise SizeMismatchError(f"|{mu}| != |{rho}|")
-    return _fixed_counts(check_partition(mu))[check_partition(rho)]
+    return int(_shape_characteristic(mu).get(rho, 0) * cycle_type_centralizer(rho))
 
 
 def generalized_plethysm(mu: Partition, lam: Partition) -> int:
-    """Multiplicity of the lam-irreducible in the shape-mu permutation module."""
+    """Multiplicity of the lam-irreducible in the shape-mu permutation module:
+    the characteristic paired with s_lam, where <p_gamma, s_lam> = chi^lam(gamma)."""
     mu, lam = check_partition(mu), check_partition(lam)
-    r = sum(mu)
-    if sum(lam) != r:
+    if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{mu}| != |{lam}|")
-    if r == 0:
-        return 1
-    fixed = _fixed_counts(mu)
-    total = sum(
-        class_size(rho) * fixed[rho] * character_value(lam, rho) for rho in partitions(r)
-    )
-    value, rem = divmod(total, factorial(r))
-    if rem or value < 0:
-        raise InternalConsistencyError(
-            f"inner product for mu={mu}, lam={lam} is not a nonnegative integer"
-        )
-    return value
-
-
-def _power_sum_homogeneous(m: int) -> dict[Partition, Fraction]:
-    """h_m expanded in power sums: coefficient 1/z_rho on each p_rho."""
-    return {rho: Fraction(1, cycle_type_centralizer(rho)) for rho in partitions(m)}
-
-
-def homogeneous_plethysm(m: int, n: int, alpha: Partition, cap: int = ORACLE_CAP) -> int:
-    """Coefficient of the alpha-Schur function in h_n composed with h_m.
-
-    Computed entirely inside symmetric functions: expand in power sums, use
-    p_k[p_l] = p_{kl}, pair against the character of alpha.  Serves as the
-    independent oracle for every coefficient with mn inside the cap.
-    """
-    if m < 1 or n < 1:
-        raise MalformedPartitionError("m and n must be positive")
-    if m * n > cap:
-        raise ResourceCapError(f"mn={m * n} exceeds oracle cap {cap}")
-    alpha = check_partition(alpha)
-    if sum(alpha) != m * n:
-        raise SizeMismatchError(f"|alpha|={sum(alpha)} but mn={m * n}")
-    inner = _power_sum_homogeneous(m)
-    expansion: dict[Partition, Fraction] = defaultdict(Fraction)
-    for tau in partitions(n):
-        acc: dict[Partition, Fraction] = {(): Fraction(1)}
-        for k in tau:
-            nxt: dict[Partition, Fraction] = defaultdict(Fraction)
-            for gamma, c in acc.items():
-                for rho, c_rho in inner.items():
-                    scaled = tuple(sorted(gamma + tuple(k * x for x in rho), reverse=True))
-                    nxt[scaled] += c * c_rho
-            acc = nxt
-        outer_coeff = Fraction(1, cycle_type_centralizer(tau))
-        for gamma, c in acc.items():
-            expansion[gamma] += outer_coeff * c
     value = sum(
-        (c * character_value(alpha, gamma) for gamma, c in expansion.items()),
+        (c * character_value(lam, gamma) for gamma, c in _shape_characteristic(mu).items()),
         start=Fraction(0),
     )
     if value.denominator != 1 or value < 0:
         raise InternalConsistencyError(
-            f"plethysm inner product for ({m},{n},{alpha}) is {value}"
+            f"inner product for mu={mu}, lam={lam} is {value}, not a nonnegative integer"
         )
     return int(value)
+
+
+def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
+    """Coefficient of the alpha-Schur function in h_n composed with h_m.
+
+    h_n[h_m] is the characteristic of the shape-(m^n) module, so this is the
+    generalized plethysm multiplicity of that rectangle, up to the oracle cap.
+    """
+    if m < 1 or n < 1:
+        raise MalformedPartitionError("m and n must be positive")
+    if m * n > ORACLE_CAP:
+        raise ResourceCapError(f"mn={m * n} exceeds oracle cap {ORACLE_CAP}")
+    alpha = check_partition(alpha)
+    if sum(alpha) != m * n:
+        raise SizeMismatchError(f"|alpha|={sum(alpha)} but mn={m * n}")
+    return generalized_plethysm((m,) * n, alpha)
 
 
 @lru_cache(maxsize=None)

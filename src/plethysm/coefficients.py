@@ -10,7 +10,6 @@ queries beyond both regimes fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characters import (
     ORACLE_CAP,
@@ -30,18 +29,16 @@ from .errors import (
     ResourceCapError,
     UnsupportedRegimeError,
 )
-from .foulkes import depth_quotient_basis
-from .setpartitions import max_ground_size
+from .setpartitions import max_ground_size, singleton_free_count
 
 STABLE_REGIME = "stable"
 ORACLE_REGIME = "oracle"
 
 
-@lru_cache(maxsize=None)
-def stable_plethysm(lam: Partition, cap: int | None = None) -> int:
+def stable_plethysm(lam: Partition) -> int:
     """The common value of p_{(m^n), lam_[mn]} for all m, n >= |lam|."""
     lam = check_partition(lam)
-    limit = cap if cap is not None else max_ground_size()
+    limit = max_ground_size()
     if sum(lam) > limit:
         raise ResourceCapError(f"|lam|={sum(lam)} exceeds stable cap {limit}")
     return sum(generalized_plethysm(mu, lam) for mu in partitions_no_ones(sum(lam)))
@@ -49,6 +46,8 @@ def stable_plethysm(lam: Partition, cap: int | None = None) -> int:
 
 def coefficient_regime(m: int, n: int, lam: Partition) -> str:
     """Which computation covers p_{(m^n), lam_[mn]}; raises when neither does."""
+    if m < 1 or n < 1:
+        raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
     lam = check_partition(lam)
     size = sum(lam)
     try:
@@ -83,24 +82,20 @@ class StableTable:
     r: int
     rows: tuple[tuple[Partition, int], ...]
 
-    def value(self, lam: Partition) -> int:
-        for key, v in self.rows:
-            if key == lam:
-                return v
-        raise KeyError(lam)
-
     def nonzero(self) -> tuple[tuple[Partition, int], ...]:
         return tuple((k, v) for k, v in self.rows if v)
 
 
-def stable_table(r: int, cap: int | None = None) -> StableTable:
-    limit = cap if cap is not None else max_ground_size()
+def stable_table(r: int) -> StableTable:
+    if r < 0:
+        raise MalformedPartitionError(f"r={r} is negative")
+    limit = max_ground_size()
     if r > limit:
         raise ResourceCapError(f"r={r} exceeds stable cap {limit}")
     rows = tuple((lam, stable_plethysm(lam)) for lam in partitions(r))
     table = StableTable(r, rows)
     weighted = sum(v * dimension(lam) for lam, v in rows)
-    if r >= 1 and weighted != len(depth_quotient_basis(r)):
+    if weighted != singleton_free_count(r):
         raise InternalConsistencyError(
             f"dimension check failed at r={r}: {weighted}"
         )  # pragma: no cover - structural guarantee

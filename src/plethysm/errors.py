@@ -6,7 +6,8 @@ class PlethysmError(Exception):
 
 
 class MalformedPartitionError(PlethysmError, ValueError):
-    """Blocks overlap, miss elements, or a part sequence is not a partition."""
+    """Blocks overlap, miss elements, a part sequence is not a partition, or a
+    size or setting given by the user is out of range."""
 
 
 class SizeMismatchError(PlethysmError, ValueError):

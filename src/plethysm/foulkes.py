@@ -48,12 +48,6 @@ class ActionMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def entry(self, row: int, col: int) -> TwoParamScalar:
-        for i, j, v in self.entries:
-            if i == row and j == col:
-                return v
-        return TwoParamScalar.zero()
-
     def dense(self) -> list[list[TwoParamScalar]]:
         out = [[TwoParamScalar.zero()] * self.dim for _ in range(self.dim)]
         for i, j, v in self.entries:
@@ -75,10 +69,10 @@ def _basis_index(r: int) -> dict[FoulkesPair, int]:
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
 
 
-def action_matrix(d: PartitionDiagram, r: int, cap: int = MATRIX_CAP) -> ActionMatrix:
+def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
     """Matrix of a single diagram on the full pair basis."""
-    if r > cap:
-        raise ResourceCapError(f"r={r} exceeds the matrix cap {cap}")
+    if r > MATRIX_CAP:
+        raise ResourceCapError(f"r={r} exceeds the matrix cap {MATRIX_CAP}")
     basis = foulkes_pairs(r)
     index = _basis_index(r)
     entries = []
@@ -89,7 +83,7 @@ def action_matrix(d: PartitionDiagram, r: int, cap: int = MATRIX_CAP) -> ActionM
 
 
 def layer_matrix(
-    d: PartitionDiagram, r: int, k: int, swap_params: bool = False, cap: int = MATRIX_CAP
+    d: PartitionDiagram, r: int, k: int, swap_params: bool = False
 ) -> ActionMatrix:
     """Action on the depth-k subquotient of the filtration.
 
@@ -99,8 +93,8 @@ def layer_matrix(
     """
     if not 0 <= k <= max(r - 1, 0):
         raise ResourceCapError(f"layer index {k} out of range 0..{r - 1}")
-    if r > cap:
-        raise ResourceCapError(f"r={r} exceeds the matrix cap {cap}")
+    if r > MATRIX_CAP:
+        raise ResourceCapError(f"r={r} exceeds the matrix cap {MATRIX_CAP}")
     layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
     index = {p: i for i, p in enumerate(layer)}
     entries = []

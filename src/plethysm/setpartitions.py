@@ -28,7 +28,7 @@ def max_ground_size() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_GROUND_SIZE
+        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not an integer") from None
 
 
 @lru_cache(maxsize=None)
@@ -36,6 +36,15 @@ def bell_number(n: int) -> int:
     if n == 0:
         return 1
     return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def singleton_free_count(n: int) -> int:
+    """Set-partitions of {1..n} with no singleton block (OEIS A000296)."""
+    if n == 0:
+        return 1
+    # the block holding n has j >= 1 further elements
+    return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
 
 
 def _is_growth_string(labels: Sequence[int]) -> bool:
@@ -202,10 +211,6 @@ class FoulkesPair:
 
     def __str__(self) -> str:
         return f"{self.inner} ; {self.outer}"
-
-
-def in_truncated_poset(pair: FoulkesPair, m: int, n: int) -> bool:
-    return pair.in_truncation(m, n)
 
 
 def _block_subdivisions(block: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:

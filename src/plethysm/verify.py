@@ -349,14 +349,33 @@ def check_character_orthogonality(full: bool) -> str:
     return f"first orthogonality relation holds for r<={top}"
 
 
-def check_fixed_count_identity_class(full: bool) -> str:
+def _brute_fixed_counts(mu: characters.Partition) -> dict[characters.Partition, int]:
+    """For each cycle type rho: shape-mu set-partitions fixed by it, by enumeration."""
+    r = sum(mu)
+    rows = np.array(
+        [sp.labels for sp in characters.set_partitions_of_shape(mu)], dtype=np.int16
+    )
+    ii, jj = np.triu_indices(r, k=1)
+    base_pattern = rows[:, ii] == rows[:, jj]
+    counts = {}
+    for rho in characters.partitions(r):
+        # 0-based images of the permutation with cycles (1..k1)(k1+1..k1+k2)...
+        starts = itertools.accumulate((0,) + rho)
+        sigma = [s + (i + 1) % k for s, k in zip(starts, rho) for i in range(k)]
+        moved = rows[:, np.argsort(sigma)]
+        pattern = moved[:, ii] == moved[:, jj]
+        counts[rho] = int((pattern == base_pattern).all(axis=1).sum())
+    return counts
+
+
+def check_fixed_counts(full: bool) -> str:
     top = 8 if full else 6
     for r in range(1, top + 1):
         for mu in characters.partitions(r):
-            count = characters.stab_permutation_character(mu, (1,) * r)
-            if count != len(characters.set_partitions_of_shape(mu)):
-                raise CheckFailure(f"identity fix count off for {mu}")
-    return f"identity class counts all shape partitions (r<={top})"
+            for rho, count in _brute_fixed_counts(mu).items():
+                if characters.stab_permutation_character(mu, rho) != count:
+                    raise CheckFailure(f"fixed-point count off for mu={mu}, rho={rho}")
+    return f"permutation characters match brute-force fixed-point counts (r<={top})"
 
 
 def check_permutation_module_dimension(full: bool) -> str:
@@ -557,7 +576,7 @@ CHECKS = [
     ("foulkes.rank2-generator-matrices", check_small_generator_matrices),
     ("foulkes.rank4-dimensions", check_rank4_dimensions),
     ("characters.orthogonality", check_character_orthogonality),
-    ("characters.fixed-count-identity", check_fixed_count_identity_class),
+    ("characters.fixed-count-identity", check_fixed_counts),
     ("characters.permutation-module-dimension", check_permutation_module_dimension),
     ("coefficients.oracle-vs-stable", check_oracle_vs_stable),
     ("coefficients.two-row-consistency", check_two_row_consistency),

@@ -200,7 +200,7 @@ class TestStabCharacter:
             assert stab_permutation_character((5,), rho) == 1
 
     def test_against_slow_filtering(self):
-        for r in range(1, 6):
+        for r in range(1, 7):
             for mu in partitions(r):
                 for rho in partitions(r):
                     assert stab_permutation_character(mu, rho) == slow_fixed_count(

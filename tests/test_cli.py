@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,7 +6,10 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plethysm.characters import dimension, parse_partition
 from plethysm.cli import main
 
 
@@ -77,6 +81,10 @@ class TestCoeff:
         code, _, _ = run(capsys, "coeff", "--m", "3")
         assert code == 1
 
+    def test_empty_rectangle_rejected(self, capsys):
+        code, out, err = run(capsys, "coeff", "--m", "0", "--n", "0", "--lambda", "-")
+        assert code == 1 and out == "" and "positive" in err
+
 
 class TestTable:
     def test_rank1_single_zero_row(self, capsys):
@@ -109,6 +117,24 @@ class TestTable:
     def test_cap_exit_code(self, capsys):
         code, _, _ = run(capsys, "table", "--r", "99")
         assert code == 3
+
+    def test_negative_rank_exit_code(self, capsys):
+        code, out, _ = run(capsys, "table", "--r", "-1")
+        assert code == 1 and out == ""
+
+    def test_non_integer_cap_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "abc")
+        code, out, err = run(capsys, "table", "--r", "4")
+        assert code == 1 and out == "" and "PLETHYSM_MAX_R" in err
+
+    def test_rank12_at_default_cap(self, capsys, schema, monkeypatch):
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        code, record, _ = run_json(capsys, schema, "table", "--r", "12")
+        assert code == 0
+        rows = {row["lambda"]: row["value"] for row in record["result"]}
+        # A000296(12) singleton-free set partitions; 21 partitions of 12 without part 1
+        assert sum(v * dimension(parse_partition(lam)) for lam, v in rows.items()) == 580317
+        assert rows["12"] == 21
 
     def test_byte_identical_reruns(self, capsys):
         code1, out1, _ = run(capsys, "table", "--r", "6", "--format", "json")
@@ -166,3 +192,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "fast", "--inject-failure")
         assert code == 4
         assert "FAIL injected-failure" in out
+
+
+partition_texts = st.one_of(
+    st.lists(st.integers(1, 4), max_size=5).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "-"
+    ),
+    st.text(alphabet="0123,-x", max_size=6),
+)
+small_ints = st.integers(-1, 6).map(str)
+fuzzed_commands = st.one_of(
+    st.tuples(st.just("stable"), st.just("--lambda"), partition_texts),
+    st.tuples(
+        st.just("coeff"), st.just("--m"), small_ints, st.just("--n"), small_ints,
+        st.just("--lambda"), partition_texts,
+    ),
+    st.tuples(st.just("table"), st.just("--r"), st.integers(-2, 9).map(str)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=fuzzed_commands)
+def test_fuzzed_commands_exit_cleanly(schema, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), schema)
+    else:
+        assert 1 <= code <= 4 and out.getvalue() == ""

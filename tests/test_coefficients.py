@@ -54,6 +54,9 @@ class TestStableValues:
         with pytest.raises(ResourceCapError):
             stable_plethysm((13,))
 
+    def test_accepts_sequences(self):
+        assert stable_plethysm([2, 2]) == 1
+
 
 class TestCoefficient:
     def test_ten_by_ten(self):
@@ -85,6 +88,11 @@ class TestCoefficient:
         with pytest.raises(UnsupportedRegimeError):
             coefficient_regime(5, 4, (5, 4, 3, 2, 1))
 
+    def test_nonpositive_rectangle_rejected(self):
+        for m, n in ((0, 0), (0, 3), (3, 0), (-1, 2)):
+            with pytest.raises(MalformedPartitionError):
+                coefficient_regime(m, n, ())
+
     def test_invalid_padding_in_stable_range(self):
         # m = n = 1 with lam = (1): both bounds hold but (0, 1) is no partition
         with pytest.raises(UnsupportedRegimeError):
@@ -104,6 +112,13 @@ class TestStableTable:
 
     def test_rank2(self):
         assert dict(stable_table(2).rows) == {(2,): 1, (1, 1): 0}
+
+    def test_rank0(self):
+        assert stable_table(0).rows == (((), 1),)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(MalformedPartitionError):
+            stable_table(-1)
 
     def test_rank8_nonzero(self):
         assert dict(stable_table(8).nonzero()) == RANK8_VALUES

@@ -20,7 +20,12 @@ from plethysm.foulkes import (
     module_multiplicities,
     orbit_decomposition,
 )
-from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs
+from plethysm.setpartitions import (
+    FoulkesPair,
+    SetPartition,
+    foulkes_pairs,
+    singleton_free_count,
+)
 
 ONE = TwoParamScalar.monomial(0, 0)
 D1 = TwoParamScalar.monomial(1, 0)
@@ -194,6 +199,10 @@ class TestDepthRadical:
         assert len(depth_quotient_basis(2)) == 1
         assert len(depth_quotient_basis(3)) == 1
         assert len(depth_quotient_basis(4)) == 4
+
+    def test_closed_form_quotient_count(self):
+        for r in range(1, 8):
+            assert singleton_free_count(r) == len(depth_quotient_basis(r))
 
     def test_radical_closed_under_generators(self):
         for r in (2, 3, 4, 5):

@@ -10,7 +10,6 @@ from plethysm.setpartitions import (
     SetPartition,
     bell_number,
     foulkes_pairs,
-    in_truncated_poset,
     set_partitions,
 )
 
@@ -152,6 +151,11 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             list(set_partitions(3))
 
+    def test_non_integer_cap_rejected(self, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "abc")
+        with pytest.raises(MalformedPartitionError, match="PLETHYSM_MAX_R"):
+            list(set_partitions(3))
+
 
 class TestFoulkesPoset:
     def test_counts(self):
@@ -190,13 +194,13 @@ class TestFoulkesPoset:
 class TestTruncation:
     def test_three_singletons_in_one_block_needs_m_three(self):
         pair = FoulkesPair(SetPartition.singletons(3), SetPartition.one_block(3))
-        assert not in_truncated_poset(pair, 2, 3)
-        assert in_truncated_poset(pair, 3, 3)
+        assert not pair.in_truncation(2, 3)
+        assert pair.in_truncation(3, 3)
 
     def test_outer_width_needs_n(self):
         pair = FoulkesPair(SetPartition.singletons(3), SetPartition.singletons(3))
-        assert not in_truncated_poset(pair, 3, 2)
-        assert in_truncated_poset(pair, 3, 3)
+        assert not pair.in_truncation(3, 2)
+        assert pair.in_truncation(3, 3)
 
     def test_exactly_one_rejected_in_each_rank3_case(self):
         pairs = foulkes_pairs(3)
