@@ -23,7 +23,7 @@ from .errors import (
     SizeMismatchError,
     UnsupportedRegimeError,
 )
-from .setpartitions import foulkes_pairs
+from .setpartitions import foulkes_pairs, pair_counts_by_depth, singleton_free_count
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -101,11 +101,9 @@ def _cmd_table(args) -> int:
 
 def _module_payload(r: int, info: str):
     if info == "dims":
-        return {
-            "pairs": len(foulkes_pairs(r)),
-            "depth_radical": len(foulkes.depth_radical_basis(r)),
-            "depth_quotient": len(foulkes.depth_quotient_basis(r)),
-        }
+        total = sum(pair_counts_by_depth(r))
+        quotient = singleton_free_count(r)
+        return {"pairs": total, "depth_radical": total - quotient, "depth_quotient": quotient}
     if info == "matrices":
         basis = [str(p) for p in foulkes_pairs(r)]
         matrices = {}
@@ -123,10 +121,9 @@ def _module_payload(r: int, info: str):
             for orbit in foulkes.orbit_decomposition(r)
         ]
     if info == "filtration":
-        sizes = [0] * r
-        for p in foulkes_pairs(r):
-            sizes[p.depth] += 1
-        return [{"depth": k, "dimension": sizes[k]} for k in range(r)]
+        return [
+            {"depth": k, "dimension": size} for k, size in enumerate(pair_counts_by_depth(r))
+        ]
     raise MalformedPartitionError(f"unknown info {info!r}")
 
 

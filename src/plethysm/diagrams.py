@@ -5,6 +5,11 @@ and 1'..r' (southern); point k' is encoded as the integer r+k, following the
 total order 1 < ... < r < 1' < ... < r'.  Multiplying two diagrams stacks the
 first above the second and replaces each closed middle component by one factor
 of d1*d2, tracked exactly in a two-variable integer polynomial.
+
+Stacking works on label strings: the glued points identify blocks of the two
+strings, a union-find over block labels (not points) merges them, and the
+free points are relabelled in one pass.  The product and the one-row action
+are both this one operation.
 """
 
 from __future__ import annotations
@@ -136,30 +141,8 @@ class PartitionDiagram:
     @cached_property
     def propagating_count(self) -> int:
         """Number of blocks meeting both the northern and the southern row."""
-        count = 0
-        for block in self.partition.blocks:
-            if block[0] <= self.size < block[-1]:
-                count += 1
-        return count
-
-
-class _DisjointSet:
-    """Union-find with path halving; tracks nothing but connectivity."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+        labels = self.partition.labels
+        return len(set(labels[: self.size]) & set(labels[self.size :]))
 
 
 def identity_diagram(r: int) -> PartitionDiagram:
@@ -213,39 +196,39 @@ def generator_names(r: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _stack(upper: SetPartition, lower: SetPartition, glued: int) -> tuple[int, SetPartition]:
+    """Glue the last ``glued`` points of ``upper`` to the first ``glued`` of ``lower``.
+
+    Returns (components touching no free point, partition induced on the free
+    points: upper's unglued points, then lower's).
+    """
+    shift = upper.block_count  # lower's block b is node shift + b
+    parent = list(range(shift + lower.block_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cut = upper.size - glued
+    for a, b in zip(upper.labels[cut:], lower.labels[:glued]):
+        ra, rb = find(a), find(shift + b)
+        if ra != rb:
+            parent[rb] = ra
+    keys = [find(a) for a in upper.labels[:cut]]
+    keys += [find(shift + b) for b in lower.labels[glued:]]
+    free = SetPartition.from_keys(keys)
+    components = sum(1 for x, p in enumerate(parent) if x == p)
+    return components - free.block_count, free
+
+
 def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, PartitionDiagram]:
     """Stack x above y; return (closed middle components, resulting diagram)."""
     if x.size != y.size:
         raise SizeMismatchError(f"strand counts differ: {x.size} vs {y.size}")
-    r = x.size
-    # nodes: 0..r-1 top (x north), r..2r-1 middle (x south = y north), 2r.. bottom
-    ds = _DisjointSet(3 * r)
-    for block in x.partition.blocks:
-        first = block[0] - 1  # northern point k -> node k-1; southern k' -> r+k-1
-        for p in block[1:]:
-            ds.union(first, p - 1)
-    for block in y.partition.blocks:
-        first = block[0] - 1 + r  # y's points shifted down one level
-        for p in block[1:]:
-            ds.union(first, p - 1 + r)
-    touched_outer: set[int] = set()
-    classes: dict[int, list[int]] = {}
-    for node in range(3 * r):
-        root = ds.find(node)
-        classes.setdefault(root, []).append(node)
-        if node < r or node >= 2 * r:
-            touched_outer.add(root)
-    closed = 0
-    blocks = []
-    for root, members in classes.items():
-        if root not in touched_outer:
-            closed += 1
-            continue
-        block = [m + 1 for m in members if m < r]
-        block += [m - r + 1 for m in members if m >= 2 * r]
-        if block:
-            blocks.append(block)
-    return closed, PartitionDiagram.from_blocks(blocks, r)
+    closed, partition = _stack(x.partition, y.partition, x.size)
+    return closed, PartitionDiagram(x.size, partition)
 
 
 def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, SetPartition]:
@@ -256,27 +239,7 @@ def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, Se
     """
     if sp.size != d.size:
         raise SizeMismatchError(f"sizes differ: {sp.size} vs {d.size}")
-    r = sp.size
-    # nodes: 0..r-1 middle (sp's points = d north), r..2r-1 southern
-    ds = _DisjointSet(2 * r)
-    for block in sp.blocks:
-        first = block[0] - 1
-        for p in block[1:]:
-            ds.union(first, p - 1)
-    for block in d.partition.blocks:
-        first = block[0] - 1
-        for p in block[1:]:
-            ds.union(first, p - 1)
-    southern_root: dict[int, list[int]] = {}
-    roots = set()
-    for node in range(2 * r):
-        root = ds.find(node)
-        roots.add(root)
-        if node >= r:
-            southern_root.setdefault(root, []).append(node - r + 1)
-    closed = len(roots) - len(southern_root)
-    result = SetPartition.from_blocks(southern_root.values(), r)
-    return closed, result
+    return _stack(sp, d.partition, sp.size)
 
 
 class AlgebraElement:

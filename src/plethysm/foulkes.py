@@ -126,12 +126,7 @@ def depth_quotient_basis(r: int) -> tuple[FoulkesPair, ...]:
 
 def block_filling(mu: Partition) -> SetPartition:
     """The set-partition with consecutive blocks of sizes mu: {1..mu1 | ...}."""
-    blocks = []
-    start = 1
-    for part in mu:
-        blocks.append(range(start, start + part))
-        start += part
-    return SetPartition.from_blocks(blocks, sum(mu))
+    return SetPartition.from_keys(k for k, part in enumerate(mu) for _ in range(part))
 
 
 @dataclass(frozen=True)

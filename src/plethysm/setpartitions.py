@@ -3,17 +3,18 @@
 A set-partition is stored as a restricted growth string: ``labels[k]`` is the
 block index of element ``k+1``, blocks numbered in order of first appearance.
 That numbering coincides with ordering blocks by increasing minima, so the
-string is a canonical form and hashing/equality are O(r).
+string is a canonical form and hashing/equality are O(r).  Internal code
+builds partitions with ``SetPartition.from_keys`` (one relabel pass);
+``from_blocks`` validates block lists from outside and then delegates to it.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 
@@ -88,15 +89,18 @@ class SetPartition:
         if len(seen) != size:
             missing = sorted(set(range(1, size + 1)) - seen.keys())
             raise MalformedPartitionError(f"elements missing from partition: {missing}")
-        # number blocks by increasing minima == first appearance while scanning 1..size
-        relabel: dict[int, int] = {}
-        labels = []
-        for x in range(1, size + 1):
-            b = seen[x]
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            labels.append(relabel[b])
-        return cls(size, tuple(labels))
+        return cls.from_keys(seen[x] for x in range(1, size + 1))
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[Hashable]) -> "SetPartition":
+        """Positions k and l share a block iff their keys are equal.
+
+        Keys are numbered by first appearance, which is the canonical block
+        numbering, so this one pass builds the growth string directly.
+        """
+        relabel: dict[Hashable, int] = {}
+        labels = tuple(relabel.setdefault(key, len(relabel)) for key in keys)
+        return cls(len(labels), labels)
 
     @classmethod
     def singletons(cls, size: int) -> "SetPartition":
@@ -132,9 +136,12 @@ class SetPartition:
 
     def permuted(self, perm: Sequence[int]) -> "SetPartition":
         """Apply a permutation (one-line, 1-based images) to the ground set."""
-        return SetPartition.from_blocks(
-            [[perm[x - 1] for x in block] for block in self.blocks], self.size
-        )
+        if sorted(perm) != list(range(1, self.size + 1)):
+            raise MalformedPartitionError(f"not a permutation of 1..{self.size}: {perm}")
+        keys = [0] * self.size
+        for x, image in enumerate(perm):
+            keys[image - 1] = self.labels[x]
+        return SetPartition.from_keys(keys)
 
     def __str__(self) -> str:
         return "{" + "|".join(",".join(str(x) for x in b) for b in self.blocks) + "}"
@@ -213,29 +220,42 @@ class FoulkesPair:
         return f"{self.inner} ; {self.outer}"
 
 
-def _block_subdivisions(block: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    out = []
-    for labels in _growth_strings(len(block)):
-        sub: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
-        for x, b in zip(block, labels):
-            sub[b].append(x)
-        out.append(tuple(tuple(s) for s in sub))
-    return out
-
-
 @lru_cache(maxsize=None)
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
-    The depth-major order keeps each filtration layer contiguous and matches
-    the conventional basis layout for the small worked cases.
+    Each outer partition is a growth string over the inner blocks, read back
+    at every point; that string is already canonical.  The depth-major order
+    keeps each filtration layer contiguous and matches the conventional basis
+    layout for the small worked cases.
     """
     pairs = []
-    for outer in set_partitions(size):
-        per_block = [_block_subdivisions(b) for b in outer.blocks]
-        for choice in itertools.product(*per_block):
-            inner_blocks = [b for sub in choice for b in sub]
-            inner = SetPartition.from_blocks(inner_blocks, size)
+    for inner in set_partitions(size):
+        for merge in _growth_strings(inner.block_count):
+            outer = SetPartition(size, tuple(merge[b] for b in inner.labels))
             pairs.append(FoulkesPair(inner, outer))
     pairs.sort(key=lambda p: (p.depth, p.inner.labels, p.outer.labels))
     return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _stirling2(n: int, k: int) -> int:
+    """Set-partitions of {1..n} into exactly k blocks."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def pair_counts_by_depth(size: int) -> tuple[int, ...]:
+    """Number of refining pairs on {1..size} at each depth 0..size-1.
+
+    An inner partition with k blocks and an outer one merging them into k - d
+    blocks give S(size, k) * S(k, k - d) pairs of depth d; the total over all
+    depths is OEIS A000258.
+    """
+    if size < 1:
+        raise MalformedPartitionError("ground size must be positive")
+    return tuple(
+        sum(_stirling2(size, k) * _stirling2(k, k - d) for k in range(d + 1, size + 1))
+        for d in range(size)
+    )

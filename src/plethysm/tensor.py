@@ -110,15 +110,8 @@ def wreath_embed(sigmas: Sequence[Sequence[int]], pi: Sequence[int]) -> tuple[in
 
 def value_type(pairs: Sequence[tuple[int, int]]) -> FoulkesPair:
     """Equality pattern of a basis vector: inner by (i, j), outer by j alone."""
-    r = len(pairs)
-    outer_blocks: dict[int, list[int]] = {}
-    inner_blocks: dict[tuple[int, int], list[int]] = {}
-    for pos, (i, j) in enumerate(pairs, start=1):
-        outer_blocks.setdefault(j, []).append(pos)
-        inner_blocks.setdefault((i, j), []).append(pos)
     return FoulkesPair(
-        SetPartition.from_blocks(inner_blocks.values(), r),
-        SetPartition.from_blocks(outer_blocks.values(), r),
+        SetPartition.from_keys(pairs), SetPartition.from_keys(j for _, j in pairs)
     )
 
 

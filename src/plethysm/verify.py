@@ -31,6 +31,7 @@ from .setpartitions import (
     SetPartition,
     bell_number,
     foulkes_pairs,
+    pair_counts_by_depth,
     set_partitions,
 )
 
@@ -104,10 +105,15 @@ def check_pair_count(full: bool) -> str:
             math.prod(bell_number(len(b)) for b in outer.blocks)
             for outer in set_partitions(r)
         )
-        got = len(foulkes_pairs(r))
-        if got != expected:
-            raise CheckFailure(f"pair count at r={r}: {got} != {expected}")
-    return f"pair counts match the blockwise Bell product sum for r<={top}"
+        pairs = foulkes_pairs(r)
+        if len(pairs) != expected:
+            raise CheckFailure(f"pair count at r={r}: {len(pairs)} != {expected}")
+        by_depth = [0] * r
+        for p in pairs:
+            by_depth[p.depth] += 1
+        if tuple(by_depth) != pair_counts_by_depth(r):
+            raise CheckFailure(f"depth counts at r={r}: {by_depth} != {pair_counts_by_depth(r)}")
+    return f"pair counts match the blockwise Bell product sum and Stirling depth counts (r<={top})"
 
 
 def check_truncation_trivial_bounds(full: bool) -> str:
@@ -611,6 +617,9 @@ def run_suite(suite: str, inject_failure: bool = False) -> list[CheckResult]:
             ok = True
         except CheckFailure as exc:
             detail = str(exc)
+            ok = False
+        except Exception as exc:  # a crashing check must not hide the remaining ones
+            detail = f"{type(exc).__name__}: {exc}"
             ok = False
         results.append(CheckResult(name, ok, detail, time.monotonic() - start))
     return results

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethysm import foulkes, verify
 from plethysm.characters import dimension, parse_partition
 from plethysm.cli import main
+from plethysm.errors import InternalConsistencyError
+from plethysm.setpartitions import foulkes_pairs
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,29 @@ class TestModule:
         assert code == 0
         assert [row["dimension"] for row in record["result"]] == [5, 6, 1]
 
+    def test_counts_match_enumeration(self, capsys, schema):
+        for r in range(1, 7):
+            _, dims, _ = run_json(capsys, schema, "module", "--r", str(r), "--info", "dims")
+            _, layers, _ = run_json(
+                capsys, schema, "module", "--r", str(r), "--info", "filtration"
+            )
+            pairs = foulkes_pairs(r)
+            assert dims["result"] == {
+                "pairs": len(pairs),
+                "depth_radical": len(foulkes.depth_radical_basis(r)),
+                "depth_quotient": len(foulkes.depth_quotient_basis(r)),
+            }
+            assert [row["dimension"] for row in layers["result"]] == [
+                sum(p.depth == k for p in pairs) for k in range(r)
+            ]
+
+    @pytest.mark.parametrize("info", ["dims", "filtration"])
+    def test_nonpositive_rank_exit_code(self, capsys, info):
+        for r in ("0", "-1"):
+            code, out, err = run(capsys, "module", "--r", r, "--info", info)
+            assert code == 1 and out == ""
+            assert "ground size must be positive" in err
+
     def test_cap_exit_code(self, capsys):
         code, _, _ = run(capsys, "module", "--r", "7", "--info", "dims")
         assert code == 3
@@ -192,6 +218,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "fast", "--inject-failure")
         assert code == 4
         assert "FAIL injected-failure" in out
+
+    def test_crashing_check_does_not_stop_the_suite(self, capsys, monkeypatch):
+        def crash(full):
+            raise InternalConsistencyError("kernel broke")
+
+        names = [name for name, _ in verify.CHECKS]
+        monkeypatch.setattr(verify, "CHECKS", [("crashing", crash), *verify.CHECKS])
+        code, out, _ = run(capsys, "verify", "--suite", "fast")
+        lines = out.splitlines()
+        assert code == 4
+        assert lines[0] == "FAIL crashing: InternalConsistencyError: kernel broke"
+        assert [line.split(":")[0] for line in lines[1:-1]] == [f"PASS {n}" for n in names]
+        assert lines[-1] == f"FAILURES PRESENT ({len(names) + 1} checks)"
 
 
 partition_texts = st.one_of(

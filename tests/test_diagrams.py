@@ -22,15 +22,56 @@ from plethysm.setpartitions import SetPartition, set_partitions
 
 
 @st.composite
-def diagrams_of_size(draw, r):
+def partitions_of_size(draw, n):
     labels = [0]
-    for _ in range(2 * r - 1):
+    for _ in range(n - 1):
         labels.append(draw(st.integers(0, max(labels) + 1)))
-    return PartitionDiagram(r, SetPartition(2 * r, tuple(labels)))
+    return SetPartition(n, tuple(labels))
+
+
+@st.composite
+def diagrams_of_size(draw, r):
+    return PartitionDiagram(r, draw(partitions_of_size(2 * r)))
 
 
 def all_diagrams(r):
     return [PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r)]
+
+
+def point_components(n, blocks):
+    """Component id of each of the points 0..n-1 once every block is joined."""
+    comp = list(range(n))
+    for block in blocks:
+        ids = {comp[p] for p in block}
+        target = min(ids)
+        comp = [target if c in ids else c for c in comp]
+    return comp
+
+
+def stack_points(blocks, n, free):
+    """Closed components and the blocks induced on the free points (numbered 1..)."""
+    comp = point_components(n, blocks)
+    induced = {}
+    for k, p in enumerate(free, start=1):
+        induced.setdefault(comp[p], []).append(k)
+    return len(set(comp)) - len(induced), list(induced.values())
+
+
+def reference_product(x, y):
+    """x's points on levels 0 and 1, y's on levels 1 and 2, one node per point."""
+    r = x.size
+    blocks = [[p - 1 for p in b] for b in x.partition.blocks]
+    blocks += [[p - 1 + r for p in b] for b in y.partition.blocks]
+    closed, induced = stack_points(blocks, 3 * r, [*range(r), *range(2 * r, 3 * r)])
+    return closed, PartitionDiagram.from_blocks(induced, r)
+
+
+def reference_action(sp, d):
+    """sp's points on the northern row of d, one node per point."""
+    r = sp.size
+    blocks = [[p - 1 for p in b] for b in sp.blocks + d.partition.blocks]
+    closed, induced = stack_points(blocks, 2 * r, range(r, 2 * r))
+    return closed, SetPartition.from_blocks(induced, r)
 
 
 class TestScalar:
@@ -129,7 +170,33 @@ class TestMultiply:
             assert z.propagating_count <= min(x.propagating_count, y.propagating_count)
 
 
+class TestStackingAgainstPoints:
+    def test_exhaustive_small(self):
+        for r in (1, 2):
+            diagrams = all_diagrams(r)
+            for x, y in itertools.product(diagrams, repeat=2):
+                assert multiply_diagrams(x, y) == reference_product(x, y)
+            for sp in set_partitions(r):
+                for d in diagrams:
+                    assert act_on_set_partition(sp, d) == reference_action(sp, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random(self, data):
+        r = data.draw(st.integers(1, 5))
+        x, y = data.draw(diagrams_of_size(r)), data.draw(diagrams_of_size(r))
+        sp = data.draw(partitions_of_size(r))
+        assert multiply_diagrams(x, y) == reference_product(x, y)
+        assert act_on_set_partition(sp, x) == reference_action(sp, x)
+
+
 class TestPropagating:
+    def test_against_blocks(self):
+        for r in (1, 2, 3):
+            for d in all_diagrams(r):
+                crossing = sum(b[0] <= r < b[-1] for b in d.partition.blocks)
+                assert d.propagating_count == crossing
+
     def test_identity(self):
         for r in (1, 3, 5):
             assert identity_diagram(r).propagating_count == r

@@ -10,6 +10,7 @@ from plethysm.setpartitions import (
     SetPartition,
     bell_number,
     foulkes_pairs,
+    pair_counts_by_depth,
     set_partitions,
 )
 
@@ -84,6 +85,25 @@ class TestCanonicalize:
         for b in blocks:
             rng.shuffle(b)
         assert SetPartition.from_blocks(blocks, sp.size) == sp
+
+
+    @given(st.lists(st.integers(0, 5), max_size=9))
+    def test_from_keys_matches_blocks(self, keys):
+        blocks = {}
+        for pos, key in enumerate(keys, start=1):
+            blocks.setdefault(key, []).append(pos)
+        expected = SetPartition.from_blocks(blocks.values(), len(keys))
+        assert SetPartition.from_keys(keys) == expected
+
+    def test_permuted_matches_blocks(self):
+        for r in range(1, 5):
+            for sp in set_partitions(r):
+                for perm in itertools.permutations(range(1, r + 1)):
+                    mapped = [[perm[x - 1] for x in block] for block in sp.blocks]
+                    assert sp.permuted(perm) == SetPartition.from_blocks(mapped, r)
+        for bad in ([1, 1, 2], [1, 2], [0, 1, 2], [1, 2, 4]):
+            with pytest.raises(MalformedPartitionError):
+                SetPartition.singletons(3).permuted(bad)
 
 
 class TestRefines:
@@ -185,6 +205,26 @@ class TestFoulkesPoset:
         for r in range(1, 6):
             depths = [p.depth for p in foulkes_pairs(r)]
             assert depths == sorted(depths)
+
+    def test_equals_filtered_square(self):
+        for r in range(1, 6):
+            parts = list(set_partitions(r))
+            expected = sorted(
+                (FoulkesPair(a, b) for a in parts for b in parts if a.refines(b)),
+                key=lambda p: (p.depth, p.inner.labels, p.outer.labels),
+            )
+            assert foulkes_pairs(r) == tuple(expected)
+
+    def test_depth_counts(self):
+        for r in range(1, 8):
+            by_depth = [0] * r
+            for p in foulkes_pairs(r):
+                by_depth[p.depth] += 1
+            assert pair_counts_by_depth(r) == tuple(by_depth)
+        a000258 = [1, 3, 12, 60, 358, 2471, 19302, 167894, 1606137]
+        assert [sum(pair_counts_by_depth(r)) for r in range(1, 10)] == a000258
+        with pytest.raises(MalformedPartitionError):
+            pair_counts_by_depth(0)
 
     def test_non_refining_rejected(self):
         with pytest.raises(MalformedPartitionError):
