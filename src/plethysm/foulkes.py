@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 from .characters import (
     Partition,
@@ -19,7 +20,7 @@ from .characters import (
 )
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from .diagrams import PartitionDiagram, TwoParamScalar, act_on_set_partition
-from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
+from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs, singleton_free_count
 
 MATRIX_CAP = 6
 
@@ -139,14 +140,19 @@ class DepthOrbit:
 
 
 def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
-    """Depth-quotient basis split into orbits, one per no-ones partition of r."""
-    remaining = {p.outer: p for p in depth_quotient_basis(r)}
+    """Depth-quotient basis split into orbits, one per no-ones partition of r.
+
+    Orbit sizes are counted, not enumerated: r! over the stabilizer order
+    prod_i mu_i! * prod_j m_j!, where m_j parts of mu equal j.
+    """
+    if r < 1:
+        raise MalformedPartitionError("ground size must be positive")
     orbits = []
     for mu in partitions_no_ones(r):
-        members = [sp for sp in remaining if sorted(map(len, sp.blocks), reverse=True) == list(mu)]
+        stabilizer = prod(map(factorial, mu)) * prod(factorial(mu.count(j)) for j in set(mu))
         rep = FoulkesPair(SetPartition.singletons(r), block_filling(mu))
-        orbits.append(DepthOrbit(mu, rep, len(members)))
-    if sum(o.size for o in orbits) != len(remaining):
+        orbits.append(DepthOrbit(mu, rep, factorial(r) // stabilizer))
+    if sum(o.size for o in orbits) != singleton_free_count(r):
         raise InternalConsistencyError("orbit sizes do not cover the quotient basis")
     return tuple(orbits)
 

@@ -225,17 +225,18 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
     Each outer partition is a growth string over the inner blocks, read back
-    at every point; that string is already canonical.  The depth-major order
-    keeps each filtration layer contiguous and matches the conventional basis
-    layout for the small worked cases.
+    at every point; that string is already canonical.  Inners and, per inner,
+    growth strings come in lex order, so each depth layer fills up sorted.  The
+    depth-major order keeps each filtration layer contiguous and matches the
+    conventional basis layout for the small worked cases.
     """
-    pairs = []
+    layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
     for inner in set_partitions(size):
-        for merge in _growth_strings(inner.block_count):
+        k = inner.block_count
+        for merge in _growth_strings(k):
             outer = SetPartition(size, tuple(merge[b] for b in inner.labels))
-            pairs.append(FoulkesPair(inner, outer))
-    pairs.sort(key=lambda p: (p.depth, p.inner.labels, p.outer.labels))
-    return tuple(pairs)
+            layers[k - 1 - max(merge)].append(FoulkesPair(inner, outer))
+    return tuple(p for layer in layers for p in layer)
 
 
 @lru_cache(maxsize=None)

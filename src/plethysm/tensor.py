@@ -3,16 +3,16 @@
 Basis vectors of the r-th tensor power are flat integers in base mn, most
 significant digit first.  Digit c encodes the pair (i, j) with
 c = (j-1)*m + (i-1), matching the subscript/superscript bookkeeping used for
-value-types.  Everything here is exact integer arithmetic; ranks are computed
-by fraction-free elimination so injectivity never hinges on a float.
+value-types.  Vectors and 0/1 diagram matrices are sparse dicts of Python
+integers; ranks are computed by fraction-free elimination so injectivity
+never hinges on a float.  Caps bound the dimension and the enumerated support.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .diagrams import PartitionDiagram, generator
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
@@ -21,6 +21,9 @@ from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
 
 VECTOR_CAP = 10**5
 MATRIX_CAP = 4096
+
+Vector = dict[int, int]  # flat index -> nonzero coefficient
+RowMap = dict[int, list[int]]  # row -> columns holding a 1
 
 
 def _check_dim(dim: int, cap: int) -> None:
@@ -51,7 +54,7 @@ def index_digits(flat: int, mn: int, r: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> np.ndarray:
+def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     """0/1 matrix of a diagram acting on the r-th tensor power of C^(mn).
 
     Entry (row I, column J) is 1 exactly when the indices are constant on
@@ -61,25 +64,26 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> np.ndarray:
     """
     r = d.size
     mn = m * n
-    dim = mn**r
-    _check_dim(dim, MATRIX_CAP)
-    blocks = d.partition.blocks
-    north_weight = []
-    south_weight = []
-    for block in blocks:
+    _check_dim(mn**r, MATRIX_CAP)
+    _check_dim(mn**d.partition.block_count, VECTOR_CAP)
+    entries = [(0, 0)]
+    for block in d.partition.blocks:
         nw = sum(mn ** (r - p) for p in block if p <= r)
         sw = sum(mn ** (2 * r - p) for p in block if p > r)
-        north_weight.append(nw)
-        south_weight.append(sw)
-    rows = np.zeros(1, dtype=np.int64)
-    cols = np.zeros(1, dtype=np.int64)
-    values = np.arange(mn, dtype=np.int64)
-    for nw, sw in zip(north_weight, south_weight):
-        rows = (rows[:, None] + values[None, :] * nw).ravel()
-        cols = (cols[:, None] + values[None, :] * sw).ravel()
-    matrix = np.zeros((dim, dim), dtype=np.int64)
-    matrix[rows, cols] = 1
-    return matrix
+        entries = [(row + v * nw, col + v * sw) for row, col in entries for v in range(mn)]
+    matrix: RowMap = defaultdict(list)
+    for row, col in entries:
+        matrix[row].append(col)
+    return dict(matrix)
+
+
+def apply(vector: Vector, matrix: RowMap) -> Vector:
+    """Row vector times 0/1 matrix, both sparse."""
+    out: Vector = defaultdict(int)
+    for row, coeff in vector.items():
+        for col in matrix.get(row, ()):
+            out[col] += coeff
+    return {col: v for col, v in out.items() if v}
 
 
 def _check_permutation(perm: Sequence[int], k: int) -> None:
@@ -115,7 +119,7 @@ def value_type(pairs: Sequence[tuple[int, int]]) -> FoulkesPair:
     )
 
 
-def block_constant_support(pair: FoulkesPair, m: int, n: int) -> np.ndarray:
+def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     """Flat indices of the basis vectors with subscripts constant on inner
     blocks and superscripts constant on outer blocks, no distinctness imposed.
 
@@ -127,42 +131,32 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> np.ndarray:
     mn = m * n
     support = m**pair.inner.block_count * n**pair.outer.block_count
     _check_dim(support, VECTOR_CAP)
-    if mn**r >= 2**62:
-        raise ResourceCapError(f"flat indices overflow 64 bits at (mn)^r = {mn}^{r}")
-    inner_weight = [
-        sum(mn ** (r - p) for p in block) for block in pair.inner.blocks
-    ]
-    outer_weight = [
-        sum(mn ** (r - p) for p in block) for block in pair.outer.blocks
-    ]
-    flats = np.zeros(1, dtype=np.int64)
-    for w in inner_weight:
-        flats = (flats[:, None] + np.arange(m, dtype=np.int64)[None, :] * w).ravel()
-    for w in outer_weight:
-        flats = (flats[:, None] + (np.arange(n, dtype=np.int64) * m)[None, :] * w).ravel()
+    flats = [0]
+    for block in pair.inner.blocks:
+        w = sum(mn ** (r - p) for p in block)
+        flats = [f + v * w for f in flats for v in range(m)]
+    for block in pair.outer.blocks:
+        w = m * sum(mn ** (r - p) for p in block)
+        flats = [f + v * w for f in flats for v in range(n)]
     return flats
 
 
-def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> np.ndarray:
-    """Dense 0/1 vector supported on ``block_constant_support``."""
-    dim = (m * n) ** pair.size
-    _check_dim(dim, VECTOR_CAP)
-    vec = np.zeros(dim, dtype=np.int64)
-    vec[block_constant_support(pair, m, n)] = 1
-    return vec
+def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
+    """0/1 vector supported on ``block_constant_support``."""
+    _check_dim((m * n) ** pair.size, VECTOR_CAP)
+    return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
-def value_type_orbit_vector(pair: FoulkesPair, m: int, n: int) -> np.ndarray:
+def value_type_orbit_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     """Sum of the basis vectors whose value-type is exactly the given pair."""
     r = pair.size
     mn = m * n
     _check_dim(mn**r, VECTOR_CAP)
-    vec = np.zeros(mn**r, dtype=np.int64)
-    for flat in range(mn**r):
-        pairs = [digit_to_pair(c, m) for c in index_digits(flat, mn, r)]
-        if value_type(pairs) == pair:
-            vec[flat] = 1
-    return vec
+    return {
+        flat: 1
+        for flat in range(mn**r)
+        if value_type([digit_to_pair(c, m) for c in index_digits(flat, mn, r)]) == pair
+    }
 
 
 def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -202,7 +196,8 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     identity is checked empirically here, not quoted from anywhere.
     """
     vectors = [block_constant_vector(p, m, n) for p in foulkes_pairs(r)]
-    return integer_matrix_rank([v.tolist() for v in vectors])
+    columns = sorted(set().union(*vectors))
+    return integer_matrix_rank([[v.get(c, 0) for c in columns] for v in vectors])
 
 
 def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> bool:
@@ -218,11 +213,11 @@ def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> boo
         pair = start
         scale = 1
         for name in word:
-            vec = vec @ matrices[name]
+            vec = apply(vec, matrices[name])
             t1, t2, pair = act(pair, diagrams[name])
             scale *= m**t1 * n**t2
-            expected = scale * block_constant_vector(pair, m, n)
-            if not np.array_equal(vec, expected):
+            expected = {c: scale * v for c, v in block_constant_vector(pair, m, n).items()}
+            if vec != expected:
                 return False
     return True
 

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -194,7 +198,7 @@ class TestModule:
                 sum(p.depth == k for p in pairs) for k in range(r)
             ]
 
-    @pytest.mark.parametrize("info", ["dims", "filtration"])
+    @pytest.mark.parametrize("info", ["dims", "filtration", "dq"])
     def test_nonpositive_rank_exit_code(self, capsys, info):
         for r in ("0", "-1"):
             code, out, err = run(capsys, "module", "--r", r, "--info", info)
@@ -231,6 +235,22 @@ class TestVerify:
         assert lines[0] == "FAIL crashing: InternalConsistencyError: kernel broke"
         assert [line.split(":")[0] for line in lines[1:-1]] == [f"PASS {n}" for n in names]
         assert lines[-1] == f"FAILURES PRESENT ({len(names) + 1} checks)"
+
+    def test_fast_suite_runs_without_numpy(self):
+        # a None entry in sys.modules makes any numpy import raise ImportError
+        script = (
+            "import sys; sys.modules['numpy'] = None; import plethysm, plethysm.cli; "
+            "sys.exit(plethysm.cli.main(['verify', '--suite', 'fast']))"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 partition_texts = st.one_of(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from plethysm.diagrams import (
@@ -230,6 +232,14 @@ class TestOrbits:
         for r in (2, 3, 4, 5, 6):
             total = sum(o.size for o in orbit_decomposition(r))
             assert total == len(depth_quotient_basis(r))
+
+    def test_closed_form_sizes_match_enumeration(self):
+        for r in range(1, 8):
+            shapes = Counter(
+                tuple(sorted(map(len, p.outer.blocks), reverse=True))
+                for p in depth_quotient_basis(r)
+            )
+            assert {o.shape: o.size for o in orbit_decomposition(r)} == shapes
 
     def test_block_filling(self):
         assert str(block_filling((3, 2))) == "{1,2,3|4,5}"
