@@ -101,6 +101,12 @@ def class_size(rho: Partition) -> int:
     return factorial(sum(rho)) // cycle_type_centralizer(rho)
 
 
+def cycle_representative(rho: Partition) -> tuple[int, ...]:
+    """One-line images (1-based) of the permutation (1..rho1)(rho1+1..rho1+rho2)..."""
+    starts = itertools.accumulate((0,) + rho)
+    return tuple(s + (i + 1) % k + 1 for s, k in zip(starts, rho) for i in range(k))
+
+
 @lru_cache(maxsize=None)
 def character_value(lam: Partition, rho: Partition) -> int:
     """Irreducible character of the symmetric group by border-strip removal."""

@@ -75,9 +75,6 @@ class TwoParamScalar:
                 out[k] = out.get(k, 0) + c1 * c2
         return TwoParamScalar(out)
 
-    def scaled(self, factor: int) -> "TwoParamScalar":
-        return TwoParamScalar({k: factor * c for k, c in self._terms.items()})
-
     def swapped(self) -> "TwoParamScalar":
         """The same polynomial with the roles of d1 and d2 exchanged."""
         return TwoParamScalar({(b, a): c for (a, b), c in self._terms.items()})

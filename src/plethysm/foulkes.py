@@ -7,14 +7,16 @@ coordinate; the closed-component counts become exponents of d1 and d2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
 from .characters import (
     Partition,
-    check_partition,
-    generalized_plethysm,
+    character_value,
+    class_size,
+    cycle_representative,
     partitions,
     partitions_no_ones,
 )
@@ -111,9 +113,7 @@ def layer_matrix(
 
 def in_depth_radical(pair: FoulkesPair) -> bool:
     """Radical membership: a non-singleton inner block or a singleton outer block."""
-    if any(len(b) > 1 for b in pair.inner.blocks):
-        return True
-    return any(len(b) == 1 for b in pair.outer.blocks)
+    return pair.inner.block_count < pair.size or 1 in Counter(pair.outer.labels).values()
 
 
 def depth_radical_basis(r: int) -> tuple[FoulkesPair, ...]:
@@ -157,16 +157,41 @@ def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     return tuple(orbits)
 
 
+def _quotient_fixed_counts(k: int) -> dict[Partition, int]:
+    """For each cycle type rho of S_k: depth-quotient pairs fixed by one
+    permutation of that type (the empty pair alone at k = 0)."""
+    if k == 0:
+        return {(): 1}
+    basis = depth_quotient_basis(k)
+    counts = {}
+    for rho in partitions(k):
+        sigma = cycle_representative(rho)
+        counts[rho] = sum(
+            p.inner.permuted(sigma) == p.inner and p.outer.permuted(sigma) == p.outer
+            for p in basis
+        )
+    return counts
+
+
 def module_multiplicities(r: int) -> dict[Partition, int]:
     """Composition multiplicities of the rank-r module, for every label of size <= r.
 
     In the semisimple regime the size-k labels are governed by the depth
-    quotient at rank k, so each multiplicity is a sum of generalized plethysm
-    coefficients over no-ones partitions.
+    quotient at rank k, which S_k permutes; each multiplicity is that
+    permutation character paired with the irreducible character chi^lam.
     """
     out: dict[Partition, int] = {}
     for k in range(r + 1):
+        fixed = _quotient_fixed_counts(k)
         for lam in partitions(k):
-            lam = check_partition(lam)
-            out[lam] = sum(generalized_plethysm(mu, lam) for mu in partitions_no_ones(k))
+            total = sum(
+                class_size(rho) * count * character_value(lam, rho)
+                for rho, count in fixed.items()
+            )
+            mult, rest = divmod(total, factorial(k))
+            if rest:
+                raise InternalConsistencyError(
+                    f"character pairing for lam={lam} at rank {k} is {total}/{k}!"
+                )
+            out[lam] = mult
     return out

@@ -6,12 +6,15 @@ That numbering coincides with ordering blocks by increasing minima, so the
 string is a canonical form and hashing/equality are O(r).  Internal code
 builds partitions with ``SetPartition.from_keys`` (one relabel pass);
 ``from_blocks`` validates block lists from outside and then delegates to it.
+The one scan that validates a label string also stores its block count, and
+the refinement order and per-pair invariants read label pairs instead of
+building block lists.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -27,9 +30,12 @@ def max_ground_size() -> int:
     if raw is None:
         return DEFAULT_MAX_GROUND_SIZE
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not an integer") from None
+        value = -1
+    if value < 0:
+        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not a nonnegative integer")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -48,29 +54,26 @@ def singleton_free_count(n: int) -> int:
     return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
 
 
-def _is_growth_string(labels: Sequence[int]) -> bool:
-    top = -1
-    for v in labels:
-        if v < 0 or v > top + 1:
-            return False
-        top = max(top, v)
-    return True
-
-
 @dataclass(frozen=True)
 class SetPartition:
     """A set-partition of {1..size} in canonical (increasing minima) form."""
 
     size: int
     labels: tuple[int, ...]
+    block_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0 or len(self.labels) != self.size:
             raise MalformedPartitionError(
                 f"label string of length {len(self.labels)} for ground size {self.size}"
             )
-        if not _is_growth_string(self.labels):
-            raise MalformedPartitionError(f"not a restricted growth string: {self.labels}")
+        count = 0  # a growth string opens block `count` or reuses one of 0..count-1
+        for v in self.labels:
+            if v == count:
+                count += 1
+            elif not 0 <= v < count:
+                raise MalformedPartitionError(f"not a restricted growth string: {self.labels}")
+        object.__setattr__(self, "block_count", count)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":
@@ -117,10 +120,6 @@ class SetPartition:
             out[b].append(x)
         return tuple(tuple(b) for b in out)
 
-    @property
-    def block_count(self) -> int:
-        return max(self.labels, default=-1) + 1
-
     def block_of(self, element: int) -> int:
         return self.labels[element - 1]
 
@@ -128,11 +127,8 @@ class SetPartition:
         """True iff every block of self lies inside a block of other."""
         if self.size != other.size:
             raise SizeMismatchError(f"ground sizes differ: {self.size} vs {other.size}")
-        image: dict[int, int] = {}
-        for mine, theirs in zip(self.labels, other.labels):
-            if image.setdefault(mine, theirs) != theirs:
-                return False
-        return True
+        # each of my blocks meets exactly one of theirs
+        return len(set(zip(self.labels, other.labels))) == self.block_count
 
     def permuted(self, perm: Sequence[int]) -> "SetPartition":
         """Apply a permutation (one-line, 1-based images) to the ground set."""
@@ -203,8 +199,8 @@ class FoulkesPair:
 
     def inner_blocks_per_outer(self) -> tuple[int, ...]:
         counts = [0] * self.outer.block_count
-        for block in self.inner.blocks:
-            counts[self.outer.block_of(block[0])] += 1
+        for _, outer in set(zip(self.inner.labels, self.outer.labels)):
+            counts[outer] += 1
         return tuple(counts)
 
     def in_truncation(self, m: int, n: int) -> bool:
@@ -232,10 +228,9 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
     for inner in set_partitions(size):
-        k = inner.block_count
-        for merge in _growth_strings(k):
-            outer = SetPartition(size, tuple(merge[b] for b in inner.labels))
-            layers[k - 1 - max(merge)].append(FoulkesPair(inner, outer))
+        for merge in _growth_strings(inner.block_count):
+            pair = FoulkesPair(inner, SetPartition(size, tuple(merge[b] for b in inner.labels)))
+            layers[pair.depth].append(pair)
     return tuple(p for layer in layers for p in layer)
 
 

@@ -26,13 +26,12 @@ Vector = dict[int, int]  # flat index -> nonzero coefficient
 RowMap = dict[int, list[int]]  # row -> columns holding a 1
 
 
-def _check_dim(dim: int, cap: int) -> None:
-    if dim > cap:
-        raise ResourceCapError(f"tensor dimension {dim} exceeds cap {cap}")
-
-
-def pair_to_digit(i: int, j: int, m: int) -> int:
-    return (j - 1) * m + (i - 1)
+def _check_cap(quantity: str, value: int, matrix: bool = False) -> None:
+    """Refuse a tensor dimension or enumerated support above VECTOR_CAP
+    (MATRIX_CAP for the rows of a diagram matrix)."""
+    name, cap = ("MATRIX_CAP", MATRIX_CAP) if matrix else ("VECTOR_CAP", VECTOR_CAP)
+    if value > cap:
+        raise ResourceCapError(f"tensor {quantity} {value} exceeds {name} = {cap}")
 
 
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
@@ -64,8 +63,8 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     """
     r = d.size
     mn = m * n
-    _check_dim(mn**r, MATRIX_CAP)
-    _check_dim(mn**d.partition.block_count, VECTOR_CAP)
+    _check_cap("dimension", mn**r, matrix=True)
+    _check_cap("support", mn**d.partition.block_count)
     entries = [(0, 0)]
     for block in d.partition.blocks:
         nw = sum(mn ** (r - p) for p in block if p <= r)
@@ -130,7 +129,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     r = pair.size
     mn = m * n
     support = m**pair.inner.block_count * n**pair.outer.block_count
-    _check_dim(support, VECTOR_CAP)
+    _check_cap("support", support)
     flats = [0]
     for block in pair.inner.blocks:
         w = sum(mn ** (r - p) for p in block)
@@ -143,7 +142,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
 
 def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     """0/1 vector supported on ``block_constant_support``."""
-    _check_dim((m * n) ** pair.size, VECTOR_CAP)
+    _check_cap("dimension", (m * n) ** pair.size)
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
@@ -151,7 +150,7 @@ def value_type_orbit_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     """Sum of the basis vectors whose value-type is exactly the given pair."""
     r = pair.size
     mn = m * n
-    _check_dim(mn**r, VECTOR_CAP)
+    _check_cap("dimension", mn**r)
     return {
         flat: 1
         for flat in range(mn**r)
@@ -248,7 +247,7 @@ def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Orbits of the wreath subgroup on the flat tensor basis (by BFS)."""
     mn = m * n
     dim = mn**r
-    _check_dim(dim, VECTOR_CAP)
+    _check_cap("dimension", dim)
     gens = wreath_group_generators(m, n)
     gen_digit_maps = [tuple(w[c] - 1 for c in range(mn)) for w in gens]
     seen = [False] * dim
@@ -275,7 +274,7 @@ def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
 def value_type_fibers(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Partition of the flat tensor basis by value-type."""
     mn = m * n
-    _check_dim(mn**r, VECTOR_CAP)
+    _check_cap("dimension", mn**r)
     fibers: dict[FoulkesPair, set[int]] = {}
     for flat in range(mn**r):
         pairs = [digit_to_pair(c, m) for c in index_digits(flat, mn, r)]

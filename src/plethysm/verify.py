@@ -25,6 +25,7 @@ from .diagrams import (
     multiply_diagrams,
     p_diagram,
 )
+from .errors import ResourceCapError
 from .setpartitions import (
     SetPartition,
     bell_number,
@@ -360,9 +361,7 @@ def _brute_fixed_counts(mu: characters.Partition) -> dict[characters.Partition, 
     ]
     counts = {}
     for rho in characters.partitions(sum(mu)):
-        # images of the permutation with cycles (1..k1)(k1+1..k1+k2)..., 1-based
-        starts = itertools.accumulate((0,) + rho)
-        sigma = [0] + [s + (i + 1) % k + 1 for s, k in zip(starts, rho) for i in range(k)]
+        sigma = (0,) + characters.cycle_representative(rho)  # indexed by 1-based points
         counts[rho] = sum(
             all(frozenset(sigma[x] for x in b) in blocks for b in blocks)
             for blocks in block_sets
@@ -616,6 +615,8 @@ def run_suite(suite: str, inject_failure: bool = False) -> list[CheckResult]:
         except CheckFailure as exc:
             detail = str(exc)
             ok = False
+        except ResourceCapError:  # a refused size is a configuration error, not a failure
+            raise
         except Exception as exc:  # a crashing check must not hide the remaining ones
             detail = f"{type(exc).__name__}: {exc}"
             ok = False

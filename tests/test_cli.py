@@ -130,9 +130,10 @@ class TestTable:
         assert code == 1 and out == ""
 
     def test_non_integer_cap_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PLETHYSM_MAX_R", "abc")
-        code, out, err = run(capsys, "table", "--r", "4")
-        assert code == 1 and out == "" and "PLETHYSM_MAX_R" in err
+        for raw in ("abc", "-1"):
+            monkeypatch.setenv("PLETHYSM_MAX_R", raw)
+            code, out, err = run(capsys, "table", "--r", "4")
+            assert code == 1 and out == "" and "PLETHYSM_MAX_R" in err
 
     def test_rank12_at_default_cap(self, capsys, schema, monkeypatch):
         monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
@@ -222,6 +223,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "fast", "--inject-failure")
         assert code == 4
         assert "FAIL injected-failure" in out
+
+    def test_cap_below_the_suite_exits_with_cap_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "3")
+        code, out, err = run(capsys, "verify", "--suite", "fast")
+        assert code == 3 and out == ""
+        assert "exceeds enumeration cap 3" in err
 
     def test_crashing_check_does_not_stop_the_suite(self, capsys, monkeypatch):
         def crash(full):

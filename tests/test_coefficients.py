@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from plethysm import characters, verify
 from plethysm.characters import homogeneous_plethysm, pad_partition, partitions
 from plethysm.coefficients import (
     ORACLE_REGIME,
@@ -132,6 +135,22 @@ class TestStableTable:
             mults = module_multiplicities(r)
             for lam, value in stable_table(r).rows:
                 assert mults[lam] == value
+
+    def test_module_check_catches_a_wrong_kernel(self, monkeypatch):
+        # (3,1) has the dimension of (4) + (2,2), so stable_table's own
+        # A000296 check passes; only the module's own decomposition disagrees
+        real = characters.generalized_plethysm
+
+        def wrong(mu, lam):
+            if tuple(mu) == (2, 2):
+                return int(tuple(lam) == (3, 1))
+            return real(mu, lam)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "plethysm" and hasattr(module, "generalized_plethysm"):
+                monkeypatch.setattr(module, "generalized_plethysm", wrong)
+        with pytest.raises(verify.CheckFailure, match="r=4"):
+            verify.check_module_vs_stable(False)
 
     def test_weighted_dimension_sum(self):
         # validated inside the builder; spot check the rank-4 number here

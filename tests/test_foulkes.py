@@ -186,6 +186,14 @@ class TestDepthRadical:
             pair([[1], [2], [3], [4]], [[1, 2], [3, 4]], 4)
         )
 
+    def test_matches_block_definition(self):
+        for r in range(1, 6):
+            for p in foulkes_pairs(r):
+                expected = any(len(b) > 1 for b in p.inner.blocks) or any(
+                    len(b) == 1 for b in p.outer.blocks
+                )
+                assert in_depth_radical(p) == expected
+
     def test_rank4_counts(self):
         flags = [in_depth_radical(p) for p in foulkes_pairs(4)]
         assert sum(flags) == 56

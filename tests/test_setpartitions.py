@@ -71,8 +71,9 @@ class TestCanonicalize:
             SetPartition.from_blocks([[1, 2]], 3)
 
     def test_bad_growth_string_rejected(self):
-        with pytest.raises(MalformedPartitionError):
-            SetPartition(3, (0, 2, 1))
+        for size, labels in [(3, (0, 2, 1)), (1, (1,)), (2, (0, -1)), (3, (0, 0, 2)), (2, (0,))]:
+            with pytest.raises(MalformedPartitionError):
+                SetPartition(size, labels)
 
     @given(growth_strings())
     def test_idempotent(self, sp):
@@ -104,6 +105,40 @@ class TestCanonicalize:
         for bad in ([1, 1, 2], [1, 2], [0, 1, 2], [1, 2, 4]):
             with pytest.raises(MalformedPartitionError):
                 SetPartition.singletons(3).permuted(bad)
+
+
+class TestStoredBlockCount:
+    """The validating scan stores the block count; the predicates built on it
+    match their definitions in terms of blocks."""
+
+    def test_block_count_is_number_of_blocks(self):
+        for r in range(1, 6):
+            for sp in set_partitions(r):
+                assert sp.block_count == len(sp.blocks)
+        assert SetPartition(0, ()).block_count == 0
+
+    def test_refines_matches_block_containment(self):
+        for r in range(1, 6):
+            parts = list(set_partitions(r))
+            for a, b in itertools.product(parts, repeat=2):
+                contained = all(
+                    any(set(block) <= set(big) for big in b.blocks) for block in a.blocks
+                )
+                assert a.refines(b) == contained
+
+    def test_inner_blocks_per_outer_matches_blocks(self):
+        for r in range(1, 6):
+            for pair in foulkes_pairs(r):
+                counts = [0] * pair.outer.block_count
+                for block in pair.inner.blocks:
+                    counts[pair.outer.block_of(block[0])] += 1
+                assert pair.inner_blocks_per_outer() == tuple(counts)
+
+    def test_repr_equality_and_hash_ignore_the_count(self):
+        assert repr(SetPartition.singletons(2)) == "SetPartition(size=2, labels=(0, 1))"
+        a, b = SetPartition(3, (0, 1, 0)), SetPartition(3, (0, 1, 0))
+        object.__setattr__(b, "block_count", 7)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestRefines:

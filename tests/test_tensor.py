@@ -86,8 +86,14 @@ class TestDiagramMatrix:
         # would hold 16**6 entries; the cap fires before any is built
         d = PartitionDiagram(3, SetPartition.singletons(6))
         assert 16**3 <= MATRIX_CAP
-        with pytest.raises(ResourceCapError, match=str(16**6)):
+        with pytest.raises(ResourceCapError, match=f"support {16**6} exceeds VECTOR_CAP"):
             diagram_tensor_matrix(d, 4, 4)
+
+    def test_dimension_cap_names_matrix_cap(self):
+        # 5**6 rows exceed MATRIX_CAP although the support 5**3 is small
+        d = PartitionDiagram(6, SetPartition.one_block(12))
+        with pytest.raises(ResourceCapError, match=f"dimension {5**6} exceeds MATRIX_CAP"):
+            diagram_tensor_matrix(d, 5, 1)
 
 
 class TestWreathEmbed:
