@@ -252,7 +252,7 @@ def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
     if m < 1 or n < 1:
         raise MalformedPartitionError("m and n must be positive")
     if m * n > ORACLE_CAP:
-        raise ResourceCapError(f"mn={m * n} exceeds oracle cap {ORACLE_CAP}")
+        raise ResourceCapError(f"mn={m * n} exceeds oracle cap {ORACLE_CAP} (ORACLE_CAP)")
     alpha = check_partition(alpha)
     if sum(alpha) != m * n:
         raise SizeMismatchError(f"|alpha|={sum(alpha)} but mn={m * n}")

@@ -128,8 +128,8 @@ def _module_payload(r: int, info: str):
 
 
 def _cmd_module(args) -> int:
-    if args.r > foulkes.MATRIX_CAP:
-        raise ResourceCapError(f"r={args.r} exceeds module cap {foulkes.MATRIX_CAP}")
+    if args.r > foulkes.MODULE_CAP:
+        raise ResourceCapError(f"r={args.r} exceeds MODULE_CAP = {foulkes.MODULE_CAP}")
     payload = _module_payload(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
     if args.info == "dims":
@@ -172,7 +172,8 @@ def _cmd_verify(args) -> int:
         "ok": ok,
     }
     text = [
-        f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}" for res in results
+        f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail} [{res.seconds:.2f} s]"
+        for res in results
     ]
     text.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} ({len(results)} checks)")
     csv_rows = [["name", "ok", "detail"]] + [

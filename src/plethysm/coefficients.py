@@ -40,7 +40,7 @@ def stable_plethysm(lam: Partition) -> int:
     lam = check_partition(lam)
     limit = max_ground_size()
     if sum(lam) > limit:
-        raise ResourceCapError(f"|lam|={sum(lam)} exceeds stable cap {limit}")
+        raise ResourceCapError(f"|lam|={sum(lam)} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
     return sum(generalized_plethysm(mu, lam) for mu in partitions_no_ones(sum(lam)))
 
 
@@ -91,7 +91,7 @@ def stable_table(r: int) -> StableTable:
         raise MalformedPartitionError(f"r={r} is negative")
     limit = max_ground_size()
     if r > limit:
-        raise ResourceCapError(f"r={r} exceeds stable cap {limit}")
+        raise ResourceCapError(f"r={r} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
     rows = tuple((lam, stable_plethysm(lam)) for lam in partitions(r))
     table = StableTable(r, rows)
     weighted = sum(v * dimension(lam) for lam, v in rows)

@@ -8,8 +8,9 @@ of d1*d2, tracked exactly in a two-variable integer polynomial.
 
 Stacking works on label strings: the glued points identify blocks of the two
 strings, a union-find over block labels (not points) merges them, and the
-free points are relabelled in one pass.  The product and the one-row action
-are both this one operation.
+free points' roots are relabelled in one pass.  Closed components are the
+block labels minus the unions minus the free blocks, so no final scan is
+needed.  The product and the one-row action are both this one operation.
 """
 
 from __future__ import annotations
@@ -200,24 +201,30 @@ def _stack(upper: SetPartition, lower: SetPartition, glued: int) -> tuple[int, S
     points: upper's unglued points, then lower's).
     """
     shift = upper.block_count  # lower's block b is node shift + b
-    parent = list(range(shift + lower.block_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    nodes = shift + lower.block_count
+    parent = list(range(nodes))
+    unions = 0
     cut = upper.size - glued
     for a, b in zip(upper.labels[cut:], lower.labels[:glued]):
-        ra, rb = find(a), find(shift + b)
-        if ra != rb:
-            parent[rb] = ra
-    keys = [find(a) for a in upper.labels[:cut]]
-    keys += [find(shift + b) for b in lower.labels[glued:]]
+        while parent[a] != a:
+            a = parent[a]
+        b += shift
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            # the larger root goes under the smaller, so parent[x] <= x throughout
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            unions += 1
+    for x in range(nodes):  # ascending, so parent[parent[x]] is already a root
+        parent[x] = parent[parent[x]]
+    keys = [parent[a] for a in upper.labels[:cut]]
+    keys += [parent[shift + b] for b in lower.labels[glued:]]
     free = SetPartition.from_keys(keys)
-    components = sum(1 for x, p in enumerate(parent) if x == p)
-    return components - free.block_count, free
+    # each union merges two components; those left touch a free point or are closed
+    return nodes - unions - free.block_count, free
 
 
 def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, PartitionDiagram]:

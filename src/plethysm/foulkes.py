@@ -22,15 +22,31 @@ from .characters import (
 )
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from .diagrams import PartitionDiagram, TwoParamScalar, act_on_set_partition
-from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs, singleton_free_count
+from .setpartitions import (
+    FoulkesPair,
+    SetPartition,
+    foulkes_pairs,
+    set_partitions,
+    singleton_free_count,
+)
 
-MATRIX_CAP = 6
+MODULE_CAP = 7
+
+
+@lru_cache(maxsize=None)
+def _one_row(sp: SetPartition, d: PartitionDiagram) -> tuple[int, SetPartition]:
+    """The one-row action, stacked once per (partition, diagram).
+
+    A diagram meets at most Bell(r) distinct coordinates across the whole
+    pair basis, so filling this on demand saves every repeated stacking.
+    """
+    return act_on_set_partition(sp, d)
 
 
 def act(pair: FoulkesPair, d: PartitionDiagram) -> tuple[int, int, FoulkesPair]:
     """Image of a basis pair under a diagram: exponents of d1, d2 and the pair."""
-    t1, inner = act_on_set_partition(pair.inner, d)
-    t2, outer = act_on_set_partition(pair.outer, d)
+    t1, inner = _one_row(pair.inner, d)
+    t2, outer = _one_row(pair.outer, d)
     try:
         image = FoulkesPair(inner, outer)
     except MalformedPartitionError as exc:  # pragma: no cover - structural guarantee
@@ -74,8 +90,8 @@ def _basis_index(r: int) -> dict[FoulkesPair, int]:
 
 def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
     """Matrix of a single diagram on the full pair basis."""
-    if r > MATRIX_CAP:
-        raise ResourceCapError(f"r={r} exceeds the matrix cap {MATRIX_CAP}")
+    if r > MODULE_CAP:
+        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
     basis = foulkes_pairs(r)
     index = _basis_index(r)
     entries = []
@@ -96,8 +112,8 @@ def layer_matrix(
     """
     if not 0 <= k <= max(r - 1, 0):
         raise ResourceCapError(f"layer index {k} out of range 0..{r - 1}")
-    if r > MATRIX_CAP:
-        raise ResourceCapError(f"r={r} exceeds the matrix cap {MATRIX_CAP}")
+    if r > MODULE_CAP:
+        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
     layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
     index = {p: i for i, p in enumerate(layer)}
     entries = []
@@ -121,8 +137,16 @@ def depth_radical_basis(r: int) -> tuple[FoulkesPair, ...]:
 
 
 def depth_quotient_basis(r: int) -> tuple[FoulkesPair, ...]:
-    """Pairs (all singletons; outer with no singleton block), in basis order."""
-    return tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
+    """Pairs (all singletons; outer with no singleton block), in basis order.
+
+    Only the singleton inner partition can qualify, so the outers are read
+    off ``set_partitions(r)``; their lex order is the basis order within
+    each depth, and a stable sort by depth restores the rest.
+    """
+    outers = list(set_partitions(r))  # rejects r < 1 first, as foulkes_pairs does
+    inner = SetPartition.singletons(r)
+    pairs = (FoulkesPair(inner, outer) for outer in outers)
+    return tuple(sorted((p for p in pairs if not in_depth_radical(p)), key=lambda p: p.depth))
 
 
 def block_filling(mu: Partition) -> SetPartition:

@@ -19,7 +19,12 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
+from .errors import (
+    InternalConsistencyError,
+    MalformedPartitionError,
+    ResourceCapError,
+    SizeMismatchError,
+)
 
 DEFAULT_MAX_GROUND_SIZE = 12
 
@@ -170,7 +175,7 @@ def set_partitions(size: int, cap: int | None = None) -> Iterator[SetPartition]:
         raise MalformedPartitionError("ground size must be positive")
     limit = cap if cap is not None else max_ground_size()
     if size > limit:
-        raise ResourceCapError(f"r={size} exceeds enumeration cap {limit}")
+        raise ResourceCapError(f"r={size} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
     for labels in _growth_strings(size):
         yield SetPartition(size, labels)
 
@@ -221,15 +226,26 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
     Each outer partition is a growth string over the inner blocks, read back
-    at every point; that string is already canonical.  Inners and, per inner,
-    growth strings come in lex order, so each depth layer fills up sorted.  The
-    depth-major order keeps each filtration layer contiguous and matches the
-    conventional basis layout for the small worked cases.
+    at every point; that string is already canonical, so it is looked up
+    among the partitions enumerated for the inners, and every pair with that
+    outer shares one validated object.  Inners and, per inner, growth strings
+    come in lex order, so each depth layer fills up sorted.  The depth-major
+    order keeps each filtration layer contiguous and matches the conventional
+    basis layout for the small worked cases.
     """
+    partitions = {sp.labels: sp for sp in set_partitions(size)}
+    merges = [tuple(_growth_strings(k)) for k in range(size + 1)]  # by inner block count
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
-    for inner in set_partitions(size):
-        for merge in _growth_strings(inner.block_count):
-            pair = FoulkesPair(inner, SetPartition(size, tuple(merge[b] for b in inner.labels)))
+    for inner in partitions.values():
+        for merge in merges[inner.block_count]:
+            labels = tuple(map(merge.__getitem__, inner.labels))
+            try:
+                outer = partitions[labels]
+            except KeyError:
+                raise InternalConsistencyError(
+                    f"merged labels {labels} are not a growth string"
+                ) from None
+            pair = FoulkesPair(inner, outer)
             layers[pair.depth].append(pair)
     return tuple(p for layer in layers for p in layer)
 

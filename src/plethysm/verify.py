@@ -14,6 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from . import characters, coefficients, diagrams, foulkes, tensor
@@ -138,17 +139,27 @@ def check_diagram_associativity(full: bool) -> str:
     return f"{trials} random triples associate (r<=4)"
 
 
+@lru_cache(maxsize=None)
+def _product_table(r: int) -> tuple[tuple[PartitionDiagram, ...], tuple[tuple[int, ...], ...]]:
+    """Every rank-r diagram, and the propagating count of each product x*y
+    (row x, column y), so the exhaustive product checks stack each pair once."""
+    all_diagrams = tuple(PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r))
+    counts = tuple(
+        tuple(multiply_diagrams(x, y)[1].propagating_count for y in all_diagrams)
+        for x in all_diagrams
+    )
+    return all_diagrams, counts
+
+
 def check_propagating_monotone(full: bool) -> str:
     checked = 0
     for r in (1, 2, 3):
-        all_diagrams = [
-            PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r)
-        ]
-        for x, y in itertools.product(all_diagrams, repeat=2):
-            _, z = multiply_diagrams(x, y)
-            if z.propagating_count > min(x.propagating_count, y.propagating_count):
-                raise CheckFailure(f"propagating count grew: {x} * {y}")
-            checked += 1
+        all_diagrams, counts = _product_table(r)
+        for x, row in zip(all_diagrams, counts):
+            for y, product in zip(all_diagrams, row):
+                if product > min(x.propagating_count, y.propagating_count):
+                    raise CheckFailure(f"propagating count grew: {x} * {y}")
+                checked += 1
     rng = random.Random(987)
     for _ in range(200):
         x, y = _random_diagram(rng, 4), _random_diagram(rng, 4)
@@ -161,15 +172,13 @@ def check_propagating_monotone(full: bool) -> str:
 
 def check_ideal_filtration(full: bool) -> str:
     for r in (2, 3):
-        all_diagrams = [
-            PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r)
-        ]
-        ideal = [d for d in all_diagrams if d.propagating_count <= r - 1]
-        for x in ideal:
-            for y in all_diagrams:
-                for prod in (multiply_diagrams(x, y)[1], multiply_diagrams(y, x)[1]):
-                    if prod.propagating_count > r - 1:
-                        raise CheckFailure(f"ideal escaped via {x}, {y}")
+        all_diagrams, counts = _product_table(r)
+        # every ordered product with a factor in the ideal stays in it
+        for x, row in zip(all_diagrams, counts):
+            for y, product in zip(all_diagrams, row):
+                in_ideal = min(x.propagating_count, y.propagating_count) <= r - 1
+                if in_ideal and product > r - 1:
+                    raise CheckFailure(f"ideal escaped via {x}, {y}")
     return "span of low-propagating diagrams is a two-sided ideal (r<=3)"
 
 

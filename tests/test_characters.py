@@ -296,6 +296,10 @@ class TestOracle:
         with pytest.raises(ResourceCapError):
             homogeneous_plethysm(5, 4, (20,))
 
+    def test_cap_message_names_the_constant(self):
+        with pytest.raises(ResourceCapError, match=r"mn=20 exceeds oracle cap 16 \(ORACLE_CAP\)"):
+            homogeneous_plethysm(5, 4, (20,))
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             homogeneous_plethysm(2, 2, (3,))

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -206,9 +207,19 @@ class TestModule:
             assert code == 1 and out == ""
             assert "ground size must be positive" in err
 
+    def test_rank7_under_the_module_cap(self, capsys, schema):
+        _, dims, _ = run_json(capsys, schema, "module", "--r", "7", "--info", "dims")
+        # A000258(7) refining pairs, A000296(7) of them in the depth quotient
+        assert dims["result"] == {"pairs": 19302, "depth_radical": 19140, "depth_quotient": 162}
+        _, layers, _ = run_json(capsys, schema, "module", "--r", "7", "--info", "filtration")
+        assert sum(row["dimension"] for row in layers["result"]) == 19302
+        _, orbits, _ = run_json(capsys, schema, "module", "--r", "7", "--info", "dq")
+        assert sum(row["orbit_size"] for row in orbits["result"]) == 162
+
     def test_cap_exit_code(self, capsys):
-        code, _, _ = run(capsys, "module", "--r", "7", "--info", "dims")
-        assert code == 3
+        code, out, err = run(capsys, "module", "--r", "8", "--info", "dims")
+        assert code == 3 and out == ""
+        assert "r=8 exceeds MODULE_CAP = 7" in err
 
 
 class TestVerify:
@@ -218,6 +229,13 @@ class TestVerify:
         assert record["ok"] is True
         assert all(check["ok"] for check in record["result"])
         assert len(record["result"]) == 30
+
+    def test_text_lines_show_check_times(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "fast")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 31
+        for line, (name, _) in zip(lines, verify.CHECKS):
+            assert re.fullmatch(rf"PASS {re.escape(name)}: .+ \[\d+\.\d\d s\]", line)
 
     def test_injected_failure_exit_code(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "fast", "--inject-failure")
@@ -239,7 +257,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "fast")
         lines = out.splitlines()
         assert code == 4
-        assert lines[0] == "FAIL crashing: InternalConsistencyError: kernel broke"
+        crashed = r"FAIL crashing: InternalConsistencyError: kernel broke \[\d+\.\d\d s\]"
+        assert re.fullmatch(crashed, lines[0])
         assert [line.split(":")[0] for line in lines[1:-1]] == [f"PASS {n}" for n in names]
         assert lines[-1] == f"FAILURES PRESENT ({len(names) + 1} checks)"
 

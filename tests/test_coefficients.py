@@ -57,6 +57,12 @@ class TestStableValues:
         with pytest.raises(ResourceCapError):
             stable_plethysm((13,))
 
+    def test_cap_message_names_the_variable(self, monkeypatch):
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        message = r"\|lam\|=13 exceeds stable cap 12 \(PLETHYSM_MAX_R\)"
+        with pytest.raises(ResourceCapError, match=message):
+            stable_plethysm((13,))
+
     def test_accepts_sequences(self):
         assert stable_plethysm([2, 2]) == 1
 
@@ -118,6 +124,12 @@ class TestStableTable:
 
     def test_rank0(self):
         assert stable_table(0).rows == (((), 1),)
+
+    def test_cap_message_names_the_variable(self, monkeypatch):
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        message = r"r=13 exceeds stable cap 12 \(PLETHYSM_MAX_R\)"
+        with pytest.raises(ResourceCapError, match=message):
+            stable_table(13)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(MalformedPartitionError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethysm import verify
 from plethysm.diagrams import (
     AlgebraElement,
     PartitionDiagram,
@@ -258,3 +259,29 @@ class TestAlgebraElement:
             AlgebraElement.from_diagram(p_diagram(2)) + AlgebraElement.from_diagram(
                 p_diagram(3)
             )
+
+
+class TestProductTableChecks:
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        verify._product_table.cache_clear()
+        yield
+        verify._product_table.cache_clear()
+
+    def test_ideal_filtration_alone(self):
+        assert "two-sided ideal" in verify.check_ideal_filtration(True)
+
+    def test_escaping_product_fails_both_checks(self, monkeypatch):
+        # p1 has 2 < 3 propagating blocks, so p1 * identity lies in the ideal
+        x, y = p_diagram(3), identity_diagram(3)
+
+        def escaping(a, b):
+            if (a, b) == (x, y):
+                return 0, identity_diagram(3)
+            return multiply_diagrams(a, b)
+
+        monkeypatch.setattr(verify, "multiply_diagrams", escaping)
+        with pytest.raises(verify.CheckFailure, match="ideal escaped"):
+            verify.check_ideal_filtration(True)
+        with pytest.raises(verify.CheckFailure, match="propagating count grew"):
+            verify.check_propagating_monotone(True)

@@ -1,9 +1,12 @@
+import random
 from collections import Counter
 
 import pytest
 
 from plethysm.diagrams import (
+    PartitionDiagram,
     TwoParamScalar,
+    act_on_set_partition,
     generator,
     generator_names,
     p12_diagram,
@@ -26,6 +29,7 @@ from plethysm.setpartitions import (
     FoulkesPair,
     SetPartition,
     foulkes_pairs,
+    set_partitions,
     singleton_free_count,
 )
 
@@ -85,7 +89,29 @@ def _split_one(sp):
     return SetPartition.from_blocks(blocks + [[1]], sp.size)
 
 
+def direct_act(p, d):
+    """Both one-row actions stacked afresh, with no memo in between."""
+    t1, inner = act_on_set_partition(p.inner, d)
+    t2, outer = act_on_set_partition(p.outer, d)
+    return t1, t2, FoulkesPair(inner, outer)
+
+
 class TestAct:
+    def test_matches_direct_stacking_for_generators(self):
+        for r in range(1, 6):
+            for name in generator_names(r):
+                d = generator(name, r)
+                for p in foulkes_pairs(r):
+                    assert act(p, d) == direct_act(p, d)
+
+    def test_matches_direct_stacking_for_random_diagrams(self):
+        rng = random.Random(4)
+        eight_points = list(set_partitions(8))
+        for sp in rng.choices(eight_points, k=200):
+            d = PartitionDiagram(4, sp)
+            for p in foulkes_pairs(4):
+                assert act(p, d) == direct_act(p, d)
+
     def test_rank2_worked_values(self):
         b2 = pair([[1], [2]], [[1], [2]], 2)
         b3 = pair([[1], [2]], [[1, 2]], 2)
@@ -141,8 +167,8 @@ class TestActionMatrix:
                     assert len(hits) == 1
 
     def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            action_matrix(p_diagram(7), 7)
+        with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
+            action_matrix(p_diagram(8), 8)
 
 
 class TestLayers:
@@ -178,6 +204,10 @@ class TestLayers:
         with pytest.raises(ResourceCapError):
             layer_matrix(p_diagram(2), 2, 5)
 
+    def test_cap(self):
+        with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
+            layer_matrix(p_diagram(8), 8, 0)
+
 
 class TestDepthRadical:
     def test_examples(self):
@@ -209,6 +239,11 @@ class TestDepthRadical:
         assert len(depth_quotient_basis(2)) == 1
         assert len(depth_quotient_basis(3)) == 1
         assert len(depth_quotient_basis(4)) == 4
+
+    def test_quotient_basis_matches_filtered_pairs(self):
+        for r in range(1, 8):
+            expected = tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
+            assert depth_quotient_basis(r) == expected
 
     def test_closed_form_quotient_count(self):
         for r in range(1, 8):

@@ -206,6 +206,12 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             list(set_partitions(3))
 
+    def test_cap_message_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "2")
+        message = r"r=3 exceeds enumeration cap 2 \(PLETHYSM_MAX_R\)"
+        with pytest.raises(ResourceCapError, match=message):
+            list(set_partitions(3))
+
     def test_non_integer_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("PLETHYSM_MAX_R", "abc")
         with pytest.raises(MalformedPartitionError, match="PLETHYSM_MAX_R"):
@@ -264,6 +270,14 @@ class TestFoulkesPoset:
     def test_non_refining_rejected(self):
         with pytest.raises(MalformedPartitionError):
             FoulkesPair(SetPartition.one_block(3), SetPartition.singletons(3))
+
+    def test_outers_are_shared_enumerated_partitions(self):
+        for r in range(1, 7):
+            parts = set(set_partitions(r))
+            outers = [p.outer for p in foulkes_pairs(r)]
+            assert all(outer in parts for outer in outers)
+            # one object per outer partition, shared by every pair that uses it
+            assert len({id(outer) for outer in outers}) == bell_number(r)
 
 
 class TestTruncation:
