@@ -6,17 +6,20 @@ recursion on beta-sets.  The permutation module on set-partitions of shape mu
 has Frobenius characteristic prod over distinct parts a of h_b[h_a], b the
 multiplicity of a; one cached exact expansion of it in power sums gives the
 permutation character, the generalized plethysm multiplicities and the
-rectangle plethysm h_n[h_m].
+rectangle plethysm h_n[h_m].  The enumeration cap and the singleton-free
+count (A000296) live here too, so the stable queries need no set-partition
+code; ``setpartitions`` imports them from this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterator, Sequence
+from math import comb, factorial
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -24,11 +27,37 @@ from .errors import (
     ResourceCapError,
     SizeMismatchError,
 )
-from .setpartitions import SetPartition
+
+if TYPE_CHECKING:
+    from .setpartitions import SetPartition
 
 Partition = tuple[int, ...]
 
 ORACLE_CAP = 16
+DEFAULT_MAX_GROUND_SIZE = 12
+
+
+def max_ground_size() -> int:
+    """Enumeration cap on r; override via the PLETHYSM_MAX_R environment variable."""
+    raw = os.environ.get("PLETHYSM_MAX_R")
+    if raw is None:
+        return DEFAULT_MAX_GROUND_SIZE
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not a nonnegative integer")
+    return value
+
+
+@lru_cache(maxsize=None)
+def singleton_free_count(n: int) -> int:
+    """Set-partitions of {1..n} with no singleton block (OEIS A000296)."""
+    if n == 0:
+        return 1
+    # the block holding n has j >= 1 further elements
+    return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -151,6 +180,8 @@ def dimension(lam: Partition) -> int:
 
 def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
     """All set-partitions of {1..|mu|} whose block sizes are exactly mu."""
+    from .setpartitions import SetPartition  # kept off the import path of the stable queries
+
     r = sum(mu)
     results: list[SetPartition] = []
 

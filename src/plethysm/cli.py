@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse/usage, 2 unsupported regime, 3 resource cap,
 4 verification failure.  JSON output is deterministic (sorted keys, stable
-row order) and validates against the shipped schema.json.
+row order) and validates against the shipped schema.json.  The module and
+verify commands import their modules when they run, so the coefficient
+queries load only ``characters``, ``coefficients`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import io
 import json
 import sys
 
-from . import coefficients, foulkes
-from .characters import format_partition, parse_partition
-from .diagrams import generator, generator_names
+from . import coefficients
+from .characters import format_partition, parse_partition, singleton_free_count
 from .errors import (
     MalformedPartitionError,
     PlethysmError,
@@ -23,8 +24,6 @@ from .errors import (
     SizeMismatchError,
     UnsupportedRegimeError,
 )
-from .setpartitions import foulkes_pairs, pair_counts_by_depth, singleton_free_count
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,6 +99,10 @@ def _cmd_table(args) -> int:
 
 
 def _module_payload(r: int, info: str):
+    from . import foulkes
+    from .diagrams import generator, generator_names
+    from .setpartitions import foulkes_pairs, pair_counts_by_depth
+
     if info == "dims":
         total = sum(pair_counts_by_depth(r))
         quotient = singleton_free_count(r)
@@ -128,6 +131,8 @@ def _module_payload(r: int, info: str):
 
 
 def _cmd_module(args) -> int:
+    from . import foulkes
+
     if args.r > foulkes.MODULE_CAP:
         raise ResourceCapError(f"r={args.r} exceeds MODULE_CAP = {foulkes.MODULE_CAP}")
     payload = _module_payload(args.r, args.info)
@@ -161,6 +166,8 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite, inject_failure=args.inject_failure)
     ok = all(res.ok for res in results)
     record = {

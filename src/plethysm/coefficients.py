@@ -9,7 +9,7 @@ queries beyond both regimes fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import (
     ORACLE_CAP,
@@ -19,9 +19,11 @@ from .characters import (
     dimension,
     generalized_plethysm,
     homogeneous_plethysm,
+    max_ground_size,
     pad_partition,
     partitions,
     partitions_no_ones,
+    singleton_free_count,
 )
 from .errors import (
     InternalConsistencyError,
@@ -29,7 +31,6 @@ from .errors import (
     ResourceCapError,
     UnsupportedRegimeError,
 )
-from .setpartitions import max_ground_size, singleton_free_count
 
 STABLE_REGIME = "stable"
 ORACLE_REGIME = "oracle"
@@ -62,7 +63,7 @@ def coefficient_regime(m: int, n: int, lam: Partition) -> str:
     if m * n <= ORACLE_CAP:
         return ORACLE_REGIME
     raise UnsupportedRegimeError(
-        f"m={m}, n={n}, lam={lam}: need m,n >= {size} or mn <= {ORACLE_CAP}"
+        f"m={m}, n={n}, lam={lam}: need m,n >= {size} or mn <= ORACLE_CAP = {ORACLE_CAP}"
     )
 
 
@@ -75,8 +76,7 @@ def plethysm_coefficient(m: int, n: int, lam: Partition) -> int:
     return homogeneous_plethysm(m, n, pad_partition(lam, m * n))
 
 
-@dataclass(frozen=True)
-class StableTable:
+class StableTable(NamedTuple):
     """Stable coefficients for every partition of r, in reverse-lex order."""
 
     r: int

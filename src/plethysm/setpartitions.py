@@ -8,39 +8,30 @@ builds partitions with ``SetPartition.from_keys`` (one relabel pass);
 ``from_blocks`` validates block lists from outside and then delegates to it.
 The one scan that validates a label string also stores its block count, and
 the refinement order and per-pair invariants read label pairs instead of
-building block lists.
+building block lists.  The hash is computed once, at construction, because
+partitions and pairs are dictionary keys far more often than they are built.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Hashable, Iterable, Iterator, Sequence
 
+# The enumeration cap and the A000296 count live in ``characters``, which the
+# stable queries load without this module; they stay importable from here.
+from .characters import (  # noqa: F401
+    DEFAULT_MAX_GROUND_SIZE,
+    max_ground_size,
+    singleton_free_count,
+)
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
     ResourceCapError,
     SizeMismatchError,
 )
-
-DEFAULT_MAX_GROUND_SIZE = 12
-
-
-def max_ground_size() -> int:
-    """Enumeration cap on r; override via the PLETHYSM_MAX_R environment variable."""
-    raw = os.environ.get("PLETHYSM_MAX_R")
-    if raw is None:
-        return DEFAULT_MAX_GROUND_SIZE
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not a nonnegative integer")
-    return value
 
 
 @lru_cache(maxsize=None)
@@ -50,15 +41,6 @@ def bell_number(n: int) -> int:
     return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
-@lru_cache(maxsize=None)
-def singleton_free_count(n: int) -> int:
-    """Set-partitions of {1..n} with no singleton block (OEIS A000296)."""
-    if n == 0:
-        return 1
-    # the block holding n has j >= 1 further elements
-    return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
-
-
 @dataclass(frozen=True)
 class SetPartition:
     """A set-partition of {1..size} in canonical (increasing minima) form."""
@@ -66,6 +48,7 @@ class SetPartition:
     size: int
     labels: tuple[int, ...]
     block_count: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0 or len(self.labels) != self.size:
@@ -79,6 +62,11 @@ class SetPartition:
             elif not 0 <= v < count:
                 raise MalformedPartitionError(f"not a restricted growth string: {self.labels}")
         object.__setattr__(self, "block_count", count)
+        # the value the generated __hash__ would give, so set and dict order stay
+        object.__setattr__(self, "_hash", hash((self.size, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":

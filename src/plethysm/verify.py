@@ -199,11 +199,19 @@ def check_subalgebra_truncation(full: bool) -> str:
 
 
 def _matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    dim = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-        for i in range(dim)
-    ]
+    """The integer product a b, row by row over the nonzero entries only: the
+    evaluated generator matrices hold at most one nonzero entry per column."""
+    width = len(b[0]) if b else 0
+    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_support[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def check_action_homomorphism(full: bool) -> str:

@@ -85,6 +85,11 @@ class TestCoeff:
         code, _, err = run(capsys, "coeff", "--m", "3", "--n", "2", "--lambda", "4,4")
         assert code == 2 and "error" in err
 
+    def test_regime_refusal_names_the_oracle_cap(self, capsys):
+        code, out, err = run(capsys, "coeff", "--m", "4", "--n", "7", "--lambda", "5,2")
+        assert code == 2 and out == ""
+        assert err == "error: m=4, n=7, lam=(5, 2): need m,n >= 7 or mn <= ORACLE_CAP = 16\n"
+
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run(capsys, "coeff", "--m", "3")
         assert code == 1

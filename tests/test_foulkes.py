@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from plethysm import verify
 from plethysm.diagrams import (
     PartitionDiagram,
     TwoParamScalar,
@@ -169,6 +170,20 @@ class TestActionMatrix:
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             action_matrix(p_diagram(8), 8)
+
+    def test_verify_product_matches_the_triple_sum(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            rows, inner, cols = (rng.randint(1, 7) for _ in range(3))
+            a = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(cols)]
+                 for _ in range(inner)]
+            expected = [
+                [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            assert verify._matrix_product(a, b) == expected
 
 
 class TestLayers:

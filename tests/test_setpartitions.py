@@ -140,6 +140,13 @@ class TestStoredBlockCount:
         object.__setattr__(b, "block_count", 7)
         assert a == b and hash(a) == hash(b)
 
+    def test_stored_hash_is_the_hash_of_size_and_labels(self):
+        for r in range(5):
+            for sp in set_partitions(r) if r else [SetPartition(0, ())]:
+                assert hash(sp) == hash((sp.size, sp.labels))
+                again = SetPartition.from_blocks(sp.blocks, r)
+                assert again == sp and again is not sp and hash(again) == hash(sp)
+
 
 class TestRefines:
     def test_singletons_refine_everything(self):
