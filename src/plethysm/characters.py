@@ -178,6 +178,19 @@ def dimension(lam: Partition) -> int:
     return out
 
 
+def shape_count(mu: Partition) -> int:
+    """Set-partitions of {1..|mu|} whose block sizes are exactly mu.
+
+    |mu|! over the order of one such partition's stabilizer,
+    prod_i mu_i! * prod_j m_j!, where m_j parts of mu equal j.
+    """
+    stabilizer = 1
+    for part, group in itertools.groupby(mu):
+        mult = len(list(group))
+        stabilizer *= factorial(part) ** mult * factorial(mult)
+    return factorial(sum(mu)) // stabilizer
+
+
 def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
     """All set-partitions of {1..|mu|} whose block sizes are exactly mu."""
     from .setpartitions import SetPartition  # kept off the import path of the stable queries

@@ -6,17 +6,22 @@ total order 1 < ... < r < 1' < ... < r'.  Multiplying two diagrams stacks the
 first above the second and replaces each closed middle component by one factor
 of d1*d2, tracked exactly in a two-variable integer polynomial.
 
-Stacking works on label strings: the glued points identify blocks of the two
-strings, a union-find over block labels (not points) merges them, and the
-free points' roots are relabelled in one pass.  Closed components are the
-block labels minus the unions minus the free blocks, so no final scan is
-needed.  The product and the one-row action are both this one operation.
+Stacking works on label strings: ``_stack`` takes two growth strings with
+their block counts and returns ints and a growth string, no objects.  The
+glued points identify blocks of the two strings, a union-find over block
+labels (not points) merges them, and the free points' roots are relabelled
+in one pass.  Closed components are the block labels minus the unions minus
+the free blocks, so no final scan is needed.  The product and the one-row
+action are both this one operation, and each wraps its result in a validated
+``SetPartition``; verify's exhaustive product table reads propagating counts
+straight from the returned string.  A diagram stores its hash, because the
+one-row action's cache hashes it on every lookup.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -98,12 +103,18 @@ class PartitionDiagram:
 
     size: int
     partition: SetPartition
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.partition.size != 2 * self.size:
             raise MalformedPartitionError(
                 f"diagram on {self.size} strands needs a partition of {2 * self.size} points"
             )
+        # the value the generated __hash__ would give, so set and dict order stay
+        object.__setattr__(self, "_hash", hash((self.size, self.partition)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "PartitionDiagram":
@@ -139,8 +150,7 @@ class PartitionDiagram:
     @cached_property
     def propagating_count(self) -> int:
         """Number of blocks meeting both the northern and the southern row."""
-        labels = self.partition.labels
-        return len(set(labels[: self.size]) & set(labels[self.size :]))
+        return _propagating(self.partition.labels, self.size)
 
 
 def identity_diagram(r: int) -> PartitionDiagram:
@@ -194,18 +204,30 @@ def generator_names(r: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _stack(upper: SetPartition, lower: SetPartition, glued: int) -> tuple[int, SetPartition]:
+def _propagating(labels: tuple[int, ...], size: int) -> int:
+    """Blocks of a 2*size-point growth string meeting both rows."""
+    return len(set(labels[:size]).intersection(labels[size:]))
+
+
+def _stack(
+    upper: tuple[int, ...],
+    upper_blocks: int,
+    lower: tuple[int, ...],
+    lower_blocks: int,
+    glued: int,
+) -> tuple[int, tuple[int, ...]]:
     """Glue the last ``glued`` points of ``upper`` to the first ``glued`` of ``lower``.
 
-    Returns (components touching no free point, partition induced on the free
-    points: upper's unglued points, then lower's).
+    Both are growth strings with the given block counts.  Returns (components
+    touching no free point, growth string induced on the free points: upper's
+    unglued points, then lower's).
     """
-    shift = upper.block_count  # lower's block b is node shift + b
-    nodes = shift + lower.block_count
+    shift = upper_blocks  # lower's block b is node shift + b
+    nodes = shift + lower_blocks
     parent = list(range(nodes))
     unions = 0
-    cut = upper.size - glued
-    for a, b in zip(upper.labels[cut:], lower.labels[:glued]):
+    cut = len(upper) - glued
+    for a, b in zip(upper[cut:], lower[:glued]):
         while parent[a] != a:
             a = parent[a]
         b += shift
@@ -220,19 +242,24 @@ def _stack(upper: SetPartition, lower: SetPartition, glued: int) -> tuple[int, S
             unions += 1
     for x in range(nodes):  # ascending, so parent[parent[x]] is already a root
         parent[x] = parent[parent[x]]
-    keys = [parent[a] for a in upper.labels[:cut]]
-    keys += [parent[shift + b] for b in lower.labels[glued:]]
-    free = SetPartition.from_keys(keys)
+    lower_roots = parent[shift:]
+    roots = list(map(parent.__getitem__, upper[:cut]))
+    roots += map(lower_roots.__getitem__, lower[glued:])
+    relabel: dict[int, int] = {}  # roots numbered by first appearance: the growth string
+    labels = tuple(relabel.setdefault(root, len(relabel)) for root in roots)
     # each union merges two components; those left touch a free point or are closed
-    return nodes - unions - free.block_count, free
+    return nodes - unions - len(relabel), labels
 
 
 def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, PartitionDiagram]:
     """Stack x above y; return (closed middle components, resulting diagram)."""
     if x.size != y.size:
         raise SizeMismatchError(f"strand counts differ: {x.size} vs {y.size}")
-    closed, partition = _stack(x.partition, y.partition, x.size)
-    return closed, PartitionDiagram(x.size, partition)
+    upper, lower = x.partition, y.partition
+    closed, labels = _stack(
+        upper.labels, upper.block_count, lower.labels, lower.block_count, x.size
+    )
+    return closed, PartitionDiagram(x.size, SetPartition(2 * x.size, labels))
 
 
 def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, SetPartition]:
@@ -243,7 +270,9 @@ def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, Se
     """
     if sp.size != d.size:
         raise SizeMismatchError(f"sizes differ: {sp.size} vs {d.size}")
-    return _stack(sp, d.partition, sp.size)
+    lower = d.partition
+    closed, labels = _stack(sp.labels, sp.block_count, lower.labels, lower.block_count, sp.size)
+    return closed, SetPartition(sp.size, labels)
 
 
 class AlgebraElement:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .characters import (
     Partition,
@@ -19,6 +19,7 @@ from .characters import (
     cycle_representative,
     partitions,
     partitions_no_ones,
+    shape_count,
 )
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from .diagrams import PartitionDiagram, TwoParamScalar, act_on_set_partition
@@ -31,6 +32,10 @@ from .setpartitions import (
 )
 
 MODULE_CAP = 7
+
+# matrix entries are the few monomials d1^t1 d2^t2; scalars are never mutated,
+# so entries share one object per exponent pair
+_monomial = lru_cache(maxsize=None)(TwoParamScalar.monomial)
 
 
 @lru_cache(maxsize=None)
@@ -85,19 +90,31 @@ class ActionMatrix:
 
 @lru_cache(maxsize=None)
 def _basis_index(r: int) -> dict[FoulkesPair, int]:
+    """Position of each basis pair; a plain (inner, outer) tuple finds its pair."""
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
 
 
 def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
-    """Matrix of a single diagram on the full pair basis."""
+    """Matrix of a single diagram on the full pair basis.
+
+    Each image is looked up by its (inner, outer) tuple; the basis holds only
+    refining pairs, so a hit needs no refinement check and a miss is a fault.
+    """
     if r > MODULE_CAP:
         raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
     basis = foulkes_pairs(r)
     index = _basis_index(r)
     entries = []
-    for j, pair in enumerate(basis):
-        t1, t2, image = act(pair, d)
-        entries.append((index[image], j, TwoParamScalar.monomial(t1, t2)))
+    for j, (inner, outer) in enumerate(basis):
+        t1, inner_image = _one_row(inner, d)
+        t2, outer_image = _one_row(outer, d)
+        try:
+            row = index[inner_image, outer_image]
+        except KeyError:
+            raise InternalConsistencyError(
+                f"action of {d} on {basis[j]} left the pair basis"
+            ) from None
+        entries.append((row, j, _monomial(t1, t2)))
     return ActionMatrix(basis, tuple(entries))
 
 
@@ -120,7 +137,7 @@ def layer_matrix(
     for j, pair in enumerate(layer):
         t1, t2, image = act(pair, d)
         if image.depth == k:
-            value = TwoParamScalar.monomial(t1, t2)
+            value = _monomial(t1, t2)
             if swap_params:
                 value = value.swapped()
             entries.append((index[image], j, value))
@@ -166,16 +183,15 @@ class DepthOrbit:
 def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     """Depth-quotient basis split into orbits, one per no-ones partition of r.
 
-    Orbit sizes are counted, not enumerated: r! over the stabilizer order
-    prod_i mu_i! * prod_j m_j!, where m_j parts of mu equal j.
+    Orbit sizes are counted, not enumerated: the orbit of the shape-mu outer
+    partition is every set-partition of shape mu (``shape_count``).
     """
     if r < 1:
         raise MalformedPartitionError("ground size must be positive")
     orbits = []
     for mu in partitions_no_ones(r):
-        stabilizer = prod(map(factorial, mu)) * prod(factorial(mu.count(j)) for j in set(mu))
         rep = FoulkesPair(SetPartition.singletons(r), block_filling(mu))
-        orbits.append(DepthOrbit(mu, rep, factorial(r) // stabilizer))
+        orbits.append(DepthOrbit(mu, rep, shape_count(mu)))
     if sum(o.size for o in orbits) != singleton_free_count(r):
         raise InternalConsistencyError("orbit sizes do not cover the quotient basis")
     return tuple(orbits)

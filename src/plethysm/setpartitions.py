@@ -10,13 +10,20 @@ The one scan that validates a label string also stores its block count, and
 the refinement order and per-pair invariants read label pairs instead of
 building block lists.  The hash is computed once, at construction, because
 partitions and pairs are dictionary keys far more often than they are built.
+
+A refining pair is the tuple (inner, outer).  Its public constructor checks
+refinement; ``foulkes_pairs`` builds pairs that are refining by construction
+without that check, and verify's ``setpartitions.pair-count`` re-checks every
+pair it enumerates, so each pair is still checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain, repeat
 from math import comb
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 # The enumeration cap and the A000296 count live in ``characters``, which the
@@ -168,18 +175,26 @@ def set_partitions(size: int, cap: int | None = None) -> Iterator[SetPartition]:
         yield SetPartition(size, labels)
 
 
-@dataclass(frozen=True)
-class FoulkesPair:
-    """A pair (inner, outer) of set-partitions with inner refining outer."""
+class FoulkesPair(tuple):
+    """A pair (inner, outer) of set-partitions with inner refining outer.
 
-    inner: SetPartition
-    outer: SetPartition
+    The pair is the tuple (inner, outer), so it hashes and compares as that
+    tuple and a plain ``(inner, outer)`` finds it in a dictionary.  Its
+    ``repr`` is the keyword form ``FoulkesPair(inner=..., outer=...)``.
+    """
 
-    def __post_init__(self):
-        if not self.inner.refines(self.outer):
-            raise MalformedPartitionError(
-                f"inner {self.inner} does not refine outer {self.outer}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, inner: SetPartition, outer: SetPartition) -> "FoulkesPair":
+        if not inner.refines(outer):
+            raise MalformedPartitionError(f"inner {inner} does not refine outer {outer}")
+        return tuple.__new__(cls, (inner, outer))
+
+    inner = property(itemgetter(0), doc="The finer partition.")
+    outer = property(itemgetter(1), doc="The coarser partition.")
+
+    def __getnewargs__(self) -> tuple[SetPartition, SetPartition]:
+        return tuple(self)
 
     @property
     def size(self) -> int:
@@ -205,6 +220,9 @@ class FoulkesPair:
     def coarsens(self, other: "FoulkesPair") -> bool:
         return other.inner.refines(self.inner) and other.outer.refines(self.outer)
 
+    def __repr__(self) -> str:
+        return f"FoulkesPair(inner={self.inner!r}, outer={self.outer!r})"
+
     def __str__(self) -> str:
         return f"{self.inner} ; {self.outer}"
 
@@ -213,29 +231,40 @@ class FoulkesPair:
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
-    Each outer partition is a growth string over the inner blocks, read back
-    at every point; that string is already canonical, so it is looked up
-    among the partitions enumerated for the inners, and every pair with that
-    outer shares one validated object.  Inners and, per inner, growth strings
-    come in lex order, so each depth layer fills up sorted.  The depth-major
-    order keeps each filtration layer contiguous and matches the conventional
-    basis layout for the small worked cases.
+    Each outer partition is a growth string over the inner blocks (a merge
+    string), read back at every point; that string is already canonical, so
+    it is looked up among the partitions enumerated for the inners, and every
+    pair with that outer shares one validated object.  Such a pair refines by
+    construction, so it is built without the constructor's check.  Inners
+    and, per depth, merge strings come in lex order, so each depth layer
+    fills up sorted.  The depth-major order keeps each filtration layer
+    contiguous and matches the conventional basis layout for the small worked
+    cases.
     """
     partitions = {sp.labels: sp for sp in set_partitions(size)}
-    merges = [tuple(_growth_strings(k)) for k in range(size + 1)]  # by inner block count
+    # merges_by_depth[k][d]: merge strings over k blocks that keep k - d of them
+    merges_by_depth: list[list[list[tuple[int, ...]]]] = [[]]
+    for k in range(1, size + 1):
+        by_depth: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+        for merge in _growth_strings(k):
+            by_depth[k - 1 - max(merge)].append(merge)
+        merges_by_depth.append(by_depth)
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
-    for inner in partitions.values():
-        for merge in merges[inner.block_count]:
-            labels = tuple(map(merge.__getitem__, inner.labels))
-            try:
-                outer = partitions[labels]
-            except KeyError:
-                raise InternalConsistencyError(
-                    f"merged labels {labels} are not a growth string"
-                ) from None
-            pair = FoulkesPair(inner, outer)
-            layers[pair.depth].append(pair)
-    return tuple(p for layer in layers for p in layer)
+    unchecked_pair = partial(tuple.__new__, FoulkesPair)
+    outer_of = partitions.__getitem__
+    try:
+        for inner in partitions.values():
+            labels = inner.labels
+            # itemgetter of one index returns the item itself, not a 1-tuple
+            read = itemgetter(*labels) if size > 1 else lambda merge: (merge[labels[0]],)
+            for layer, merges in zip(layers, merges_by_depth[inner.block_count]):
+                outers = map(outer_of, map(read, merges))
+                layer.extend(map(unchecked_pair, zip(repeat(inner), outers)))
+    except KeyError as exc:
+        raise InternalConsistencyError(
+            f"merged labels {exc.args[0]} are not a growth string"
+        ) from None
+    return tuple(chain.from_iterable(layers))
 
 
 @lru_cache(maxsize=None)

@@ -97,6 +97,8 @@ def check_refinement_partial_order(full: bool) -> str:
 
 
 def check_pair_count(full: bool) -> str:
+    """Count the enumerated pairs, and re-check that every one refines:
+    ``foulkes_pairs`` builds its pairs without the constructor's check."""
     top = 8 if full else 4
     for r in range(1, top + 1):
         expected = sum(
@@ -107,8 +109,10 @@ def check_pair_count(full: bool) -> str:
         if len(pairs) != expected:
             raise CheckFailure(f"pair count at r={r}: {len(pairs)} != {expected}")
         by_depth = [0] * r
-        for p in pairs:
-            by_depth[p.depth] += 1
+        for inner, outer in pairs:
+            if not inner.refines(outer):
+                raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
+            by_depth[inner.block_count - outer.block_count] += 1
         if tuple(by_depth) != pair_counts_by_depth(r):
             raise CheckFailure(f"depth counts at r={r}: {by_depth} != {pair_counts_by_depth(r)}")
     return f"pair counts match the blockwise Bell product sum and Stirling depth counts (r<={top})"
@@ -142,13 +146,22 @@ def check_diagram_associativity(full: bool) -> str:
 @lru_cache(maxsize=None)
 def _product_table(r: int) -> tuple[tuple[PartitionDiagram, ...], tuple[tuple[int, ...], ...]]:
     """Every rank-r diagram, and the propagating count of each product x*y
-    (row x, column y), so the exhaustive product checks stack each pair once."""
+    (row x, column y), so the exhaustive product checks stack each pair once.
+
+    The products are stacked on label strings and their counts read from the
+    resulting string; no partition or diagram object is built for them.
+    """
     all_diagrams = tuple(PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r))
-    counts = tuple(
-        tuple(multiply_diagrams(x, y)[1].propagating_count for y in all_diagrams)
-        for x in all_diagrams
-    )
-    return all_diagrams, counts
+    stack, propagating = diagrams._stack, diagrams._propagating
+    columns = [(y.partition.labels, y.partition.block_count) for y in all_diagrams]
+    counts = []
+    for upper, upper_blocks in columns:
+        row = []
+        for lower, lower_blocks in columns:
+            _, labels = stack(upper, upper_blocks, lower, lower_blocks, r)
+            row.append(propagating(labels, r))
+        counts.append(tuple(row))
+    return all_diagrams, tuple(counts)
 
 
 def check_propagating_monotone(full: bool) -> str:
@@ -397,6 +410,10 @@ def check_fixed_counts(full: bool) -> str:
 
 
 def check_permutation_module_dimension(full: bool) -> str:
+    """The multiplicities weighted by dimension sum to the coset count, which
+    comes from its closed form.  The enumeration of shape-mu partitions is
+    still counted: ``fixed-count-identity`` compares it, at rho = (1^r), with
+    ``stab_permutation_character``."""
     top = 8 if full else 5
     for r in range(1, top + 1):
         for mu in characters.partitions(r):
@@ -404,7 +421,7 @@ def check_permutation_module_dimension(full: bool) -> str:
                 characters.generalized_plethysm(mu, lam) * characters.dimension(lam)
                 for lam in characters.partitions(r)
             )
-            if total != len(characters.set_partitions_of_shape(mu)):
+            if total != characters.shape_count(mu):
                 raise CheckFailure(f"dimension sum off for mu={mu}")
     return f"multiplicities weighted by dimension count the cosets (r<={top})"
 

@@ -18,6 +18,7 @@ from plethysm.characters import (
     partitions_in_box_count,
     partitions_no_ones,
     set_partitions_of_shape,
+    shape_count,
     stab_permutation_character,
 )
 from plethysm.errors import (
@@ -190,6 +191,11 @@ class TestShapeEnumeration:
         for r in range(1, 7):
             total = sum(len(set_partitions_of_shape(mu)) for mu in partitions(r))
             assert total == len(list(set_partitions(r)))
+
+    def test_closed_form_count_matches_enumeration(self):
+        for r in range(1, 8):
+            for mu in partitions(r):
+                assert shape_count(mu) == len(set_partitions_of_shape(mu))
 
 
 class TestStabCharacter:

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethysm import verify
+from plethysm import diagrams, verify
 from plethysm.diagrams import (
     AlgebraElement,
     PartitionDiagram,
@@ -261,6 +262,23 @@ class TestAlgebraElement:
             )
 
 
+class TestStoredHash:
+    def test_equals_the_generated_value(self):
+        for r in (1, 2):
+            for d in all_diagrams(r):
+                assert hash(d) == hash((d.size, d.partition))
+
+    def test_equal_diagrams_hash_equal(self):
+        for r in (1, 2, 3):
+            for d in all_diagrams(r):
+                again = PartitionDiagram.from_string(str(d), r)
+                assert again == d and again is not d and hash(again) == hash(d)
+        assert hash(identity_diagram(2)) == hash(PartitionDiagram.from_string("{1,1'|2,2'}", 2))
+        assert repr(identity_diagram(1)) == (
+            "PartitionDiagram(size=1, partition=SetPartition(size=2, labels=(0, 0)))"
+        )
+
+
 class TestProductTableChecks:
     @pytest.fixture(autouse=True)
     def fresh_table(self):
@@ -271,16 +289,34 @@ class TestProductTableChecks:
     def test_ideal_filtration_alone(self):
         assert "two-sided ideal" in verify.check_ideal_filtration(True)
 
+    def test_table_matches_the_diagram_product_exhaustively(self):
+        for r in (1, 2):
+            table_diagrams, counts = verify._product_table(r)
+            assert list(table_diagrams) == all_diagrams(r)
+            for x, row in zip(table_diagrams, counts):
+                for y, count in zip(table_diagrams, row):
+                    assert count == multiply_diagrams(x, y)[1].propagating_count
+
+    def test_table_matches_the_diagram_product_on_random_rank3_pairs(self):
+        table_diagrams, counts = verify._product_table(3)
+        rng = random.Random(3003)
+        for _ in range(300):
+            i, j = rng.randrange(len(table_diagrams)), rng.randrange(len(table_diagrams))
+            product = multiply_diagrams(table_diagrams[i], table_diagrams[j])[1]
+            assert counts[i][j] == product.propagating_count
+
     def test_escaping_product_fails_both_checks(self, monkeypatch):
         # p1 has 2 < 3 propagating blocks, so p1 * identity lies in the ideal
-        x, y = p_diagram(3), identity_diagram(3)
+        x, y = p_diagram(3).partition, identity_diagram(3).partition
+        stack = diagrams._stack
 
-        def escaping(a, b):
-            if (a, b) == (x, y):
-                return 0, identity_diagram(3)
-            return multiply_diagrams(a, b)
+        def escaping(upper, upper_blocks, lower, lower_blocks, glued):
+            if (upper, lower) == (x.labels, y.labels):
+                return 0, y.labels
+            return stack(upper, upper_blocks, lower, lower_blocks, glued)
 
-        monkeypatch.setattr(verify, "multiply_diagrams", escaping)
+        # the table stacks label strings through the module attribute
+        monkeypatch.setattr(diagrams, "_stack", escaping)
         with pytest.raises(verify.CheckFailure, match="ideal escaped"):
             verify.check_ideal_filtration(True)
         with pytest.raises(verify.CheckFailure, match="propagating count grew"):

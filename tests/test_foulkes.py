@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from plethysm import verify
+from plethysm import foulkes, verify
 from plethysm.diagrams import (
     PartitionDiagram,
     TwoParamScalar,
@@ -14,7 +14,7 @@ from plethysm.diagrams import (
     p_diagram,
     swap_diagram,
 )
-from plethysm.errors import ResourceCapError
+from plethysm.errors import InternalConsistencyError, ResourceCapError
 from plethysm.foulkes import (
     act,
     action_matrix,
@@ -170,6 +170,18 @@ class TestActionMatrix:
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             action_matrix(p_diagram(8), 8)
+
+    def test_image_outside_the_basis_is_a_fault(self, monkeypatch):
+        def coarsen_singletons(sp, d):
+            # singletons go to one block and anything else to singletons, so
+            # the pair (singletons ; one block) lands on a non-refining image
+            if sp.block_count == sp.size:
+                return 0, SetPartition.one_block(sp.size)
+            return 0, SetPartition.singletons(sp.size)
+
+        monkeypatch.setattr(foulkes, "_one_row", coarsen_singletons)
+        with pytest.raises(InternalConsistencyError, match="left the pair basis"):
+            action_matrix(p_diagram(2), 2)
 
     def test_verify_product_matches_the_triple_sum(self):
         rng = random.Random(2024)

@@ -1,9 +1,12 @@
 import itertools
+import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plethysm import verify
 from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import (
     FoulkesPair,
@@ -26,6 +29,14 @@ def brute_bell(n):
             binom = binom * (m - 1 - k) // (k + 1)
         table.append(total)
     return table[n]
+
+
+@dataclass(frozen=True)
+class DataclassPair:
+    """The former frozen-dataclass form of a pair, whose values pairs keep."""
+
+    inner: SetPartition
+    outer: SetPartition
 
 
 @st.composite
@@ -277,6 +288,49 @@ class TestFoulkesPoset:
     def test_non_refining_rejected(self):
         with pytest.raises(MalformedPartitionError):
             FoulkesPair(SetPartition.one_block(3), SetPartition.singletons(3))
+
+    def test_sizes_must_match(self):
+        with pytest.raises(SizeMismatchError):
+            FoulkesPair(SetPartition.singletons(2), SetPartition.one_block(3))
+
+    def test_values_of_the_dataclass_form(self):
+        for r in range(1, 5):
+            pairs = foulkes_pairs(r)
+            for p in pairs:
+                old = DataclassPair(p.inner, p.outer)
+                assert repr(p) == repr(old).replace("DataclassPair", "FoulkesPair", 1)
+                assert str(p) == f"{p.inner} ; {p.outer}"
+                assert hash(p) == hash(old) == hash((p.inner, p.outer))
+                checked = FoulkesPair(p.inner, p.outer)
+                assert checked == p and hash(checked) == hash(p)
+                assert p.depth == old.inner.block_count - old.outer.block_count
+            assert len(set(pairs)) == len(pairs)  # distinct pairs are unequal
+
+    def test_verify_rechecks_every_enumerated_pair(self, monkeypatch):
+        good = SetPartition.from_blocks([[1, 2], [3]], 3)
+        bad_outer = SetPartition.from_blocks([[1, 3], [2]], 3)  # same depth, not refining
+
+        def one_non_refining(r):
+            pairs = foulkes_pairs(r)
+            if r != 3:
+                return pairs
+            # built unchecked, as the enumeration builds its pairs
+            swapped = tuple.__new__(FoulkesPair, (good, bad_outer))
+            return tuple(swapped if p == (good, good) else p for p in pairs)
+
+        monkeypatch.setattr(verify, "foulkes_pairs", one_non_refining)
+        results = {r.name: r for r in verify.run_suite("fast")}
+        assert list(results) == [name for name, _ in verify.CHECKS]  # all 30 still run
+        pair_count = results["setpartitions.pair-count"]
+        assert not pair_count.ok and "r=3 does not refine" in pair_count.detail
+        # acting on the bad pair breaks refinement, which this check reports too
+        assert not results["foulkes.depth-step"].ok
+        assert sum(not r.ok for r in results.values()) == 2
+
+    def test_pickle_round_trip(self):
+        for p in foulkes_pairs(3):
+            again = pickle.loads(pickle.dumps(p))
+            assert type(again) is FoulkesPair and again == p
 
     def test_outers_are_shared_enumerated_partitions(self):
         for r in range(1, 7):

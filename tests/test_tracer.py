@@ -9,9 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_command_runs():
+def traced(*argv):
     proc = subprocess.run(
-        [sys.executable, "perfbench/trace_cli.py", "stable", "--lambda", "2", "--format", "json"],
+        [sys.executable, "perfbench/trace_cli.py", *argv],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -21,4 +21,19 @@ def test_traced_command_runs():
     assert proc.returncode == 0, proc.stderr
     envelope = json.loads(proc.stdout)
     assert envelope["exit"] == 0
+    return envelope
+
+
+def test_traced_command_runs():
+    envelope = traced("stable", "--lambda", "2", "--format", "json")
     assert json.loads(envelope["stdout"])["result"] == 1
+
+
+def test_module_matrices_feed_the_pair_and_entry_counters():
+    # the per-layer benchmark metrics read these names; a change that stops
+    # calling them through the traced functions must fail here
+    envelope = traced("module", "--r", "3", "--info", "matrices", "--format", "json")
+    counters = envelope["counters"]
+    assert counters["setpartitions.pairs"] == 72  # A000258(3) = 12 pairs, 6 calls
+    assert counters["foulkes.action_matrix.entries"] == 48  # 4 generators x 12 columns
+    assert envelope["spans"]["setpartitions.foulkes_pairs"][0] > 0
