@@ -27,7 +27,6 @@ _ORIGINS = {
         "stab_permutation_character",
     ),
     "coefficients": (
-        "foulkes_equalities",
         "plethysm_coefficient",
         "sharpness_check",
         "stable_plethysm",

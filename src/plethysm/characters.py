@@ -2,13 +2,17 @@
 
 Integer partitions are plain tuples of weakly decreasing positive ints; the
 empty partition is ``()``.  Irreducible characters come from the border-strip
-recursion on beta-sets.  The permutation module on set-partitions of shape mu
-has Frobenius characteristic prod over distinct parts a of h_b[h_a], b the
-multiplicity of a; one cached exact expansion of it in power sums gives the
-permutation character, the generalized plethysm multiplicities and the
-rectangle plethysm h_n[h_m].  The enumeration cap and the singleton-free
-count (A000296) live here too, so the stable queries need no set-partition
-code; ``setpartitions`` imports them from this module.
+recursion on beta-sets.  Every character is an integer class function, a dict
+from cycle type to value; ``multiplicity`` pairs one with an irreducible
+character, and every multiplicity in the package goes through it.  The
+permutation module on set-partitions of shape mu has Frobenius characteristic
+prod over distinct parts a of h_b[h_a], b the multiplicity of a; its cached
+character gives the permutation character, the generalized plethysm
+multiplicities and the rectangle plethysm h_n[h_m], and the sum over the
+no-ones mu is the singleton-free character that the stable values pair with.
+The enumeration cap and the singleton-free count (A000296) live here too, so
+the stable queries need no set-partition code; ``setpartitions`` imports
+them from this module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -117,6 +120,7 @@ def pad_partition(lam: Partition, total: int) -> Partition:
     return (head,) + lam
 
 
+@lru_cache(maxsize=None)
 def cycle_type_centralizer(rho: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type rho."""
     out = 1
@@ -216,75 +220,100 @@ def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
     return results
 
 
-Expansion = dict[Partition, Fraction]
+ClassFunction = dict[Partition, int]
 
 
-def _multiply(f: Expansion, g: Expansion) -> Expansion:
-    """Product of two power-sum expansions; p_rho * p_sigma is p of the merged parts."""
-    out: Expansion = defaultdict(Fraction)
+def _multiply(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    """Induction product of two class functions (the product of their
+    characteristics): p_rho * p_sigma is p of the merged cycle type gamma, and
+    z_gamma / (z_rho z_sigma) is a product of binomials, so an integer."""
+    out: ClassFunction = defaultdict(int)
     for rho, a in f.items():
         for sigma, b in g.items():
-            out[tuple(sorted(rho + sigma, reverse=True))] += a * b
+            gamma = tuple(sorted(rho + sigma, reverse=True))
+            weight = cycle_type_centralizer(gamma) // (
+                cycle_type_centralizer(rho) * cycle_type_centralizer(sigma)
+            )
+            out[gamma] += weight * a * b
     return out
 
 
 @lru_cache(maxsize=None)
-def _h_plethysm_h(b: int, a: int) -> Expansion:
-    """h_b[h_a] in power sums, from Newton's identity b h_b = sum_k p_k h_{b-k}.
+def _h_plethysm_h(b: int, a: int) -> ClassFunction:
+    """Character of h_b[h_a], from Newton's identity b h_b = sum_k p_k h_{b-k}.
 
     Plethysm by h_a is a ring map with p_k[h_a] = sum_rho p_{k rho} / z_rho,
-    since p_k[p_l] = p_{kl}.
+    since p_k[p_l] = p_{kl}; as z_{k rho} = k^len(rho) z_rho, its character
+    is k^len(rho) at k rho.
     """
     if b == 0:
-        return {(): Fraction(1)}
-    out: Expansion = defaultdict(Fraction)
+        return {(): 1}
+    total: ClassFunction = defaultdict(int)
     for k in range(1, b + 1):
-        p_k_of_h_a = {
-            tuple(k * part for part in rho): Fraction(1, b * cycle_type_centralizer(rho))
-            for rho in partitions(a)
-        }
-        for gamma, c in _multiply(p_k_of_h_a, _h_plethysm_h(b - k, a)).items():
-            out[gamma] += c
+        p_k_of_h_a = {tuple(k * part for part in rho): k ** len(rho) for rho in partitions(a)}
+        for gamma, value in _multiply(p_k_of_h_a, _h_plethysm_h(b - k, a)).items():
+            total[gamma] += value
+    out: ClassFunction = {}
+    for gamma, value in total.items():
+        out[gamma], rest = divmod(value, b)
+        if rest:
+            raise InternalConsistencyError(
+                f"Newton's identity for h_{b}[h_{a}] leaves {value}/{b} at {gamma}"
+            )
     return out
 
 
 @lru_cache(maxsize=None)
-def _shape_characteristic(mu: Partition) -> Expansion:
-    """Frobenius characteristic of the shape-mu set-partition module.
+def _shape_characteristic(mu: Partition) -> ClassFunction:
+    """Permutation character of the shape-mu set-partition module.
 
     The module is induced from a product of wreath products, one per distinct
     part a of multiplicity b, so its characteristic is the product of h_b[h_a].
     """
-    out: Expansion = {(): Fraction(1)}
+    out: ClassFunction = {(): 1}
     for a, group in itertools.groupby(mu):
         out = _multiply(out, _h_plethysm_h(len(list(group)), a))
     return out
 
 
+@lru_cache(maxsize=None)
+def singleton_free_character(r: int) -> ClassFunction:
+    """Permutation character of S_r on the set-partitions of {1..r} with no
+    singleton block: the sum of the shape characters over the no-ones mu."""
+    out: ClassFunction = defaultdict(int)
+    for mu in partitions_no_ones(r):
+        for rho, value in _shape_characteristic(mu).items():
+            out[rho] += value
+    return out
+
+
+def multiplicity(chi: ClassFunction, lam: Partition) -> int:
+    """Multiplicity of the lam-irreducible in the character chi of S_|lam|:
+    sum over cycle types of class size * chi * chi^lam, divided by |lam|!."""
+    r = sum(lam)
+    total = sum(class_size(rho) * value * character_value(lam, rho) for rho, value in chi.items())
+    mult, rest = divmod(total, factorial(r))
+    if rest or mult < 0:
+        raise InternalConsistencyError(
+            f"pairing with chi^{lam} is {total}/{r}!, not a nonnegative integer"
+        )
+    return mult
+
+
 def stab_permutation_character(mu: Partition, rho: Partition) -> int:
-    """Fixed shape-mu set-partitions under a permutation of cycle type rho:
-    z_rho times the coefficient of p_rho in the shape-mu characteristic."""
+    """Fixed shape-mu set-partitions under a permutation of cycle type rho."""
     mu, rho = check_partition(mu), check_partition(rho)
     if sum(mu) != sum(rho):
         raise SizeMismatchError(f"|{mu}| != |{rho}|")
-    return int(_shape_characteristic(mu).get(rho, 0) * cycle_type_centralizer(rho))
+    return _shape_characteristic(mu).get(rho, 0)
 
 
 def generalized_plethysm(mu: Partition, lam: Partition) -> int:
-    """Multiplicity of the lam-irreducible in the shape-mu permutation module:
-    the characteristic paired with s_lam, where <p_gamma, s_lam> = chi^lam(gamma)."""
+    """Multiplicity of the lam-irreducible in the shape-mu permutation module."""
     mu, lam = check_partition(mu), check_partition(lam)
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{mu}| != |{lam}|")
-    value = sum(
-        (c * character_value(lam, gamma) for gamma, c in _shape_characteristic(mu).items()),
-        start=Fraction(0),
-    )
-    if value.denominator != 1 or value < 0:
-        raise InternalConsistencyError(
-            f"inner product for mu={mu}, lam={lam} is {value}, not a nonnegative integer"
-        )
-    return int(value)
+    return multiplicity(_shape_characteristic(mu), lam)
 
 
 def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:

@@ -1,9 +1,10 @@
 """Stable plethysm coefficients and the classical consequences built on them.
 
 The stable value attached to a partition lam is the sum of generalized
-plethysm coefficients over all partitions of |lam| with no part 1; it equals
-the honest coefficient p_{(m^n), lam_[mn]} whenever both m and n are at least
-|lam|.  Outside that regime the symmetric-function oracle takes over, and
+plethysm coefficients over all partitions of |lam| with no part 1, that is,
+the multiplicity of lam in the permutation character on singleton-free
+set-partitions; it equals the honest coefficient p_{(m^n), lam_[mn]}
+whenever both m and n are at least |lam|.  Outside that regime the symmetric-function oracle takes over, and
 queries beyond both regimes fail loudly.
 """
 
@@ -17,12 +18,13 @@ from .characters import (
     cayley_sylvester,
     check_partition,
     dimension,
-    generalized_plethysm,
     homogeneous_plethysm,
     max_ground_size,
+    multiplicity,
     pad_partition,
     partitions,
     partitions_no_ones,
+    singleton_free_character,
     singleton_free_count,
 )
 from .errors import (
@@ -42,7 +44,7 @@ def stable_plethysm(lam: Partition) -> int:
     limit = max_ground_size()
     if sum(lam) > limit:
         raise ResourceCapError(f"|lam|={sum(lam)} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
-    return sum(generalized_plethysm(mu, lam) for mu in partitions_no_ones(sum(lam)))
+    return multiplicity(singleton_free_character(sum(lam)), lam)
 
 
 def coefficient_regime(m: int, n: int, lam: Partition) -> str:
@@ -100,31 +102,6 @@ def stable_table(r: int) -> StableTable:
             f"dimension check failed at r={r}: {weighted}"
         )  # pragma: no cover - structural guarantee
     return table
-
-
-def foulkes_equalities(lam: Partition, m: int, n: int, p: int, q: int) -> dict:
-    """Confirm the two-sided and cross-shape equalities at a stable partition.
-
-    All four rectangle shapes (m^n), (n^m), (p^q), (q^p) must give the same
-    coefficient, namely the stable value.
-    """
-    lam = check_partition(lam)
-    size = sum(lam)
-    if min(m, n, p, q) < size:
-        raise UnsupportedRegimeError(
-            f"all of m,n,p,q must be at least |lam|={size}"
-        )
-    stable = stable_plethysm(lam)
-    values = {
-        f"({a}^{b})": plethysm_coefficient(a, b, lam)
-        for a, b in ((m, n), (n, m), (p, q), (q, p))
-    }
-    return {
-        "lambda": lam,
-        "coefficients": values,
-        "stable_value": stable,
-        "all_equal": all(v == stable for v in values.values()),
-    }
 
 
 def weintraub_check(lam: Partition) -> bool:

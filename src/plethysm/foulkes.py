@@ -10,13 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .characters import (
     Partition,
-    character_value,
-    class_size,
     cycle_representative,
+    multiplicity,
     partitions,
     partitions_no_ones,
     shape_count,
@@ -223,15 +221,5 @@ def module_multiplicities(r: int) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for k in range(r + 1):
         fixed = _quotient_fixed_counts(k)
-        for lam in partitions(k):
-            total = sum(
-                class_size(rho) * count * character_value(lam, rho)
-                for rho, count in fixed.items()
-            )
-            mult, rest = divmod(total, factorial(k))
-            if rest:
-                raise InternalConsistencyError(
-                    f"character pairing for lam={lam} at rank {k} is {total}/{k}!"
-                )
-            out[lam] = mult
+        out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
     return out

@@ -12,6 +12,7 @@ from plethysm.characters import (
     format_partition,
     generalized_plethysm,
     homogeneous_plethysm,
+    multiplicity,
     pad_partition,
     parse_partition,
     partitions,
@@ -19,13 +20,17 @@ from plethysm.characters import (
     partitions_no_ones,
     set_partitions_of_shape,
     shape_count,
+    singleton_free_character,
+    singleton_free_count,
     stab_permutation_character,
 )
 from plethysm.errors import (
+    InternalConsistencyError,
     MalformedPartitionError,
     ResourceCapError,
     SizeMismatchError,
 )
+from plethysm.foulkes import _quotient_fixed_counts
 from plethysm.setpartitions import set_partitions
 
 
@@ -244,6 +249,34 @@ class TestGeneralizedPlethysm:
                     for lam in partitions(r)
                 )
                 assert total == len(set_partitions_of_shape(mu))
+
+
+class TestMultiplicity:
+    def test_irreducible_characters_pair_to_a_kronecker_delta(self):
+        for r in range(7):
+            for mu in partitions(r):
+                chi = {rho: character_value(mu, rho) for rho in partitions(r)}
+                for lam in partitions(r):
+                    assert multiplicity(chi, lam) == int(lam == mu)
+
+    def test_non_character_is_a_fault(self):
+        with pytest.raises(InternalConsistencyError):
+            multiplicity({(1, 1): 1}, (2,))  # pairs to 1/2
+        with pytest.raises(InternalConsistencyError):
+            multiplicity({(1, 1): -2}, (2,))  # pairs to -1
+
+
+class TestSingletonFreeCharacter:
+    def test_matches_the_depth_quotient_fixed_counts(self):
+        for r in range(7):
+            chi = singleton_free_character(r)
+            fixed = _quotient_fixed_counts(r)
+            for rho in partitions(r):
+                assert chi.get(rho, 0) == fixed[rho]
+
+    def test_degree_is_the_singleton_free_count(self):
+        for r in range(13):
+            assert singleton_free_character(r)[(1,) * r] == singleton_free_count(r)
 
 
 class TestOracle:

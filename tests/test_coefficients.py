@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 
 from plethysm import characters, verify
@@ -8,7 +6,6 @@ from plethysm.coefficients import (
     ORACLE_REGIME,
     STABLE_REGIME,
     coefficient_regime,
-    foulkes_equalities,
     plethysm_coefficient,
     sharpness_check,
     stable_plethysm,
@@ -65,6 +62,15 @@ class TestStableValues:
 
     def test_accepts_sequences(self):
         assert stable_plethysm([2, 2]) == 1
+
+    def test_matches_the_per_shape_sum(self):
+        for size in range(11):
+            for lam in partitions(size):
+                expected = sum(
+                    characters.generalized_plethysm(mu, lam)
+                    for mu in characters.partitions_no_ones(size)
+                )
+                assert stable_plethysm(lam) == expected
 
 
 class TestCoefficient:
@@ -151,18 +157,20 @@ class TestStableTable:
     def test_module_check_catches_a_wrong_kernel(self, monkeypatch):
         # (3,1) has the dimension of (4) + (2,2), so stable_table's own
         # A000296 check passes; only the module's own decomposition disagrees
-        real = characters.generalized_plethysm
+        real = characters._shape_characteristic
 
-        def wrong(mu, lam):
-            if tuple(mu) == (2, 2):
-                return int(tuple(lam) == (3, 1))
-            return real(mu, lam)
+        def wrong(mu):
+            if mu == (2, 2):
+                return {rho: characters.character_value((3, 1), rho) for rho in partitions(4)}
+            return real(mu)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "plethysm" and hasattr(module, "generalized_plethysm"):
-                monkeypatch.setattr(module, "generalized_plethysm", wrong)
-        with pytest.raises(verify.CheckFailure, match="r=4"):
-            verify.check_module_vs_stable(False)
+        monkeypatch.setattr(characters, "_shape_characteristic", wrong)
+        characters.singleton_free_character.cache_clear()
+        try:
+            with pytest.raises(verify.CheckFailure, match="r=4"):
+                verify.check_module_vs_stable(False)
+        finally:
+            characters.singleton_free_character.cache_clear()
 
     def test_weighted_dimension_sum(self):
         # validated inside the builder; spot check the rank-4 number here
@@ -171,33 +179,6 @@ class TestStableTable:
         table = stable_table(4)
         weighted = sum(v * dimension(lam) for lam, v in table.rows)
         assert weighted == len(depth_quotient_basis(4)) == 4
-
-
-class TestFoulkesEqualities:
-    def test_square_case(self):
-        report = foulkes_equalities((6, 2), 8, 9, 9, 8)
-        assert report["all_equal"]
-        assert report["stable_value"] == 8
-
-    def test_cross_shape_case(self):
-        report = foulkes_equalities((6, 2), 8, 240, 48, 40)
-        assert report["all_equal"]
-        assert report["stable_value"] == 8
-        assert set(report["coefficients"]) == {
-            "(8^240)",
-            "(240^8)",
-            "(48^40)",
-            "(40^48)",
-        }
-
-    def test_empty_partition(self):
-        report = foulkes_equalities((), 3, 5, 7, 2)
-        assert report["all_equal"]
-        assert report["stable_value"] == 1
-
-    def test_precondition(self):
-        with pytest.raises(UnsupportedRegimeError):
-            foulkes_equalities((6, 2), 7, 9, 9, 8)
 
 
 class TestWeintraub:

@@ -1,8 +1,9 @@
 """The package loads its submodules on first use.
 
 The coefficient queries (`stable`, `coeff`, `table`) must run without the
-set-partition, diagram, module, tensor and verification code, and without the
-stdlib ``dataclasses`` that those modules need.  Every public name still
+set-partition, diagram, module, tensor and verification code, without the
+stdlib ``dataclasses`` that those modules need, and without ``fractions``
+(every multiplicity is an integer pairing).  Every public name still
 resolves through ``plethysm`` itself.
 """
 
@@ -20,6 +21,7 @@ import plethysm
 SRC = Path(__file__).resolve().parent.parent / "src"
 NOT_ON_THE_QUERY_PATH = (
     "dataclasses",
+    "fractions",
     "plethysm.setpartitions",
     "plethysm.diagrams",
     "plethysm.foulkes",

@@ -37,3 +37,10 @@ def test_module_matrices_feed_the_pair_and_entry_counters():
     assert counters["setpartitions.pairs"] == 72  # A000258(3) = 12 pairs, 6 calls
     assert counters["foulkes.action_matrix.entries"] == 48  # 4 generators x 12 columns
     assert envelope["spans"]["setpartitions.foulkes_pairs"][0] > 0
+
+
+def test_table_feeds_the_stable_and_character_spans():
+    envelope = traced("table", "--r", "6", "--format", "json")
+    spans = envelope["spans"]
+    assert spans["coefficients.stable_plethysm"][0] == 11  # one per partition of 6
+    assert spans["characters.character_value"][0] >= 1
