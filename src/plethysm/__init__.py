@@ -34,7 +34,6 @@ _ORIGINS = {
         "weintraub_check",
     ),
     "diagrams": (
-        "AlgebraElement",
         "PartitionDiagram",
         "TwoParamScalar",
         "act_on_set_partition",

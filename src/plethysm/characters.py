@@ -18,6 +18,7 @@ them from this module.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from collections import defaultdict
 from functools import lru_cache
@@ -64,7 +65,11 @@ def singleton_free_count(n: int) -> int:
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    lam = tuple(int(p) for p in parts)
+    """The parts as a tuple of ints; a non-integral part is refused, not truncated."""
+    try:
+        lam = tuple(map(operator.index, parts))
+    except TypeError:
+        raise MalformedPartitionError(f"not a partition: {parts}") from None
     if any(p < 1 for p in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise MalformedPartitionError(f"not a partition: {parts}")
     return lam

@@ -168,7 +168,7 @@ def _cmd_module(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(args.suite, inject_failure=args.inject_failure)
+    results = run_suite(args.suite)
     ok = all(res.ok for res in results)
     record = {
         "command": "verify",
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run the invariant suites")
     vp.add_argument("--suite", choices=("fast", "full"), default="fast")
-    vp.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     add_format(vp)
     vp.set_defaults(func=_cmd_verify)
     return parser

@@ -2,9 +2,11 @@
 
 A diagram on r strands is a set-partition of the 2r points 1..r (northern)
 and 1'..r' (southern); point k' is encoded as the integer r+k, following the
-total order 1 < ... < r < 1' < ... < r'.  Multiplying two diagrams stacks the
-first above the second and replaces each closed middle component by one factor
-of d1*d2, tracked exactly in a two-variable integer polynomial.
+total order 1 < ... < r < 1' < ... < r'.  Multiplying two basis diagrams
+stacks the first above the second; the product is (d1*d2)**closed times one
+diagram, where ``closed`` counts the middle components that touch neither
+outer row, so ``multiply_diagrams`` returns that count and the diagram.
+Module entries are monomials in d1, d2, held exactly as ``TwoParamScalar``.
 
 Stacking works on label strings: ``_stack`` takes two growth strings with
 their block counts and returns ints and a growth string, no objects.  The
@@ -48,10 +50,6 @@ class TwoParamScalar:
         return cls()
 
     @classmethod
-    def one(cls) -> "TwoParamScalar":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> "TwoParamScalar":
         return cls({(a, b): coeff})
 
@@ -71,14 +69,6 @@ class TwoParamScalar:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return TwoParamScalar(out)
-
-    def __mul__(self, other: "TwoParamScalar") -> "TwoParamScalar":
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
         return TwoParamScalar(out)
 
     def swapped(self) -> "TwoParamScalar":
@@ -273,66 +263,3 @@ def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, Se
     lower = d.partition
     closed, labels = _stack(sp.labels, sp.block_count, lower.labels, lower.block_count, sp.size)
     return closed, SetPartition(sp.size, labels)
-
-
-class AlgebraElement:
-    """Finitely supported map from diagrams to two-parameter scalars."""
-
-    __slots__ = ("size", "_terms")
-
-    def __init__(self, size: int, terms: Mapping[PartitionDiagram, TwoParamScalar] | None = None):
-        self.size = size
-        clean = {}
-        for diag, coeff in (terms or {}).items():
-            if diag.size != size:
-                raise SizeMismatchError("mixed strand counts in one element")
-            if coeff:
-                clean[diag] = coeff
-        self._terms = clean
-
-    @classmethod
-    def from_diagram(cls, d: PartitionDiagram) -> "AlgebraElement":
-        return cls(d.size, {d: TwoParamScalar.one()})
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].partition.labels)
-
-    def coefficient(self, d: PartitionDiagram) -> TwoParamScalar:
-        return self._terms.get(d, TwoParamScalar.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.size == other.size
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.size != other.size:
-            raise SizeMismatchError("cannot add elements of different sizes")
-        out = dict(self._terms)
-        for d, c in other._terms.items():
-            out[d] = out.get(d, TwoParamScalar.zero()) + c
-        return AlgebraElement(self.size, out)
-
-    def scaled(self, scalar: TwoParamScalar) -> "AlgebraElement":
-        return AlgebraElement(self.size, {d: scalar * c for d, c in self._terms.items()})
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.size != other.size:
-            raise SizeMismatchError("cannot multiply elements of different sizes")
-        out: dict[PartitionDiagram, TwoParamScalar] = {}
-        for dx, cx in self._terms.items():
-            for dy, cy in other._terms.items():
-                t, z = multiply_diagrams(dx, dy)
-                contrib = (cx * cy) * TwoParamScalar.monomial(t, t)
-                out[z] = out.get(z, TwoParamScalar.zero()) + contrib
-        return AlgebraElement(self.size, out)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "AlgebraElement(0)"
-        return " + ".join(f"({c})*{d}" for d, c in self.items())

@@ -3,6 +3,7 @@
 The module is spanned by refining pairs of set-partitions.  A diagram acts on
 a pair through two copies of the one-row concatenation action, one per
 coordinate; the closed-component counts become exponents of d1 and d2.
+Action matrices and filtration layers read one column loop over the basis.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .characters import (
     Partition,
@@ -25,6 +27,7 @@ from .setpartitions import (
     FoulkesPair,
     SetPartition,
     foulkes_pairs,
+    pair_counts_by_depth,
     set_partitions,
     singleton_free_count,
 )
@@ -92,18 +95,18 @@ def _basis_index(r: int) -> dict[FoulkesPair, int]:
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
 
 
-def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
-    """Matrix of a single diagram on the full pair basis.
+def _columns(
+    d: PartitionDiagram, r: int, basis: tuple[FoulkesPair, ...], start: int, stop: int
+) -> Iterator[tuple[int, int, TwoParamScalar]]:
+    """(row, col, monomial) for the images of columns start..stop-1 of the
+    rank-r pair basis ``basis``.
 
     Each image is looked up by its (inner, outer) tuple; the basis holds only
     refining pairs, so a hit needs no refinement check and a miss is a fault.
     """
-    if r > MODULE_CAP:
-        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
-    basis = foulkes_pairs(r)
     index = _basis_index(r)
-    entries = []
-    for j, (inner, outer) in enumerate(basis):
+    for j in range(start, stop):
+        inner, outer = basis[j]
         t1, inner_image = _one_row(inner, d)
         t2, outer_image = _one_row(outer, d)
         try:
@@ -112,34 +115,39 @@ def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
             raise InternalConsistencyError(
                 f"action of {d} on {basis[j]} left the pair basis"
             ) from None
-        entries.append((row, j, _monomial(t1, t2)))
-    return ActionMatrix(basis, tuple(entries))
+        yield row, j, _monomial(t1, t2)
 
 
-def layer_matrix(
-    d: PartitionDiagram, r: int, k: int, swap_params: bool = False
-) -> ActionMatrix:
+def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
+    """Matrix of a single diagram on the full pair basis."""
+    if r > MODULE_CAP:
+        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
+    basis = foulkes_pairs(r)
+    return ActionMatrix(basis, tuple(_columns(d, r, basis, 0, len(basis))))
+
+
+def layer_matrix(d: PartitionDiagram, r: int, k: int) -> ActionMatrix:
     """Action on the depth-k subquotient of the filtration.
 
-    Basis elements of depth below k map to zero; only images that stay at
-    depth k survive.  With ``swap_params`` the roles of d1 and d2 are
-    exchanged, which is how the parameter-swapped module is realised.
+    The basis is sorted by depth, so layer k is one contiguous block of
+    columns, placed by ``pair_counts_by_depth``.  Only those columns are
+    acted on; images that fall below depth k map to zero, and the rest stay
+    in the block and are shifted to its start.
     """
     if not 0 <= k <= max(r - 1, 0):
         raise ResourceCapError(f"layer index {k} out of range 0..{r - 1}")
     if r > MODULE_CAP:
         raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
-    layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
-    index = {p: i for i, p in enumerate(layer)}
-    entries = []
-    for j, pair in enumerate(layer):
-        t1, t2, image = act(pair, d)
-        if image.depth == k:
-            value = _monomial(t1, t2)
-            if swap_params:
-                value = value.swapped()
-            entries.append((index[image], j, value))
-    return ActionMatrix(layer, tuple(entries))
+    counts = pair_counts_by_depth(r)
+    start = sum(counts[:k])
+    stop = start + counts[k]
+    basis = foulkes_pairs(r)
+    entries = tuple(
+        (row - start, col - start, value)
+        for row, col, value in _columns(d, r, basis, start, stop)
+        if start <= row < stop
+    )
+    return ActionMatrix(basis[start:stop], entries)
 
 
 def in_depth_radical(pair: FoulkesPair) -> bool:

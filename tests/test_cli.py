@@ -242,8 +242,12 @@ class TestVerify:
         for line, (name, _) in zip(lines, verify.CHECKS):
             assert re.fullmatch(rf"PASS {re.escape(name)}: .+ \[\d+\.\d\d s\]", line)
 
-    def test_injected_failure_exit_code(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "fast", "--inject-failure")
+    def test_injected_failure_exit_code(self, capsys, monkeypatch):
+        def fails(full):
+            raise verify.CheckFailure("injected failure for exit-code testing")
+
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + [("injected-failure", fails)])
+        code, out, _ = run(capsys, "verify", "--suite", "fast")
         assert code == 4
         assert "FAIL injected-failure" in out
 

@@ -63,6 +63,15 @@ class TestStableValues:
     def test_accepts_sequences(self):
         assert stable_plethysm([2, 2]) == 1
 
+    def test_non_integral_parts_refused(self):
+        # truncating with int() would read these as (2), (4, 2) and (2)
+        with pytest.raises(MalformedPartitionError, match=r"\(2\.7,\)"):
+            stable_plethysm((2.7,))
+        with pytest.raises(MalformedPartitionError, match="'4', '2'"):
+            stable_plethysm(["4", "2"])
+        with pytest.raises(MalformedPartitionError, match=r"\(2\.5,\)"):
+            plethysm_coefficient(3, 3, (2.5,))
+
     def test_matches_the_per_shape_sum(self):
         for size in range(11):
             for lam in partitions(size):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from plethysm import diagrams, verify
 from plethysm.diagrams import (
-    AlgebraElement,
     PartitionDiagram,
     TwoParamScalar,
     act_on_set_partition,
@@ -80,9 +79,9 @@ class TestScalar:
     def test_monomial_arithmetic(self):
         d1 = TwoParamScalar.monomial(1, 0)
         d2 = TwoParamScalar.monomial(0, 1)
-        assert d1 * d2 == TwoParamScalar.monomial(1, 1)
         assert (d1 + d1) == TwoParamScalar.monomial(1, 0, 2)
-        assert str(d1 * d2) == "1*d1^1*d2^1"
+        assert d1 + d2 == TwoParamScalar({(1, 0): 1, (0, 1): 1})
+        assert str(TwoParamScalar.monomial(1, 1)) == "1*d1^1*d2^1"
 
     def test_zero_terms_dropped(self):
         s = TwoParamScalar.monomial(1, 1) + TwoParamScalar.monomial(1, 1, -1)
@@ -163,8 +162,12 @@ class TestMultiply:
         x = data.draw(diagrams_of_size(r))
         y = data.draw(diagrams_of_size(r))
         z = data.draw(diagrams_of_size(r))
-        ex, ey, ez = map(AlgebraElement.from_diagram, (x, y, z))
-        assert (ex * ey) * ez == ex * (ey * ez)
+        # each side is (d1*d2)**closed times one diagram
+        t_xy, xy = multiply_diagrams(x, y)
+        t_left, left = multiply_diagrams(xy, z)
+        t_yz, yz = multiply_diagrams(y, z)
+        t_right, right = multiply_diagrams(x, yz)
+        assert (t_xy + t_left, left) == (t_yz + t_right, right)
 
     def test_propagating_never_grows_exhaustive_rank2(self):
         for x, y in itertools.product(all_diagrams(2), repeat=2):
@@ -238,28 +241,19 @@ class TestOneRowAction:
 
 
 class TestAlgebraElement:
+    """Basis relations: a product of two diagrams is (d1*d2)**closed times one diagram."""
+
     def test_identity_element(self):
-        e = AlgebraElement.from_diagram(identity_diagram(2))
-        assert e * e == e
+        e = identity_diagram(2)
+        assert multiply_diagrams(e, e) == (0, e)
 
     def test_p1_squared_scalar(self):
-        p1 = AlgebraElement.from_diagram(p_diagram(2))
-        expected = p1.scaled(TwoParamScalar.monomial(1, 1))
-        assert p1 * p1 == expected
+        p1 = p_diagram(2)
+        assert multiply_diagrams(p1, p1) == (1, p1)
 
-    def test_sum_distributes(self):
-        p1 = AlgebraElement.from_diagram(p_diagram(2))
-        p12 = AlgebraElement.from_diagram(p12_diagram(2))
-        s1 = AlgebraElement.from_diagram(swap_diagram(2, 1))
-        assert (p1 + p12) * s1 == p1 * s1 + p12
-        # p12 absorbs the swap
-        assert p12 * s1 == p12
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(SizeMismatchError):
-            AlgebraElement.from_diagram(p_diagram(2)) + AlgebraElement.from_diagram(
-                p_diagram(3)
-            )
+    def test_p12_absorbs_the_swap(self):
+        p12 = p12_diagram(2)
+        assert multiply_diagrams(p12, swap_diagram(2, 1)) == (0, p12)
 
 
 class TestStoredHash:
@@ -304,6 +298,17 @@ class TestProductTableChecks:
             i, j = rng.randrange(len(table_diagrams)), rng.randrange(len(table_diagrams))
             product = multiply_diagrams(table_diagrams[i], table_diagrams[j])[1]
             assert counts[i][j] == product.propagating_count
+
+    def test_associativity_check_catches_an_unbalanced_count(self, monkeypatch):
+        product = verify.multiply_diagrams
+
+        def left_weighted(x, y):
+            closed, z = product(x, y)
+            return closed + x.propagating_count, z
+
+        monkeypatch.setattr(verify, "multiply_diagrams", left_weighted)
+        with pytest.raises(verify.CheckFailure, match="associativity fails"):
+            verify.check_diagram_associativity(False)
 
     def test_escaping_product_fails_both_checks(self, monkeypatch):
         # p1 has 2 < 3 propagating blocks, so p1 * identity lies in the ideal

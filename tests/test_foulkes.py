@@ -183,6 +183,17 @@ class TestActionMatrix:
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
             action_matrix(p_diagram(2), 2)
 
+    def test_homomorphism_check_catches_an_extra_closed_component(self, monkeypatch):
+        product = verify.multiply_diagrams
+
+        def one_too_many(x, y):
+            closed, z = product(x, y)
+            return closed + 1, z
+
+        monkeypatch.setattr(verify, "multiply_diagrams", one_too_many)
+        with pytest.raises(verify.CheckFailure, match="disagrees"):
+            verify.check_action_homomorphism(False)
+
     def test_verify_product_matches_the_triple_sum(self):
         rng = random.Random(2024)
         for _ in range(200):
@@ -225,7 +236,36 @@ class TestLayers:
                     plain = layer_matrix(d, r, k)
                     for _, _, value in plain.entries:
                         assert value in (ONE, D1D2) or not value
-                    assert plain.entries == layer_matrix(d, r, k, swap_params=True).entries
+                    swapped = tuple((i, j, v.swapped()) for i, j, v in plain.entries)
+                    assert plain.entries == swapped
+
+    def test_matches_the_per_layer_action(self):
+        # reference: act on each depth-k pair, keep the images that stay at depth k
+        for r in range(1, 6):
+            for name in generator_names(r):
+                d = generator(name, r)
+                for k in range(r):
+                    layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
+                    index = {p: i for i, p in enumerate(layer)}
+                    expected = []
+                    for j, p in enumerate(layer):
+                        t1, t2, image = act(p, d)
+                        if image.depth == k:
+                            expected.append((index[image], j, TwoParamScalar.monomial(t1, t2)))
+                    got = layer_matrix(d, r, k)
+                    assert got.basis == layer
+                    assert list(got.entries) == expected
+
+    def test_image_outside_the_basis_is_a_fault(self, monkeypatch):
+        # the only depth-1 pair, (singletons ; one block), maps to (one block ; singletons)
+        def swap_extremes(sp, d):
+            if sp.block_count == sp.size:
+                return 0, SetPartition.one_block(sp.size)
+            return 0, SetPartition.singletons(sp.size)
+
+        monkeypatch.setattr(foulkes, "_one_row", swap_extremes)
+        with pytest.raises(InternalConsistencyError, match="left the pair basis"):
+            layer_matrix(p_diagram(2), 2, 1)
 
     def test_layer_out_of_range(self):
         with pytest.raises(ResourceCapError):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from plethysm import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -44,3 +46,14 @@ def test_table_feeds_the_stable_and_character_spans():
     spans = envelope["spans"]
     assert spans["coefficients.stable_plethysm"][0] == 11  # one per partition of 6
     assert spans["characters.character_value"][0] >= 1
+
+
+def test_verify_feeds_the_check_and_diagram_spans():
+    envelope = traced("verify", "--suite", "fast", "--format", "json")
+    spans = envelope["spans"]
+    assert len(verify.CHECKS) == 30
+    for name, _ in verify.CHECKS:
+        assert spans[f"verify.{name}"][0] == 1, name
+    assert spans["foulkes.layer_matrix"][0] >= 1
+    assert spans["diagrams.multiply_diagrams"][0] >= 1
+    assert envelope["counters"]["verify.checks_failed"] == 0
