@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from typing import Iterable, Iterator, Sequence
 
 from . import coefficients
 from .characters import format_partition, parse_partition, singleton_free_count
@@ -39,14 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(record: dict, fmt: str, text_lines: list[str], csv_rows: list[list] | None = None):
+def _emit(record: dict, fmt: str, text_lines: Iterable[str], csv_rows: Iterable[Sequence] = ()):
+    """Print the record in one format.  Only the requested format's iterable is
+    consumed, so callers pass generators for output that is costly to build."""
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        for row in csv_rows or []:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
         sys.stdout.write(buffer.getvalue())
     else:
         for line in text_lines:
@@ -112,7 +114,7 @@ def _module_payload(r: int, info: str):
         matrices = {}
         for name in generator_names(r):
             matrix = foulkes.action_matrix(generator(name, r), r)
-            matrices[name] = [[i, j, mono] for i, j, mono in matrix.coordinate_dump()]
+            matrices[name] = matrix.coordinate_dump()  # JSON writes each tuple as a list
         return {"basis": basis, "matrices": matrices}
     if info == "dq":
         return [
@@ -142,14 +144,7 @@ def _cmd_module(args) -> int:
         csv_rows = [["pairs", "depth_radical", "depth_quotient"],
                     [payload["pairs"], payload["depth_radical"], payload["depth_quotient"]]]
     elif args.info == "matrices":
-        text = ["basis:"]
-        text += [f"  [{i}] {b}" for i, b in enumerate(payload["basis"])]
-        csv_rows = [["generator", "row", "col", "entry"]]
-        for name in sorted(payload["matrices"]):
-            text.append(f"{name}:")
-            for i, j, mono in payload["matrices"][name]:
-                text.append(f"  ({i}, {j}) {mono}")
-                csv_rows.append([name, i, j, mono])
+        text, csv_rows = _matrices_text(payload), _matrices_csv(payload["matrices"])
     elif args.info == "dq":
         text = [
             f"{row['shape']}: {row['representative']} (orbit size {row['orbit_size']})"
@@ -163,6 +158,23 @@ def _cmd_module(args) -> int:
         csv_rows = [["depth", "dimension"]] + [[row["depth"], row["dimension"]] for row in payload]
     _emit(record, args.format, text, csv_rows)
     return EXIT_OK
+
+
+def _matrices_text(payload: dict) -> Iterator[str]:
+    yield "basis:"
+    for i, b in enumerate(payload["basis"]):
+        yield f"  [{i}] {b}"
+    for name in sorted(payload["matrices"]):
+        yield f"{name}:"
+        for i, j, mono in payload["matrices"][name]:
+            yield f"  ({i}, {j}) {mono}"
+
+
+def _matrices_csv(matrices: dict) -> Iterator[tuple]:
+    yield "generator", "row", "col", "entry"
+    for name in sorted(matrices):
+        for i, j, mono in matrices[name]:
+            yield name, i, j, mono
 
 
 def _cmd_verify(args) -> int:

@@ -86,13 +86,38 @@ class ActionMatrix:
         return out
 
     def coordinate_dump(self) -> list[tuple[int, int, str]]:
-        return [(i, j, str(v)) for i, j, v in sorted(self.entries)]
+        """(row, col, text) per entry, in row-major order.  Entries that share
+        one scalar object, as the action's monomials do, are formatted once."""
+        text: dict[int, str] = {}
+        for _, _, v in self.entries:
+            if id(v) not in text:
+                text[id(v)] = str(v)
+        return [(i, j, text[id(v)]) for i, j, v in sorted(self.entries)]
 
 
 @lru_cache(maxsize=None)
 def _basis_index(r: int) -> dict[FoulkesPair, int]:
     """Position of each basis pair; a plain (inner, outer) tuple finds its pair."""
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
+
+
+class _RowImages(dict):
+    """Partition -> (closed count, image) under one diagram, filled on first use.
+
+    Each image is replaced by the basis's own partition object with its
+    labels, so a pair of images finds its basis pair by identity and no
+    partition is compared field by field.
+    """
+
+    def __init__(self, d: PartitionDiagram, partitions: dict[tuple[int, ...], SetPartition]):
+        super().__init__()
+        self.d = d
+        self.partitions = partitions
+
+    def __missing__(self, sp: SetPartition) -> tuple[int, SetPartition]:
+        closed, image = _one_row(sp, self.d)
+        self[sp] = found = closed, self.partitions.get(image.labels, image)
+        return found
 
 
 def _columns(
@@ -105,10 +130,13 @@ def _columns(
     refining pairs, so a hit needs no refinement check and a miss is a fault.
     """
     index = _basis_index(r)
+    # the depth-0 pairs (p, p) come first, one per partition: the basis's own objects
+    partitions = {p.labels: p for p, _ in basis[: pair_counts_by_depth(r)[0]]}
+    images = _RowImages(d, partitions)
     for j in range(start, stop):
         inner, outer = basis[j]
-        t1, inner_image = _one_row(inner, d)
-        t2, outer_image = _one_row(outer, d)
+        t1, inner_image = images[inner]
+        t2, outer_image = images[outer]
         try:
             row = index[inner_image, outer_image]
         except KeyError:
@@ -135,7 +163,7 @@ def layer_matrix(d: PartitionDiagram, r: int, k: int) -> ActionMatrix:
     in the block and are shifted to its start.
     """
     if not 0 <= k <= max(r - 1, 0):
-        raise ResourceCapError(f"layer index {k} out of range 0..{r - 1}")
+        raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
     if r > MODULE_CAP:
         raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
     counts = pair_counts_by_depth(r)

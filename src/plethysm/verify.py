@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
+from typing import Callable
 
 from . import characters, coefficients, diagrams, foulkes, tensor
 from .diagrams import (
@@ -34,6 +36,7 @@ from .setpartitions import (
     set_partitions,
 )
 
+Labels = tuple[int, ...]
 GENERIC_POINT = (5, 7)  # product 35 keeps every rank here semisimple
 
 
@@ -95,21 +98,38 @@ def check_refinement_partial_order(full: bool) -> str:
     return f"partial order verified exhaustively for r<={top}"
 
 
+def _refinement_reader(inner: SetPartition) -> Callable[[Labels], Labels]:
+    """A label read that leaves ``outer.labels`` unchanged exactly when inner
+    refines outer: it maps each point to the first point of its inner block,
+    so an outer partition is fixed by it iff it is constant on every inner
+    block."""
+    firsts: dict[int, int] = {}
+    first = [firsts.setdefault(block, x) for x, block in enumerate(inner.labels)]
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return itemgetter(*first) if len(first) > 1 else lambda labels: labels[:1]
+
+
 def check_pair_count(full: bool) -> str:
     """Count the enumerated pairs, and re-check that every one refines:
-    ``foulkes_pairs`` builds its pairs without the constructor's check."""
+    ``foulkes_pairs`` builds its pairs without the constructor's check.
+    The re-check is one label read per pair, built once per inner partition."""
     top = 8 if full else 4
     for r in range(1, top + 1):
-        expected = sum(
-            math.prod(bell_number(len(b)) for b in outer.blocks)
+        expected = sum(  # block sizes are the label counts
+            math.prod(map(bell_number, map(outer.labels.count, range(outer.block_count))))
             for outer in set_partitions(r)
         )
         pairs = foulkes_pairs(r)
         if len(pairs) != expected:
             raise CheckFailure(f"pair count at r={r}: {len(pairs)} != {expected}")
         by_depth = [0] * r
+        reads: dict[SetPartition, Callable[[Labels], Labels]] = {}
         for inner, outer in pairs:
-            if not inner.refines(outer):
+            read = reads.get(inner)
+            if read is None:
+                read = reads[inner] = _refinement_reader(inner)
+            labels = outer.labels
+            if read(labels) != labels:
                 raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
             by_depth[inner.block_count - outer.block_count] += 1
         if tuple(by_depth) != pair_counts_by_depth(r):
@@ -384,28 +404,52 @@ def check_character_orthogonality(full: bool) -> str:
     return f"first orthogonality relation holds for r<={top}"
 
 
-def _brute_fixed_counts(mu: characters.Partition) -> dict[characters.Partition, int]:
-    """For each cycle type rho: shape-mu set-partitions whose block sets it
-    permutes, by enumeration (blocks compared as sets, not growth strings)."""
-    block_sets = [
-        frozenset(map(frozenset, sp.blocks))
-        for sp in characters.set_partitions_of_shape(mu)
-    ]
+def _block_masks(sp: SetPartition) -> frozenset[int]:
+    """The blocks of a set-partition as sets of points, point x as bit x - 1."""
+    masks = [0] * sp.block_count
+    for bit, block in enumerate(sp.labels):
+        masks[block] |= 1 << bit
+    return frozenset(masks)
+
+
+def _image_table(sigma: tuple[int, ...]) -> list[int]:
+    """The image under sigma (one-line, 1-based) of every subset of its points,
+    indexed by bitmask: a subset's image is that of the subset without its
+    lowest point, plus that point's image."""
+    targets = [1 << (image - 1) for image in sigma]
+    table = [0] * (1 << len(sigma))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | targets[low.bit_length() - 1]
+    return table
+
+
+def _brute_fixed_counts(r: int) -> dict[characters.Partition, dict[characters.Partition, int]]:
+    """For each shape mu of r, then each cycle type rho: the shape-mu
+    set-partitions whose block sets a permutation of type rho permutes, by
+    enumeration.  Blocks are compared as sets of points (bitmasks), not as
+    growth strings; since sigma is a bijection and the blocks are disjoint,
+    it fixes a partition iff it maps every block onto a block.  Each rho's
+    image table is built once and serves every shape."""
+    images = {
+        rho: _image_table(characters.cycle_representative(rho)).__getitem__
+        for rho in characters.partitions(r)
+    }
     counts = {}
-    for rho in characters.partitions(sum(mu)):
-        sigma = (0,) + characters.cycle_representative(rho)  # indexed by 1-based points
-        counts[rho] = sum(
-            all(frozenset(sigma[x] for x in b) in blocks for b in blocks)
-            for blocks in block_sets
-        )
+    for mu in characters.partitions(r):
+        enumerated = list(map(_block_masks, characters.set_partitions_of_shape(mu)))
+        counts[mu] = {
+            rho: sum(blocks.issuperset(map(image, blocks)) for blocks in enumerated)
+            for rho, image in images.items()
+        }
     return counts
 
 
 def check_fixed_counts(full: bool) -> str:
     top = 8 if full else 6
     for r in range(1, top + 1):
-        for mu in characters.partitions(r):
-            for rho, count in _brute_fixed_counts(mu).items():
+        for mu, by_rho in _brute_fixed_counts(r).items():
+            for rho, count in by_rho.items():
                 if characters.stab_permutation_character(mu, rho) != count:
                     raise CheckFailure(f"fixed-point count off for mu={mu}, rho={rho}")
     return f"permutation characters match brute-force fixed-point counts (r<={top})"

@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
+from plethysm import characters, verify
 from plethysm.characters import (
     cayley_sylvester,
     character_value,
     check_partition,
     class_size,
+    cycle_representative,
     dimension,
     format_partition,
     generalized_plethysm,
@@ -221,6 +223,38 @@ class TestStabCharacter:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             stab_permutation_character((2, 2), (3,))
+
+
+def frozenset_fixed_count(mu, rho):
+    # the blocks of each shape-mu partition as a frozenset of frozensets
+    sigma = (0,) + cycle_representative(rho)  # indexed by 1-based points
+    count = 0
+    for sp in set_partitions_of_shape(mu):
+        blocks = frozenset(map(frozenset, sp.blocks))
+        count += all(frozenset(sigma[x] for x in b) in blocks for b in blocks)
+    return count
+
+
+class TestVerifyFixedCounts:
+    def test_bitmask_counts_match_the_frozenset_reference(self):
+        for r in range(1, 8):
+            counts = verify._brute_fixed_counts(r)
+            assert list(counts) == list(partitions(r))
+            for mu, by_rho in counts.items():
+                assert list(by_rho) == list(partitions(r))
+                for rho, count in by_rho.items():
+                    assert count == frozenset_fixed_count(mu, rho), (mu, rho)
+
+    def test_check_catches_one_wrong_value(self, monkeypatch):
+        exact = characters.stab_permutation_character
+
+        def off_by_one(mu, rho):
+            return exact(mu, rho) + ((mu, rho) == ((3, 2), (2, 2, 1)))
+
+        monkeypatch.setattr(characters, "stab_permutation_character", off_by_one)
+        message = r"mu=\(3, 2\), rho=\(2, 2, 1\)"
+        with pytest.raises(verify.CheckFailure, match=message):
+            verify.check_fixed_counts(False)
 
 
 class TestGeneralizedPlethysm:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -286,6 +287,37 @@ class TestVerify:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# SHA-256 of stdout per format: each format builds its own lines or rows, and
+# only when it is the one printed, so each needs its own pin
+PINNED_DIGESTS = {
+    ("module", "--r", "4", "--info", "matrices"): {
+        "json": "3581bbae22dfdb99acc2c5615a106f70ec7f831e05c958d3b98ef296cdcb470f",
+        "text": "fedb047231639e4ef5d89ded335c8c84c3480b6234aeb683682ea132beb7b5c9",
+        "csv": "fa5ec3b22199b6f410dbf706aa35e070ccc76df5c33dd62ede1c59d37926e12f",
+    },
+    ("table", "--r", "6"): {
+        "json": "c3592b916f5807c7f0b73cefccfb2ca5ab7efd847e8b5e829e6851db0e6d0fec",
+        "text": "c24886038ced49985b0c4e65061b0456569803a1f1a606e0bbd60a8e434d8514",
+        "csv": "ea462543c8779c875ec8c82b00f5defcef962e110f54f3ff22d161f43469e6c7",
+    },
+    ("coeff", "--m", "3", "--n", "3", "--lambda", "2,1"): {
+        "json": "09c16a49913c8112182bbc04cdc50b8c6847d0d22ce8c64867ca8b0527842f92",
+        "text": "f29413a3b80e2d9f673b9f0ab18155f6309e2329293c47a2ca96f29f94dc96e6",
+        "csv": "c83106622d606e3a41a4f2e94007a300fe19a9853318e7fb0259e3c80bc72758",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [(argv, fmt) for argv, digests in PINNED_DIGESTS.items() for fmt in digests],
+)
+def test_output_bytes_are_pinned(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv][fmt]
 
 
 partition_texts = st.one_of(

@@ -14,7 +14,7 @@ from plethysm.diagrams import (
     p_diagram,
     swap_diagram,
 )
-from plethysm.errors import InternalConsistencyError, ResourceCapError
+from plethysm.errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from plethysm.foulkes import (
     act,
     action_matrix,
@@ -171,6 +171,17 @@ class TestActionMatrix:
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             action_matrix(p_diagram(8), 8)
 
+    def test_images_find_their_basis_pairs_by_identity(self, monkeypatch):
+        # a cached action keyed on an equal but distinct diagram object would
+        # compare partitions field by field; start from an empty cache
+        foulkes._one_row.cache_clear()
+        compared = []
+        equal = SetPartition.__eq__
+        monkeypatch.setattr(SetPartition, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
+        for name in generator_names(5):
+            action_matrix(generator(name, 5), 5)
+        assert compared == []
+
     def test_image_outside_the_basis_is_a_fault(self, monkeypatch):
         def coarsen_singletons(sp, d):
             # singletons go to one block and anything else to singletons, so
@@ -268,8 +279,11 @@ class TestLayers:
             layer_matrix(p_diagram(2), 2, 1)
 
     def test_layer_out_of_range(self):
-        with pytest.raises(ResourceCapError):
-            layer_matrix(p_diagram(2), 2, 5)
+        # a bad layer index is malformed input (exit 1), not a resource cap
+        for k in (5, -1):
+            message = rf"layer index {k} out of range 0\.\.1"
+            with pytest.raises(MalformedPartitionError, match=message):
+                layer_matrix(p_diagram(2), 2, k)
 
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):

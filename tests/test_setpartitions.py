@@ -193,6 +193,15 @@ class TestRefines:
                 if a.refines(b) and b.refines(c):
                     assert a.refines(c)
 
+    def test_verify_label_read_matches_refines(self):
+        # verify's pair-count check re-checks refinement by one label read
+        for r in range(1, 7):
+            parts = list(set_partitions(r))
+            for inner in parts:
+                read = verify._refinement_reader(inner)
+                for outer in parts:
+                    assert (read(outer.labels) == outer.labels) == inner.refines(outer)
+
     @given(refining_pairs())
     def test_generated_pairs_refine(self, pair):
         assert pair.inner.refines(pair.outer)
