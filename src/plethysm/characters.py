@@ -200,29 +200,45 @@ def shape_count(mu: Partition) -> int:
     return factorial(sum(mu)) // stabilizer
 
 
+def shape_block_masks(mu: Partition) -> list[tuple[int, ...]]:
+    """The set-partitions of {1..|mu|} whose block sizes are exactly mu, each
+    as its blocks' bitmasks (point x is bit x - 1) in order of lowest point.
+
+    The lowest free point opens the next block, with companions chosen from
+    the other free points, so blocks open in growth-string order.
+    """
+    results: list[tuple[int, ...]] = []
+
+    def rec(free: tuple[int, ...], sizes: tuple[int, ...], acc: tuple[int, ...]):
+        if len(sizes) <= 1:  # the last block takes every free point
+            results.append(acc + (sum(free),) if free else acc)
+            return
+        first, rest = free[0], free[1:]
+        for size in sorted(set(sizes), reverse=True):
+            left = list(sizes)
+            left.remove(size)
+            for companions in itertools.combinations(rest, size - 1):
+                block = first + sum(companions)
+                rec(tuple(x for x in rest if not x & block), tuple(left), acc + (block,))
+
+    rec(tuple(1 << x for x in range(sum(mu))), mu, ())
+    return results
+
+
 def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
     """All set-partitions of {1..|mu|} whose block sizes are exactly mu."""
     from .setpartitions import SetPartition  # kept off the import path of the stable queries
 
     r = sum(mu)
-    results: list[SetPartition] = []
-
-    def rec(remaining: tuple[int, ...], sizes: tuple[int, ...], acc: list[tuple[int, ...]]):
-        if not remaining:
-            results.append(SetPartition.from_blocks(acc, r))
-            return
-        first, rest = remaining[0], remaining[1:]
-        for size in sorted(set(sizes), reverse=True):
-            left = list(sizes)
-            left.remove(size)
-            for companions in itertools.combinations(rest, size - 1):
-                taken = set(companions)
-                acc.append((first,) + companions)
-                rec(tuple(x for x in rest if x not in taken), tuple(left), acc)
-                acc.pop()
-
-    rec(tuple(range(1, r + 1)), mu, [])
-    return results
+    out = []
+    for masks in shape_block_masks(mu):
+        labels = [0] * r
+        for block, mask in enumerate(masks):
+            for x in range(r):
+                if mask >> x & 1:
+                    labels[x] = block
+        out.append(SetPartition(r, tuple(labels)))
+    return out
 
 
 ClassFunction = dict[Partition, int]

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import coefficients
 from .characters import format_partition, parse_partition, singleton_free_count
@@ -40,11 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(record: dict, fmt: str, text_lines: Iterable[str], csv_rows: Iterable[Sequence] = ()):
+def _json_text(record: dict) -> Iterator[str]:
+    yield json.dumps(record, sort_keys=True, indent=2)
+
+
+def _emit(
+    record: dict,
+    fmt: str,
+    text_lines: Iterable[str],
+    csv_rows: Iterable[Sequence] = (),
+    json_text: Callable[[dict], Iterable[str]] = _json_text,
+):
     """Print the record in one format.  Only the requested format's iterable is
-    consumed, so callers pass generators for output that is costly to build."""
+    consumed, so callers pass generators for output that is costly to build.
+    ``json_text`` gives the JSON in pieces; a command with a large record
+    passes a writer that yields the same bytes as the default."""
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, indent=2))
+        sys.stdout.writelines(json_text(record))
+        sys.stdout.write("\n")
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -139,12 +152,14 @@ def _cmd_module(args) -> int:
         raise ResourceCapError(f"r={args.r} exceeds MODULE_CAP = {foulkes.MODULE_CAP}")
     payload = _module_payload(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
+    json_text = _json_text
     if args.info == "dims":
         text = [f"{payload['pairs']} / {payload['depth_radical']} / {payload['depth_quotient']}"]
         csv_rows = [["pairs", "depth_radical", "depth_quotient"],
                     [payload["pairs"], payload["depth_radical"], payload["depth_quotient"]]]
     elif args.info == "matrices":
         text, csv_rows = _matrices_text(payload), _matrices_csv(payload["matrices"])
+        json_text = _matrices_json
     elif args.info == "dq":
         text = [
             f"{row['shape']}: {row['representative']} (orbit size {row['orbit_size']})"
@@ -156,8 +171,40 @@ def _cmd_module(args) -> int:
     else:
         text = [f"depth {row['depth']}: {row['dimension']}" for row in payload]
         csv_rows = [["depth", "dimension"]] + [[row["depth"], row["dimension"]] for row in payload]
-    _emit(record, args.format, text, csv_rows)
+    _emit(record, args.format, text, csv_rows, json_text)
     return EXIT_OK
+
+
+def _matrices_json(record: dict) -> Iterator[str]:
+    """``json.dumps(record, sort_keys=True, indent=2)`` for a matrices record,
+    in pieces.  With ``indent`` json runs its pure-Python encoder; here each
+    string is escaped by the C escaper, each distinct monomial once, and each
+    entry is one format string.  The head keys sort before ``result``."""
+    escape = json.encoder.encode_basestring_ascii
+    head = json.dumps({k: v for k, v in record.items() if k != "result"}, sort_keys=True, indent=2)
+    payload = record["result"]
+    yield head[:-2] + ',\n  "result": {\n    "basis": '
+    yield _json_list([escape(b) for b in payload["basis"]], 2)
+    yield ',\n    "matrices": {'
+    escaped: dict[str, str] = {}
+    for k, name in enumerate(sorted(payload["matrices"])):
+        entries = []
+        for i, j, mono in payload["matrices"][name]:
+            text = escaped.get(mono)
+            if text is None:
+                text = escaped[mono] = escape(mono)
+            entries.append(f"[\n          {i},\n          {j},\n          {text}\n        ]")
+        yield f'{"," if k else ""}\n      {escape(name)}: ' + _json_list(entries, 3)
+    yield "\n    }" if payload["matrices"] else "}"
+    yield "\n  }\n}"
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """An indent-2 JSON list at nesting ``depth`` of already encoded items."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
 def _matrices_text(payload: dict) -> Iterator[str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import MalformedPartitionError, SizeMismatchError
@@ -125,6 +125,8 @@ class PartitionDiagram:
                 if not m:
                     raise MalformedPartitionError(f"bad diagram token: {tok!r}")
                 k = int(m.group(1))
+                if not 1 <= k <= size:
+                    raise MalformedPartitionError(f"diagram token {tok!r} outside 1..{size}")
                 block.append(k + size if m.group(2) else k)
             blocks.append(block)
         return cls.from_blocks(blocks, size)
@@ -174,8 +176,12 @@ def swap_diagram(r: int, i: int) -> PartitionDiagram:
     return PartitionDiagram.from_blocks(blocks, r)
 
 
+@lru_cache(maxsize=None)
 def generator(name: str, r: int) -> PartitionDiagram:
-    """Named generator: ``p1``, ``p12``, or ``s<i>`` for 1 <= i < r."""
+    """Named generator: ``p1``, ``p12``, or ``s<i>`` for 1 <= i < r.
+
+    One shared diagram per (name, r), so a cache keyed on a generator finds
+    it by identity instead of comparing it field by field."""
     if name == "p1":
         return p_diagram(r, 1)
     if name == "p12":
@@ -236,7 +242,7 @@ def _stack(
     roots = list(map(parent.__getitem__, upper[:cut]))
     roots += map(lower_roots.__getitem__, lower[glued:])
     relabel: dict[int, int] = {}  # roots numbered by first appearance: the growth string
-    labels = tuple(relabel.setdefault(root, len(relabel)) for root in roots)
+    labels = tuple([relabel.setdefault(root, len(relabel)) for root in roots])
     # each union merges two components; those left touch a free point or are closed
     return nodes - unions - len(relabel), labels
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 # The enumeration cap and the A000296 count live in ``characters``, which the
@@ -46,6 +46,14 @@ def bell_number(n: int) -> int:
     if n == 0:
         return 1
     return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
+
+
+def _point(x) -> int:
+    """A ground-set point given from outside, as an int."""
+    try:
+        return index(x)
+    except TypeError:
+        raise MalformedPartitionError(f"point {x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ class SetPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":
         """Canonicalize a collection of disjoint blocks covering {1..size}."""
         seen: dict[int, int] = {}
-        block_list = [sorted(b) for b in blocks]
+        block_list = [sorted(map(_point, b)) for b in blocks]
         for bi, block in enumerate(block_list):
             if not block:
                 raise MalformedPartitionError("empty block")
@@ -139,8 +147,12 @@ class SetPartition:
             keys[image - 1] = self.labels[x]
         return SetPartition.from_keys(keys)
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return "{" + "|".join(",".join(str(x) for x in b) for b in self.blocks) + "}"
+
+    def __str__(self) -> str:
+        return self._text  # formatted once: pairs print their shared partitions many times
 
 
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:

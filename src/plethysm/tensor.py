@@ -10,7 +10,8 @@ never hinges on a float.  Caps bound the dimension and the enumerated support.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -59,21 +60,24 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     Entry (row I, column J) is 1 exactly when the indices are constant on
     every block of the diagram (rows feed the northern points, columns the
     southern ones).  One free value per block, so the support is enumerated
-    blockwise instead of scanning the full square matrix.
+    blockwise instead of scanning the full square matrix.  A row fixes the
+    values of the blocks meeting the northern row, which come first in block
+    order; the southern-only blocks add the same column offsets to every row.
     """
     r = d.size
     mn = m * n
     _check_cap("dimension", mn**r, matrix=True)
     _check_cap("support", mn**d.partition.block_count)
-    entries = [(0, 0)]
+    heads, tails = [(0, 0)], [0]
     for block in d.partition.blocks:
-        nw = sum(mn ** (r - p) for p in block if p <= r)
         sw = sum(mn ** (2 * r - p) for p in block if p > r)
-        entries = [(row + v * nw, col + v * sw) for row, col in entries for v in range(mn)]
-    matrix: RowMap = defaultdict(list)
-    for row, col in entries:
-        matrix[row].append(col)
-    return dict(matrix)
+        if block[0] <= r:
+            nw = sum(mn ** (r - p) for p in block if p <= r)
+            heads = [(row + v * nw, col + v * sw) for row, col in heads for v in range(mn)]
+        else:
+            offsets = [v * sw for v in range(mn)]
+            tails = [col + o for col in tails for o in offsets]
+    return {row: [col + t for t in tails] for row, col in heads}
 
 
 def apply(vector: Vector, matrix: RowMap) -> Vector:
@@ -133,10 +137,12 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     flats = [0]
     for block in pair.inner.blocks:
         w = sum(mn ** (r - p) for p in block)
-        flats = [f + v * w for f in flats for v in range(m)]
+        offsets = [v * w for v in range(m)]
+        flats = [f + o for f in flats for o in offsets]
     for block in pair.outer.blocks:
         w = m * sum(mn ** (r - p) for p in block)
-        flats = [f + v * w for f in flats for v in range(n)]
+        offsets = [v * w for v in range(n)]
+        flats = [f + o for f in flats for o in offsets]
     return flats
 
 
@@ -193,30 +199,46 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     Equals the full pair count exactly when m, n >= r.  For smaller
     parameters the observed value is the size of the truncated poset; that
     identity is checked empirically here, not quoted from anywhere.
+
+    Over the rationals a 0/1 matrix V has the rank of its Gram matrix V V^T
+    (V V^T x = 0 gives |V^T x|^2 = 0), whose entries are the sizes of the
+    pairwise intersections of the supports: one row per pair, not one
+    column per support index.
     """
-    vectors = [block_constant_vector(p, m, n) for p in foulkes_pairs(r)]
-    columns = sorted(set().union(*vectors))
-    return integer_matrix_rank([[v.get(c, 0) for c in columns] for v in vectors])
+    pairs = foulkes_pairs(r)
+    _check_cap("dimension", (m * n) ** r)
+    supports = [set(block_constant_support(p, m, n)) for p in pairs]
+    return integer_matrix_rank([[len(a & b) for b in supports] for a in supports])
+
+
+def support_image(support: Iterable[int], matrix: RowMap) -> Counter[int]:
+    """The 0/1 vector on ``support`` times a 0/1 matrix: how often each
+    column is hit from the support's rows."""
+    return Counter(chain.from_iterable(map(matrix.get, support, repeat(()))))
 
 
 def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> bool:
     """Does the pair action match the tensor action along a generator word?
 
-    Tracks, for every basis pair, the scaled pair on one side and the vector
-    image on the other; compares after every letter.
+    Tracks, for every basis pair, the pair image with its scale on one side
+    and the tensor image on the other, and compares after every letter.  Up
+    to the last prefix both sides agree, so the tensor image is the scale
+    times the 0/1 vector on the current pair's support; the next letter
+    must then hit each support index of the next pair exactly m**t1 * n**t2
+    times, and nothing else.
     """
     matrices = {name: diagram_tensor_matrix(generator(name, r), m, n) for name in set(word)}
     diagrams = {name: generator(name, r) for name in set(word)}
-    for start in foulkes_pairs(r):
-        vec = block_constant_vector(start, m, n)
+    pairs = foulkes_pairs(r)
+    _check_cap("dimension", (m * n) ** r)
+    for start in pairs:
+        support = block_constant_support(start, m, n)
         pair = start
-        scale = 1
         for name in word:
-            vec = apply(vec, matrices[name])
+            hits = support_image(support, matrices[name])
             t1, t2, pair = act(pair, diagrams[name])
-            scale *= m**t1 * n**t2
-            expected = {c: scale * v for c, v in block_constant_vector(pair, m, n).items()}
-            if vec != expected:
+            support = block_constant_support(pair, m, n)
+            if hits != dict.fromkeys(support, m**t1 * n**t2):
                 return False
     return True
 

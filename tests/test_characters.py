@@ -21,6 +21,7 @@ from plethysm.characters import (
     partitions_in_box_count,
     partitions_no_ones,
     set_partitions_of_shape,
+    shape_block_masks,
     shape_count,
     singleton_free_character,
     singleton_free_count,
@@ -33,7 +34,7 @@ from plethysm.errors import (
     SizeMismatchError,
 )
 from plethysm.foulkes import _quotient_fixed_counts
-from plethysm.setpartitions import set_partitions
+from plethysm.setpartitions import SetPartition, set_partitions
 
 
 def syt_count(lam):
@@ -198,6 +199,22 @@ class TestShapeEnumeration:
         for r in range(1, 7):
             total = sum(len(set_partitions_of_shape(mu)) for mu in partitions(r))
             assert total == len(list(set_partitions(r)))
+
+    def test_bitmask_shapes_match_the_partitions_of_each_shape(self):
+        # reference: every set-partition of r, sorted by the shape of its blocks
+        for r in range(0, 9):
+            by_shape = {}
+            for sp in set_partitions(r) if r else [SetPartition(0, ())]:
+                shape = tuple(sorted(map(len, sp.blocks), reverse=True))
+                by_shape.setdefault(shape, set()).add(sp)
+            for mu in partitions(r):
+                enumerated = set_partitions_of_shape(mu)
+                assert set(enumerated) == by_shape[mu] and len(enumerated) == len(by_shape[mu])
+                masks = [
+                    tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks)
+                    for sp in enumerated
+                ]
+                assert shape_block_masks(mu) == masks, mu
 
     def test_closed_form_count_matches_enumeration(self):
         for r in range(1, 8):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethysm import foulkes, verify
+from plethysm import cli, foulkes, verify
 from plethysm.characters import dimension, parse_partition
 from plethysm.cli import main
 from plethysm.errors import InternalConsistencyError
@@ -307,6 +307,9 @@ PINNED_DIGESTS = {
         "text": "f29413a3b80e2d9f673b9f0ab18155f6309e2329293c47a2ca96f29f94dc96e6",
         "csv": "c83106622d606e3a41a4f2e94007a300fe19a9853318e7fb0259e3c80bc72758",
     },
+    ("module", "--r", "6", "--info", "matrices"): {
+        "json": "1d90c160434f8f97f7666ae85b2c4e46a3360ca2197330dbbcb911746b8f3c5e",
+    },
 }
 
 
@@ -318,6 +321,23 @@ def test_output_bytes_are_pinned(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv][fmt]
+
+
+def test_matrices_writer_matches_the_json_encoder():
+    for r in range(1, 7):
+        record = {
+            "command": "module",
+            "query": {"r": r, "info": "matrices"},
+            "result": cli._module_payload(r, "matrices"),
+        }
+        assert "".join(cli._matrices_json(record)) == json.dumps(record, sort_keys=True, indent=2)
+    # empty lists and maps, and strings that need escaping
+    for result in (
+        {"basis": [], "matrices": {}},
+        {"basis": ['a "b"\\', "\u00e9"], "matrices": {"p1": [], "s\n1": [[0, 1, "x\ty"]]}},
+    ):
+        record = {"command": "module", "query": {"r": 1, "info": "matrices"}, "result": result}
+        assert "".join(cli._matrices_json(record)) == json.dumps(record, sort_keys=True, indent=2)
 
 
 partition_texts = st.one_of(

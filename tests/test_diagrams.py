@@ -130,6 +130,19 @@ class TestGenerators:
         for d in all_diagrams(2):
             assert PartitionDiagram.from_string(str(d), 2) == d
 
+    @pytest.mark.parametrize(
+        "text, token", [("{2|1}", "'2'"), ("{1|2'}", '"2\'"'), ("{0|1'}", "'0'")]
+    )
+    def test_string_token_out_of_range(self, text, token):
+        # "{2|1}" on one strand used to read northern point 2 as 1'
+        with pytest.raises(MalformedPartitionError, match=f"diagram token {token} outside 1..1"):
+            PartitionDiagram.from_string(text, 1)
+
+    def test_one_shared_diagram_per_generator(self):
+        for r in (1, 3):
+            for name in generator_names(r):
+                assert generator(name, r) is generator(name, r)
+
 
 class TestMultiply:
     def test_identity_neutral(self):

@@ -278,6 +278,27 @@ class TestLayers:
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
             layer_matrix(p_diagram(2), 2, 1)
 
+    def test_repeated_layers_compare_no_partitions(self, monkeypatch):
+        # the one-row cache is keyed on (partition, diagram); with one shared
+        # diagram per generator a later hit is found by identity, so the
+        # second pass compares no partitions field by field
+        def build_all():
+            for name in generator_names(5):
+                for k in range(5):
+                    layer_matrix(generator(name, 5), 5, k)
+
+        build_all()
+        exact = SetPartition.__eq__
+        calls = []
+
+        def counting(self, other):
+            calls.append(1)
+            return exact(self, other)
+
+        monkeypatch.setattr(SetPartition, "__eq__", counting)
+        build_all()
+        assert calls == []
+
     def test_layer_out_of_range(self):
         # a bad layer index is malformed input (exit 1), not a resource cap
         for k in (5, -1):

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -80,6 +81,15 @@ class TestCanonicalize:
     def test_missing_rejected(self):
         with pytest.raises(MalformedPartitionError):
             SetPartition.from_blocks([[1, 2]], 3)
+
+    @pytest.mark.parametrize(
+        "blocks, point",
+        [([[1, 1.5]], "1.5"), ([[1], [2.0]], "2.0"), ([["1", 2]], "'1'")],
+    )
+    def test_non_integer_point_rejected(self, blocks, point):
+        # these used to raise a bare KeyError, pass silently, or raise TypeError
+        with pytest.raises(MalformedPartitionError, match=f"point {re.escape(point)} is not"):
+            SetPartition.from_blocks(blocks, 2)
 
     def test_bad_growth_string_rejected(self):
         for size, labels in [(3, (0, 2, 1)), (1, (1,)), (2, (0, -1)), (3, (0, 0, 2)), (2, (0,))]:

@@ -3,9 +3,11 @@ from collections import Counter
 
 import pytest
 
+from plethysm import tensor, verify
 from plethysm.characters import homogeneous_plethysm
 from plethysm.diagrams import (
     PartitionDiagram,
+    generator,
     generator_names,
     identity_diagram,
     multiply_diagrams,
@@ -17,6 +19,7 @@ from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMisma
 from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs, set_partitions
 from plethysm.tensor import (
     MATRIX_CAP,
+    VECTOR_CAP,
     apply,
     block_constant_support,
     block_constant_vector,
@@ -244,6 +247,50 @@ class TestActionCompatibility:
     def test_rank2_parameter_specialisation(self):
         # the p1 column scalars specialise to m*n and m at (2, 2)
         assert tensor_action_consistent(2, 2, 2, ["p1", "p1"])
+
+
+def dense_image_rank(r, m, n):
+    # reference: eliminate the pairs' 0/1 vectors over every support column
+    vectors = [block_constant_vector(p, m, n) for p in foulkes_pairs(r)]
+    columns = sorted(set().union(*vectors))
+    return integer_matrix_rank([[v.get(c, 0) for c in columns] for v in vectors])
+
+
+class TestOracleReferences:
+    def test_gram_rank_equals_dense_elimination(self):
+        for r, m, n in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4)):
+            assert (m * n) ** r <= VECTOR_CAP
+            assert foulkes_image_rank(r, m, n) == dense_image_rank(r, m, n), (r, m, n)
+
+    def test_rank_refuses_a_large_dimension(self):
+        with pytest.raises(ResourceCapError, match=f"dimension {16**5} exceeds VECTOR_CAP"):
+            foulkes_image_rank(5, 4, 4)
+
+    def test_action_oracle_catches_a_wrong_exponent(self, monkeypatch):
+        exact = tensor.act
+        target = generator("p1", 3)
+
+        def off_by_one(pair, d):
+            t1, t2, image = exact(pair, d)
+            return t1, t2 + (d == target), image
+
+        monkeypatch.setattr(tensor, "act", off_by_one)
+        assert tensor_action_consistent(3, 3, 3, ["s1"])
+        assert not tensor_action_consistent(3, 3, 3, ["p1"])
+        with pytest.raises(verify.CheckFailure, match="one-letter word p1 fails at r=3"):
+            verify.check_tensor_homomorphism(True)
+
+    def test_multiplicativity_check_catches_a_wrong_closed_count(self, monkeypatch):
+        exact = verify.multiply_diagrams
+        target = (p_diagram(2, 1), p_diagram(2, 2))
+
+        def off_by_one(x, y):
+            t, z = exact(x, y)
+            return t + ((x, y) == target), z
+
+        monkeypatch.setattr(verify, "multiply_diagrams", off_by_one)
+        with pytest.raises(verify.CheckFailure, match="not multiplicative"):
+            verify.check_tensor_multiplicativity(False)
 
 
 class TestOrbits:
