@@ -10,13 +10,16 @@ Module entries are monomials in d1, d2, held exactly as ``TwoParamScalar``.
 
 Stacking works on label strings: ``_stack`` takes two growth strings with
 their block counts and returns ints and a growth string, no objects.  The
-glued points identify blocks of the two strings, a union-find over block
-labels (not points) merges them, and the free points' roots are relabelled
-in one pass.  Closed components are the block labels minus the unions minus
-the free blocks, so no final scan is needed.  The product and the one-row
-action are both this one operation, and each wraps its result in a validated
-``SetPartition``; verify's exhaustive product table reads propagating counts
-straight from the returned string.  A diagram stores its hash, because the
+glued points identify blocks of the two strings, and ``_glue``, a union-find
+over block labels (not points), merges them; it reads only the upper string's
+glued labels and block count and the lower string's glued labels, and leaves
+every other lower block its own root.  ``_stack`` then relabels the free
+points' roots in one pass.  Closed components are the block labels minus the
+unions minus the free blocks, so no final scan is needed.  The product and
+the one-row action are both this one operation, and each wraps its result in
+a validated ``SetPartition``; verify's exhaustive product table calls
+``_glue`` once per upper diagram and lower northern string, and reads each
+propagating count from the roots.  A diagram stores its hash, because the
 one-row action's cache hashes it on every lookup.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Mapping
 
 from .errors import MalformedPartitionError, SizeMismatchError
@@ -39,10 +43,16 @@ class TwoParamScalar:
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean = {}
         for (a, b), c in (terms or {}).items():
+            try:  # refused, not truncated: 1.5 or '3' is no integer coefficient
+                a, b, c = index(a), index(b), index(c)
+            except TypeError:
+                raise MalformedPartitionError(
+                    f"scalar term {c!r}*d1^{a!r}*d2^{b!r} is not integral"
+                ) from None
             if a < 0 or b < 0:
                 raise ValueError("negative exponents are not representable")
             if c:
-                clean[(a, b)] = int(c)
+                clean[(a, b)] = c
         self._terms = clean
 
     @classmethod
@@ -109,27 +119,6 @@ class PartitionDiagram:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "PartitionDiagram":
         return cls(size, SetPartition.from_blocks(blocks, 2 * size))
-
-    @classmethod
-    def from_string(cls, text: str, size: int) -> "PartitionDiagram":
-        """Parse the textual form, e.g. ``{1,2,1',2'|3,3'}``."""
-        body = text.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise MalformedPartitionError(f"bad diagram syntax: {text!r}")
-        blocks = []
-        for chunk in body[1:-1].split("|"):
-            block = []
-            for tok in chunk.split(","):
-                tok = tok.strip()
-                m = re.fullmatch(r"(\d+)(')?", tok)
-                if not m:
-                    raise MalformedPartitionError(f"bad diagram token: {tok!r}")
-                k = int(m.group(1))
-                if not 1 <= k <= size:
-                    raise MalformedPartitionError(f"diagram token {tok!r} outside 1..{size}")
-                block.append(k + size if m.group(2) else k)
-            blocks.append(block)
-        return cls.from_blocks(blocks, size)
 
     def _point(self, p: int) -> str:
         return str(p) if p <= self.size else f"{p - self.size}'"
@@ -205,25 +194,23 @@ def _propagating(labels: tuple[int, ...], size: int) -> int:
     return len(set(labels[:size]).intersection(labels[size:]))
 
 
-def _stack(
-    upper: tuple[int, ...],
-    upper_blocks: int,
-    lower: tuple[int, ...],
-    lower_blocks: int,
-    glued: int,
-) -> tuple[int, tuple[int, ...]]:
-    """Glue the last ``glued`` points of ``upper`` to the first ``glued`` of ``lower``.
+def _glue(
+    middle: tuple[int, ...], upper_blocks: int, top: tuple[int, ...]
+) -> tuple[list[int], int]:
+    """Union-find of an upper string's block labels ``middle`` at its glued
+    points with a lower growth string's first labels ``top``.
 
-    Both are growth strings with the given block counts.  Returns (components
-    touching no free point, growth string induced on the free points: upper's
-    unglued points, then lower's).
+    Nodes are upper's blocks 0..upper_blocks-1, then lower's block b as node
+    upper_blocks + b for every b in ``top``; a lower block that does not
+    appear in ``top`` is glued to nothing and is its own root.  Returns (the
+    root of every node, the number of unions).  A root is the smallest node of
+    its component, so an upper block's root is an upper block.
     """
     shift = upper_blocks  # lower's block b is node shift + b
-    nodes = shift + lower_blocks
+    nodes = shift + max(top, default=-1) + 1  # top opens lower's blocks in order
     parent = list(range(nodes))
     unions = 0
-    cut = len(upper) - glued
-    for a, b in zip(upper[cut:], lower[:glued]):
+    for a, b in zip(middle, top):
         while parent[a] != a:
             a = parent[a]
         b += shift
@@ -238,7 +225,27 @@ def _stack(
             unions += 1
     for x in range(nodes):  # ascending, so parent[parent[x]] is already a root
         parent[x] = parent[parent[x]]
-    lower_roots = parent[shift:]
+    return parent, unions
+
+
+def _stack(
+    upper: tuple[int, ...],
+    upper_blocks: int,
+    lower: tuple[int, ...],
+    lower_blocks: int,
+    glued: int,
+) -> tuple[int, tuple[int, ...]]:
+    """Glue the last ``glued`` points of ``upper`` to the first ``glued`` of ``lower``.
+
+    Both are growth strings with the given block counts.  Returns (components
+    touching no free point, growth string induced on the free points: upper's
+    unglued points, then lower's).
+    """
+    cut = len(upper) - glued
+    parent, unions = _glue(upper[cut:], upper_blocks, lower[:glued])
+    nodes = upper_blocks + lower_blocks
+    lower_roots = parent[upper_blocks:]
+    lower_roots += range(len(parent), nodes)  # lower's unglued blocks are their own roots
     roots = list(map(parent.__getitem__, upper[:cut]))
     roots += map(lower_roots.__getitem__, lower[glued:])
     relabel: dict[int, int] = {}  # roots numbered by first appearance: the growth string

@@ -12,9 +12,12 @@ building block lists.  The hash is computed once, at construction, because
 partitions and pairs are dictionary keys far more often than they are built.
 
 A refining pair is the tuple (inner, outer).  Its public constructor checks
-refinement; ``foulkes_pairs`` builds pairs that are refining by construction
-without that check, and verify's ``setpartitions.pair-count`` re-checks every
-pair it enumerates, so each pair is still checked once.
+refinement; ``pair_runs`` builds pairs that are refining by construction
+without that check, one run per inner partition and depth, and
+``foulkes_pairs`` caches them in depth order.  Verify's
+``setpartitions.pair-count`` streams the runs and re-checks every pair, so
+each pair is still checked once, and the largest rank it counts is never
+cached.
 """
 
 from __future__ import annotations
@@ -117,19 +120,12 @@ class SetPartition:
     def singletons(cls, size: int) -> "SetPartition":
         return cls(size, tuple(range(size)))
 
-    @classmethod
-    def one_block(cls, size: int) -> "SetPartition":
-        return cls(size, (0,) * size)
-
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.block_count)]
         for x, b in enumerate(self.labels, start=1):
             out[b].append(x)
         return tuple(tuple(b) for b in out)
-
-    def block_of(self, element: int) -> int:
-        return self.labels[element - 1]
 
     def refines(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of other."""
@@ -229,9 +225,6 @@ class FoulkesPair(tuple):
             return False
         return max(self.inner_blocks_per_outer()) <= m
 
-    def coarsens(self, other: "FoulkesPair") -> bool:
-        return other.inner.refines(self.inner) and other.outer.refines(self.outer)
-
     def __repr__(self) -> str:
         return f"FoulkesPair(inner={self.inner!r}, outer={self.outer!r})"
 
@@ -239,19 +232,16 @@ class FoulkesPair(tuple):
         return f"{self.inner} ; {self.outer}"
 
 
-@lru_cache(maxsize=None)
-def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
-    """All refining pairs on {1..size}, sorted by (depth, inner, outer).
+def pair_runs(size: int) -> Iterator[tuple[int, list[FoulkesPair]]]:
+    """The refining pairs on {1..size} as runs (depth, pairs of one inner
+    partition at that depth): inners in lex order, each one's depths rising,
+    and each run sorted by outer.
 
     Each outer partition is a growth string over the inner blocks (a merge
     string), read back at every point; that string is already canonical, so
     it is looked up among the partitions enumerated for the inners, and every
     pair with that outer shares one validated object.  Such a pair refines by
-    construction, so it is built without the constructor's check.  Inners
-    and, per depth, merge strings come in lex order, so each depth layer
-    fills up sorted.  The depth-major order keeps each filtration layer
-    contiguous and matches the conventional basis layout for the small worked
-    cases.
+    construction, so it is built without the constructor's check.
     """
     partitions = {sp.labels: sp for sp in set_partitions(size)}
     # merges_by_depth[k][d]: merge strings over k blocks that keep k - d of them
@@ -261,7 +251,6 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
         for merge in _growth_strings(k):
             by_depth[k - 1 - max(merge)].append(merge)
         merges_by_depth.append(by_depth)
-    layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
     unchecked_pair = partial(tuple.__new__, FoulkesPair)
     outer_of = partitions.__getitem__
     try:
@@ -269,13 +258,27 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
             labels = inner.labels
             # itemgetter of one index returns the item itself, not a 1-tuple
             read = itemgetter(*labels) if size > 1 else lambda merge: (merge[labels[0]],)
-            for layer, merges in zip(layers, merges_by_depth[inner.block_count]):
+            for depth, merges in enumerate(merges_by_depth[inner.block_count]):
                 outers = map(outer_of, map(read, merges))
-                layer.extend(map(unchecked_pair, zip(repeat(inner), outers)))
+                yield depth, list(map(unchecked_pair, zip(repeat(inner), outers)))
     except KeyError as exc:
         raise InternalConsistencyError(
             f"merged labels {exc.args[0]} are not a growth string"
         ) from None
+
+
+@lru_cache(maxsize=None)
+def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
+    """All refining pairs on {1..size}, sorted by (depth, inner, outer).
+
+    The runs of ``pair_runs`` fill the depth layers in order, so each layer
+    fills up sorted.  The depth-major order keeps each filtration layer
+    contiguous and matches the conventional basis layout for the small worked
+    cases.
+    """
+    layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
+    for depth, pairs in pair_runs(size):
+        layers[depth] += pairs
     return tuple(chain.from_iterable(layers))
 
 

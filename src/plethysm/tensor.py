@@ -152,18 +152,6 @@ def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
-def value_type_orbit_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
-    """Sum of the basis vectors whose value-type is exactly the given pair."""
-    r = pair.size
-    mn = m * n
-    _check_cap("dimension", mn**r)
-    return {
-        flat: 1
-        for flat in range(mn**r)
-        if value_type([digit_to_pair(c, m) for c in index_digits(flat, mn, r)]) == pair
-    }
-
-
 def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix, by exact elimination."""
     work = [[int(v) for v in row] for row in rows]

@@ -19,7 +19,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable
 
-from . import characters, coefficients, diagrams, foulkes, tensor
+from . import characters, coefficients, diagrams, foulkes, setpartitions, tensor
 from .diagrams import (
     PartitionDiagram,
     generator,
@@ -111,30 +111,31 @@ def _refinement_reader(inner: SetPartition) -> Callable[[Labels], Labels]:
 
 def check_pair_count(full: bool) -> str:
     """Count the enumerated pairs, and re-check that every one refines:
-    ``foulkes_pairs`` builds its pairs without the constructor's check.
-    The re-check is one label read per pair, built once per inner partition."""
+    ``pair_runs`` builds its pairs without the constructor's check.  The
+    runs are streamed, so no rank's pairs are cached here, and the re-check
+    is one label read per pair, built once per inner partition.  The cached
+    ``foulkes_pairs`` is counted too, at the ranks the module serves."""
     top = 8 if full else 4
     for r in range(1, top + 1):
         expected = sum(  # block sizes are the label counts
             math.prod(map(bell_number, map(outer.labels.count, range(outer.block_count))))
             for outer in set_partitions(r)
         )
-        pairs = foulkes_pairs(r)
-        if len(pairs) != expected:
-            raise CheckFailure(f"pair count at r={r}: {len(pairs)} != {expected}")
         by_depth = [0] * r
-        reads: dict[SetPartition, Callable[[Labels], Labels]] = {}
         last = None
-        for inner, outer in pairs:
-            if inner is not last:  # each depth layer holds one run of pairs per inner
-                last = inner
-                read = reads.get(inner)
-                if read is None:
-                    read = reads[inner] = _refinement_reader(inner)
-            labels = outer.labels
-            if read(labels) != labels:
-                raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
-            by_depth[inner.block_count - outer.block_count] += 1
+        for _, run in setpartitions.pair_runs(r):
+            for inner, outer in run:
+                if inner is not last:  # the runs of one inner partition are adjacent
+                    last = inner
+                    read = _refinement_reader(inner)
+                labels = outer.labels
+                if read(labels) != labels:
+                    raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
+                by_depth[inner.block_count - outer.block_count] += 1
+        if sum(by_depth) != expected:
+            raise CheckFailure(f"pair count at r={r}: {sum(by_depth)} != {expected}")
+        if r <= foulkes.MODULE_CAP and len(foulkes_pairs(r)) != expected:
+            raise CheckFailure(f"pair count at r={r}: {len(foulkes_pairs(r))} != {expected}")
         if tuple(by_depth) != pair_counts_by_depth(r):
             raise CheckFailure(f"depth counts at r={r}: {by_depth} != {pair_counts_by_depth(r)}")
     return f"pair counts match the blockwise Bell product sum and Stirling depth counts (r<={top})"
@@ -172,20 +173,34 @@ def check_diagram_associativity(full: bool) -> str:
 @lru_cache(maxsize=None)
 def _product_table(r: int) -> tuple[tuple[PartitionDiagram, ...], tuple[tuple[int, ...], ...]]:
     """Every rank-r diagram, and the propagating count of each product x*y
-    (row x, column y), so the exhaustive product checks stack each pair once.
+    (row x, column y), so the exhaustive product checks share one table.
 
-    The products are stacked on label strings and their counts read from the
-    resulting string; no partition or diagram object is built for them.
+    Only x's southern and y's northern labels meet in the middle row, so the
+    diagrams are grouped by their northern labels and each x is glued once
+    per group (``diagrams._glue``), not stacked once per y.  A propagating
+    block of x*y is a component meeting x's northern and y's southern row,
+    so its count is the number of roots that x's northern blocks share with
+    y's southern blocks; a southern block of y that misses y's northern row
+    is its own root and meets no block of x.  No product string is built.
     """
     all_diagrams = tuple(PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r))
-    stack, propagating = diagrams._stack, diagrams._propagating
-    columns = [(y.partition.labels, y.partition.block_count) for y in all_diagrams]
+    glue = diagrams._glue
+    # northern labels -> (column, y's southern blocks that also meet its northern row)
+    groups: dict[Labels, list[tuple[int, Labels]]] = {}
+    for j, y in enumerate(all_diagrams):
+        top, bottom = y.partition.labels[:r], y.partition.labels[r:]
+        groups.setdefault(top, []).append((j, tuple({b for b in bottom if b in top})))
     counts = []
-    for upper, upper_blocks in columns:
-        row = []
-        for lower, lower_blocks in columns:
-            _, labels = stack(upper, upper_blocks, lower, lower_blocks, r)
-            row.append(propagating(labels, r))
+    for x in all_diagrams:
+        labels, blocks = x.partition.labels, x.partition.block_count
+        middle, north = labels[r:], set(labels[:r])
+        row = [0] * len(all_diagrams)
+        for top, members in groups.items():
+            roots, _ = glue(middle, blocks, top)
+            north_roots = set(map(roots.__getitem__, north))
+            lower_root = roots[blocks:].__getitem__
+            for j, south in members:
+                row[j] = len(north_roots.intersection(map(lower_root, south)))
         counts.append(tuple(row))
     return all_diagrams, tuple(counts)
 

@@ -1,0 +1,59 @@
+"""Constructors and predicates that only the tests use.
+
+They are written on the package's public types, so the library keeps only
+what the CLI and ``verify`` call.
+"""
+
+import re
+
+from plethysm.diagrams import PartitionDiagram
+from plethysm.errors import MalformedPartitionError
+from plethysm.setpartitions import SetPartition
+from plethysm.tensor import digit_to_pair, index_digits, value_type
+
+
+def one_block(size):
+    """The partition of {1..size} into a single block."""
+    return SetPartition(size, (0,) * size)
+
+
+def block_of(sp, element):
+    """The index of the block holding ``element`` (1-based point)."""
+    return sp.labels[element - 1]
+
+
+def coarsens(p, q):
+    """True iff pair p lies above pair q: both of q's partitions refine p's."""
+    return q.inner.refines(p.inner) and q.outer.refines(p.outer)
+
+
+def diagram_from_string(text, size):
+    """Parse the textual form of a diagram, e.g. ``{1,2,1',2'|3,3'}``."""
+    body = text.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise MalformedPartitionError(f"bad diagram syntax: {text!r}")
+    blocks = []
+    for chunk in body[1:-1].split("|"):
+        block = []
+        for tok in chunk.split(","):
+            tok = tok.strip()
+            m = re.fullmatch(r"(\d+)(')?", tok)
+            if not m:
+                raise MalformedPartitionError(f"bad diagram token: {tok!r}")
+            k = int(m.group(1))
+            if not 1 <= k <= size:
+                raise MalformedPartitionError(f"diagram token {tok!r} outside 1..{size}")
+            block.append(k + size if m.group(2) else k)
+        blocks.append(block)
+    return PartitionDiagram.from_blocks(blocks, size)
+
+
+def value_type_orbit_vector(pair, m, n):
+    """Sum of the basis vectors of (C^(mn))^(tensor r) whose value-type is exactly ``pair``."""
+    r = pair.size
+    mn = m * n
+    return {
+        flat: 1
+        for flat in range(mn**r)
+        if value_type([digit_to_pair(c, m) for c in index_digits(flat, mn, r)]) == pair
+    }

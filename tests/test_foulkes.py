@@ -34,6 +34,8 @@ from plethysm.setpartitions import (
     singleton_free_count,
 )
 
+from helpers import block_of, one_block
+
 ONE = TwoParamScalar.monomial(0, 0)
 D1 = TwoParamScalar.monomial(1, 0)
 D1D2 = TwoParamScalar.monomial(1, 1)
@@ -51,10 +53,10 @@ def reference_p12(p):
     # case analysis straight from the defining formulas: merge the inner
     # blocks of 1 and 2, merge the outer blocks unless already equal
     inner, outer = p.inner, p.outer
-    if inner.block_of(1) == inner.block_of(2):
+    if block_of(inner, 1) == block_of(inner, 2):
         return (0, 0, p)
     merged_inner = _merge(inner, 1, 2)
-    if outer.block_of(1) == outer.block_of(2):
+    if block_of(outer, 1) == block_of(outer, 2):
         return (0, 0, FoulkesPair(merged_inner, outer))
     return (0, 0, FoulkesPair(merged_inner, _merge(outer, 1, 2)))
 
@@ -78,7 +80,7 @@ def reference_swap(p, i):
 
 def _merge(sp, a, b):
     blocks = [list(blk) for blk in sp.blocks]
-    ba, bb = sp.block_of(a), sp.block_of(b)
+    ba, bb = block_of(sp, a), block_of(sp, b)
     blocks[ba].extend(blocks[bb])
     del blocks[bb]
     return SetPartition.from_blocks(blocks, sp.size)
@@ -187,7 +189,7 @@ class TestActionMatrix:
             # singletons go to one block and anything else to singletons, so
             # the pair (singletons ; one block) lands on a non-refining image
             if sp.block_count == sp.size:
-                return 0, SetPartition.one_block(sp.size)
+                return 0, one_block(sp.size)
             return 0, SetPartition.singletons(sp.size)
 
         monkeypatch.setattr(foulkes, "_one_row", coarsen_singletons)
@@ -271,7 +273,7 @@ class TestLayers:
         # the only depth-1 pair, (singletons ; one block), maps to (one block ; singletons)
         def swap_extremes(sp, d):
             if sp.block_count == sp.size:
-                return 0, SetPartition.one_block(sp.size)
+                return 0, one_block(sp.size)
             return 0, SetPartition.singletons(sp.size)
 
         monkeypatch.setattr(foulkes, "_one_row", swap_extremes)

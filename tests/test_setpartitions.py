@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plethysm import verify
+from plethysm import foulkes, setpartitions, verify
 from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import (
     FoulkesPair,
@@ -17,6 +17,8 @@ from plethysm.setpartitions import (
     pair_counts_by_depth,
     set_partitions,
 )
+
+from helpers import block_of, one_block
 
 
 def brute_bell(n):
@@ -152,7 +154,7 @@ class TestStoredBlockCount:
             for pair in foulkes_pairs(r):
                 counts = [0] * pair.outer.block_count
                 for block in pair.inner.blocks:
-                    counts[pair.outer.block_of(block[0])] += 1
+                    counts[block_of(pair.outer, block[0])] += 1
                 assert pair.inner_blocks_per_outer() == tuple(counts)
 
     def test_repr_equality_and_hash_ignore_the_count(self):
@@ -177,7 +179,7 @@ class TestRefines:
                 assert fine.refines(sp)
 
     def test_one_block_refines_only_itself(self):
-        coarse = SetPartition.one_block(4)
+        coarse = one_block(4)
         assert not coarse.refines(SetPartition.singletons(4))
         assert coarse.refines(coarse)
 
@@ -306,11 +308,11 @@ class TestFoulkesPoset:
 
     def test_non_refining_rejected(self):
         with pytest.raises(MalformedPartitionError):
-            FoulkesPair(SetPartition.one_block(3), SetPartition.singletons(3))
+            FoulkesPair(one_block(3), SetPartition.singletons(3))
 
     def test_sizes_must_match(self):
         with pytest.raises(SizeMismatchError):
-            FoulkesPair(SetPartition.singletons(2), SetPartition.one_block(3))
+            FoulkesPair(SetPartition.singletons(2), one_block(3))
 
     def test_values_of_the_dataclass_form(self):
         for r in range(1, 5):
@@ -326,25 +328,61 @@ class TestFoulkesPoset:
             assert len(set(pairs)) == len(pairs)  # distinct pairs are unequal
 
     def test_verify_rechecks_every_enumerated_pair(self, monkeypatch):
-        good = SetPartition.from_blocks([[1, 2], [3]], 3)
-        bad_outer = SetPartition.from_blocks([[1, 3], [2]], 3)  # same depth, not refining
+        good = SetPartition(3, (0, 0, 1))  # {1,2|3}
+        runs = setpartitions.pair_runs
+        bad_outer = {sp.labels: sp for sp in set_partitions(3)}[(0, 1, 0)]  # {1,3|2}
 
         def one_non_refining(r):
-            pairs = foulkes_pairs(r)
-            if r != 3:
-                return pairs
-            # built unchecked, as the enumeration builds its pairs
+            # the same depth, not refining, built unchecked as the enumeration builds pairs
             swapped = tuple.__new__(FoulkesPair, (good, bad_outer))
-            return tuple(swapped if p == (good, good) else p for p in pairs)
+            for depth, pairs in runs(r):
+                yield depth, [swapped if p == (good, good) else p for p in pairs]
 
-        monkeypatch.setattr(verify, "foulkes_pairs", one_non_refining)
-        results = {r.name: r for r in verify.run_suite("fast")}
+        # both verify's stream and the cached enumeration read the runs; the
+        # caches built on the enumeration are emptied before and after
+        caches = (foulkes_pairs, foulkes._basis_index)
+        monkeypatch.setattr(setpartitions, "pair_runs", one_non_refining)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert (good, bad_outer) in foulkes_pairs(3)
+            results = {r.name: r for r in verify.run_suite("fast")}
+        finally:
+            for cache in caches:
+                cache.cache_clear()
         assert list(results) == [name for name, _ in verify.CHECKS]  # all 30 still run
         pair_count = results["setpartitions.pair-count"]
         assert not pair_count.ok and "r=3 does not refine" in pair_count.detail
-        # acting on the bad pair breaks refinement, which this check reports too
-        assert not results["foulkes.depth-step"].ok
-        assert sum(not r.ok for r in results.values()) == 2
+        # acting on the bad pair breaks refinement, which depth-step reports;
+        # the module's basis holds the bad pair too, so the checks that act on
+        # the r = 3 basis find an image outside it or a broken refinement
+        failed = {name: r.detail for name, r in results.items() if not r.ok}
+        assert failed["foulkes.depth-step"].startswith("depth jumped: {1,2|3} ; {1,3|2}")
+        assert failed["foulkes.depth-radical-closed"].endswith("broke refinement")
+        for name in ("action-homomorphism", "layer-entries", "layer-parameter-swap"):
+            assert failed.pop(f"foulkes.{name}").endswith("left the pair basis")
+        assert set(failed) == {
+            "setpartitions.pair-count",
+            "foulkes.depth-step",
+            "foulkes.depth-radical-closed",
+        }
+
+    def test_foulkes_pairs_concatenates_the_runs_by_depth(self):
+        for r in range(1, 9):
+            runs = list(setpartitions.pair_runs(r))
+            by_depth = [pair for d in range(r) for depth, pairs in runs if depth == d for pair in pairs]
+            assert foulkes_pairs(r) == tuple(by_depth)
+            # one run per (inner, depth): inners in lex order, depths rising
+            inners = list({pairs[0][0]: None for _, pairs in runs})
+            assert [sp.labels for sp in inners] == [sp.labels for sp in set_partitions(r)]
+            assert [(p[0], depth) for depth, pairs in runs for p in pairs[:1]] == [
+                (inner, d) for inner in inners for d in range(inner.block_count)
+            ]
+            assert all(p[0] is pairs[0][0] for _, pairs in runs for p in pairs)
+            # the outers are the enumerated partition objects, the inners themselves
+            enumerated = {id(sp) for sp in inners}
+            assert all(id(p[1]) in enumerated for _, pairs in runs for p in pairs)
+        foulkes_pairs.cache_clear()  # r = 8 is not kept for the other tests
 
     def test_pickle_round_trip(self):
         for p in foulkes_pairs(3):
@@ -362,7 +400,7 @@ class TestFoulkesPoset:
 
 class TestTruncation:
     def test_three_singletons_in_one_block_needs_m_three(self):
-        pair = FoulkesPair(SetPartition.singletons(3), SetPartition.one_block(3))
+        pair = FoulkesPair(SetPartition.singletons(3), one_block(3))
         assert not pair.in_truncation(2, 3)
         assert pair.in_truncation(3, 3)
 
@@ -393,7 +431,7 @@ class TestDepth:
         assert FoulkesPair(fine, coarse).depth == 2
 
     def test_singletons_over_one_block(self):
-        pair = FoulkesPair(SetPartition.singletons(4), SetPartition.one_block(4))
+        pair = FoulkesPair(SetPartition.singletons(4), one_block(4))
         assert pair.depth == 3
 
     @given(refining_pairs())

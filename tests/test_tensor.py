@@ -32,9 +32,10 @@ from plethysm.tensor import (
     tensor_basis_orbits,
     value_type,
     value_type_fibers,
-    value_type_orbit_vector,
     wreath_embed,
 )
+
+from helpers import coarsens, one_block, value_type_orbit_vector
 
 
 def pair(inner_blocks, outer_blocks, r):
@@ -94,7 +95,7 @@ class TestDiagramMatrix:
 
     def test_dimension_cap_names_matrix_cap(self):
         # 5**6 rows exceed MATRIX_CAP although the support 5**3 is small
-        d = PartitionDiagram(6, SetPartition.one_block(12))
+        d = PartitionDiagram(6, one_block(12))
         with pytest.raises(ResourceCapError, match=f"dimension {5**6} exceeds MATRIX_CAP"):
             diagram_tensor_matrix(d, 5, 1)
 
@@ -150,8 +151,8 @@ class TestValueType:
 
     def test_constant_vector(self):
         vt = value_type([(1, 1)] * 4)
-        assert vt.inner == SetPartition.one_block(4)
-        assert vt.outer == SetPartition.one_block(4)
+        assert vt.inner == one_block(4)
+        assert vt.outer == one_block(4)
 
     def test_distinct_superscripts(self):
         vt = value_type([(1, 1), (1, 2), (1, 3)])
@@ -195,7 +196,7 @@ class TestBlockConstantVectors:
             for p in foulkes_pairs(r):
                 total = Counter()
                 for q in foulkes_pairs(r):
-                    if q.coarsens(p) or q == p:
+                    if coarsens(q, p) or q == p:
                         total.update(value_type_orbit_vector(q, m, n))
                 assert total == block_constant_vector(p, m, n)
 
