@@ -12,15 +12,15 @@ Stacking works on label strings: ``_stack`` takes two growth strings with
 their block counts and returns ints and a growth string, no objects.  The
 glued points identify blocks of the two strings, and ``_glue``, a union-find
 over block labels (not points), merges them; it reads only the upper string's
-glued labels and block count and the lower string's glued labels, and leaves
-every other lower block its own root.  ``_stack`` then relabels the free
-points' roots in one pass.  Closed components are the block labels minus the
-unions minus the free blocks, so no final scan is needed.  The product and
-the one-row action are both this one operation, and each wraps its result in
-a validated ``SetPartition``; verify's exhaustive product table calls
-``_glue`` once per upper diagram and lower northern string, and reads each
-propagating count from the roots.  A diagram stores its hash, because the
-one-row action's cache hashes it on every lookup.
+glued labels and block count, the lower string's glued labels and the number
+of lower nodes, and leaves every other lower block its own root.  ``_stack``
+then relabels the free points' roots in one pass.  Closed components are the
+block labels minus the unions minus the free blocks, so no final scan is
+needed.  The product and the one-row action are both this one operation, and
+each wraps its result in a validated ``SetPartition``; verify's exhaustive
+product table calls ``_glue`` once per upper diagram and lower northern
+string, and reads each propagating count from the roots.  A diagram stores
+its hash, because the one-row action's cache hashes it on every lookup.
 """
 
 from __future__ import annotations
@@ -195,19 +195,20 @@ def _propagating(labels: tuple[int, ...], size: int) -> int:
 
 
 def _glue(
-    middle: tuple[int, ...], upper_blocks: int, top: tuple[int, ...]
+    middle: tuple[int, ...], upper_blocks: int, top: tuple[int, ...], lower_blocks: int
 ) -> tuple[list[int], int]:
     """Union-find of an upper string's block labels ``middle`` at its glued
     points with a lower growth string's first labels ``top``.
 
     Nodes are upper's blocks 0..upper_blocks-1, then lower's block b as node
-    upper_blocks + b for every b in ``top``; a lower block that does not
-    appear in ``top`` is glued to nothing and is its own root.  Returns (the
-    root of every node, the number of unions).  A root is the smallest node of
-    its component, so an upper block's root is an upper block.
+    upper_blocks + b for b < lower_blocks, which must cover every label in
+    ``top``; a lower block that does not appear in ``top`` is glued to nothing
+    and is its own root.  Returns (the root of every node, the number of
+    unions).  A root is the smallest node of its component, so an upper
+    block's root is an upper block.
     """
     shift = upper_blocks  # lower's block b is node shift + b
-    nodes = shift + max(top, default=-1) + 1  # top opens lower's blocks in order
+    nodes = shift + lower_blocks
     parent = list(range(nodes))
     unions = 0
     for a, b in zip(middle, top):
@@ -242,16 +243,13 @@ def _stack(
     unglued points, then lower's).
     """
     cut = len(upper) - glued
-    parent, unions = _glue(upper[cut:], upper_blocks, lower[:glued])
-    nodes = upper_blocks + lower_blocks
-    lower_roots = parent[upper_blocks:]
-    lower_roots += range(len(parent), nodes)  # lower's unglued blocks are their own roots
+    parent, unions = _glue(upper[cut:], upper_blocks, lower[:glued], lower_blocks)
     roots = list(map(parent.__getitem__, upper[:cut]))
-    roots += map(lower_roots.__getitem__, lower[glued:])
+    roots += map(parent[upper_blocks:].__getitem__, lower[glued:])
     relabel: dict[int, int] = {}  # roots numbered by first appearance: the growth string
     labels = tuple([relabel.setdefault(root, len(relabel)) for root in roots])
     # each union merges two components; those left touch a free point or are closed
-    return nodes - unions - len(relabel), labels
+    return len(parent) - unions - len(relabel), labels
 
 
 def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, PartitionDiagram]:

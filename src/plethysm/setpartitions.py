@@ -7,27 +7,31 @@ string is a canonical form and hashing/equality are O(r).  Internal code
 builds partitions with ``SetPartition.from_keys`` (one relabel pass);
 ``from_blocks`` validates block lists from outside and then delegates to it.
 The one scan that validates a label string also stores its block count, and
-the refinement order and per-pair invariants read label pairs instead of
-building block lists.  The hash is computed once, at construction, because
-partitions and pairs are dictionary keys far more often than they are built.
+the per-pair invariants read label pairs instead of building block lists.
+Refinement is one cached read per partition: a labelling is constant on
+every block of p exactly when reading it at each point's first block point
+(``first_point_read``) leaves it unchanged.  The hash is computed once, at
+construction, because partitions and pairs are dictionary keys far more often
+than they are built.
 
 A refining pair is the tuple (inner, outer).  Its public constructor checks
-refinement; ``pair_runs`` builds pairs that are refining by construction
-without that check, one run per inner partition and depth, and
-``foulkes_pairs`` caches them in depth order.  Verify's
-``setpartitions.pair-count`` streams the runs and re-checks every pair, so
-each pair is still checked once, and the largest rank it counts is never
-cached.
+refinement; ``pair_runs`` enumerates outers that are refined by construction,
+one run per inner partition holding all of its outers, depth-major, and
+``foulkes_pairs`` cuts each run into its depth layers and caches the pairs,
+built without that check, in depth order.  Verify's
+``setpartitions.pair-count`` streams the runs and re-checks each run on its
+outers' label columns, so each pair is still checked once, and the largest
+rank it counts is never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import comb
 from operator import index, itemgetter
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 # The enumeration cap and the A000296 count live in ``characters``, which the
 # stable queries load without this module; they stay importable from here.
@@ -127,12 +131,24 @@ class SetPartition:
             out[b].append(x)
         return tuple(tuple(b) for b in out)
 
+    @cached_property
+    def first_point_read(self) -> Callable[[Sequence], tuple]:
+        """Read a sequence indexed by the points at the first point of each
+        point's block: it leaves the sequence unchanged exactly when the
+        sequence is constant on every block."""
+        labels = self.labels
+        if self.size <= 1:  # itemgetter of one index returns the item, not a 1-tuple
+            return itemgetter(slice(self.size))
+        # a block's label first occurs at the block's first point
+        return itemgetter(*map(labels.index, labels))
+
     def refines(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of other."""
         if self.size != other.size:
             raise SizeMismatchError(f"ground sizes differ: {self.size} vs {other.size}")
-        # each of my blocks meets exactly one of theirs
-        return len(set(zip(self.labels, other.labels))) == self.block_count
+        # other's labels are constant on each of my blocks
+        labels = other.labels
+        return self.first_point_read(labels) == labels
 
     def permuted(self, perm: Sequence[int]) -> "SetPartition":
         """Apply a permutation (one-line, 1-based images) to the ground set."""
@@ -232,35 +248,33 @@ class FoulkesPair(tuple):
         return f"{self.inner} ; {self.outer}"
 
 
-def pair_runs(size: int) -> Iterator[tuple[int, list[FoulkesPair]]]:
-    """The refining pairs on {1..size} as runs (depth, pairs of one inner
-    partition at that depth): inners in lex order, each one's depths rising,
-    and each run sorted by outer.
+def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
+    """The refining pairs on {1..size} as one run per inner partition: the
+    inner partition and every outer partition it refines.  Inners come in lex
+    order; a run's outers are depth-major and sorted within a depth, and an
+    inner with k blocks has S(k, k - d) outers at depth d (``_stirling2``).
 
     Each outer partition is a growth string over the inner blocks (a merge
     string), read back at every point; that string is already canonical, so
     it is looked up among the partitions enumerated for the inners, and every
-    pair with that outer shares one validated object.  Such a pair refines by
-    construction, so it is built without the constructor's check.
+    run holding that outer shares one validated object.  An outer built this
+    way is refined by its inner, so no pair is built or checked here.
     """
     partitions = {sp.labels: sp for sp in set_partitions(size)}
-    # merges_by_depth[k][d]: merge strings over k blocks that keep k - d of them
-    merges_by_depth: list[list[list[tuple[int, ...]]]] = [[]]
+    # merges[k]: the merge strings over k blocks, depth-major, then in lex order
+    merges: list[list[tuple[int, ...]]] = [[]]
     for k in range(1, size + 1):
         by_depth: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
         for merge in _growth_strings(k):
             by_depth[k - 1 - max(merge)].append(merge)
-        merges_by_depth.append(by_depth)
-    unchecked_pair = partial(tuple.__new__, FoulkesPair)
+        merges.append(list(chain.from_iterable(by_depth)))
     outer_of = partitions.__getitem__
     try:
         for inner in partitions.values():
             labels = inner.labels
-            # itemgetter of one index returns the item itself, not a 1-tuple
-            read = itemgetter(*labels) if size > 1 else lambda merge: (merge[labels[0]],)
-            for depth, merges in enumerate(merges_by_depth[inner.block_count]):
-                outers = map(outer_of, map(read, merges))
-                yield depth, list(map(unchecked_pair, zip(repeat(inner), outers)))
+            # itemgetter of one index returns the item itself; one point reads label 0
+            read = itemgetter(*labels) if size > 1 else itemgetter(slice(size))
+            yield inner, list(map(outer_of, map(read, merges[inner.block_count])))
     except KeyError as exc:
         raise InternalConsistencyError(
             f"merged labels {exc.args[0]} are not a growth string"
@@ -271,14 +285,21 @@ def pair_runs(size: int) -> Iterator[tuple[int, list[FoulkesPair]]]:
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
-    The runs of ``pair_runs`` fill the depth layers in order, so each layer
-    fills up sorted.  The depth-major order keeps each filtration layer
-    contiguous and matches the conventional basis layout for the small worked
-    cases.
+    Each run of ``pair_runs`` is cut into its depth layers by the merge
+    counts S(k, k - d), and the runs fill the layers in inner order, so each
+    layer fills up sorted.  The pairs are refining by construction and are
+    built without the constructor's check.  The depth-major order keeps each
+    filtration layer contiguous and matches the conventional basis layout
+    for the small worked cases.
     """
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
-    for depth, pairs in pair_runs(size):
-        layers[depth] += pairs
+    # counts[k][d]: the outers at depth d in the run of an inner with k blocks
+    counts = [[_stirling2(k, k - d) for d in range(k)] for k in range(size + 1)]
+    unchecked_pair = partial(tuple.__new__, FoulkesPair)
+    for inner, outers in pair_runs(size):
+        pairs = map(unchecked_pair, zip(repeat(inner), outers))
+        for layer, count in zip(layers, counts[inner.block_count]):
+            layer += islice(pairs, count)
     return tuple(chain.from_iterable(layers))
 
 

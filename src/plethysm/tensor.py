@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import chain, repeat
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from .diagrams import PartitionDiagram, generator
@@ -152,13 +153,31 @@ def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
+def _integer_entry(value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise MalformedPartitionError(f"matrix entry {value!r} is not an integer") from None
+
+
 def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by exact elimination."""
-    work = [[int(v) for v in row] for row in rows]
+    """Rank over the rationals of an integer matrix, by exact elimination.
+
+    An entry that is not an integer is refused, not truncated, and so is a
+    row whose length differs from the first row's."""
+    work = []
+    for row in rows:
+        try:
+            work.append(list(map(index, row)))
+        except TypeError:  # read again, entry by entry, to name the one refused
+            work.append(list(map(_integer_entry, row)))
+    ncols = len(work[0]) if work else 0
+    for row in work:
+        if len(row) != ncols:
+            raise SizeMismatchError(f"matrix rows of lengths {ncols} and {len(row)}")
     work = [row for row in work if any(row)]
     if not work:
         return 0
-    ncols = len(work[0])
     rank = 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)

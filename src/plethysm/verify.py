@@ -13,11 +13,11 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
-from typing import Callable
+from operator import attrgetter
 
 from . import characters, coefficients, diagrams, foulkes, setpartitions, tensor
 from .diagrams import (
@@ -98,40 +98,41 @@ def check_refinement_partial_order(full: bool) -> str:
     return f"partial order verified exhaustively for r<={top}"
 
 
-def _refinement_reader(inner: SetPartition) -> Callable[[Labels], Labels]:
-    """A label read that leaves ``outer.labels`` unchanged exactly when inner
-    refines outer: it maps each point to the first point of its inner block,
-    so an outer partition is fixed by it iff it is constant on every inner
-    block."""
-    firsts: dict[int, int] = {}
-    first = [firsts.setdefault(block, x) for x, block in enumerate(inner.labels)]
-    # itemgetter of one index returns the item itself, not a 1-tuple
-    return itemgetter(*first) if len(first) > 1 else lambda labels: labels[:1]
+def _bell_product_total(r: int) -> int:
+    """The number of refining pairs on {1..r}: the sum over outer partitions
+    of the product of the Bell numbers of their block sizes, grouped by block
+    shape mu, so each shape counts ``shape_count(mu)`` partitions."""
+    return sum(
+        characters.shape_count(mu) * math.prod(map(bell_number, mu))
+        for mu in characters.partitions(r)
+    )
 
 
 def check_pair_count(full: bool) -> str:
     """Count the enumerated pairs, and re-check that every one refines:
-    ``pair_runs`` builds its pairs without the constructor's check.  The
-    runs are streamed, so no rank's pairs are cached here, and the re-check
-    is one label read per pair, built once per inner partition.  The cached
+    ``pair_runs`` builds its outers without the constructor's check.  The
+    runs are streamed, so no rank's pairs are cached here.  A run is one
+    inner partition and its outers, re-checked at once on the outers' label
+    columns: each point's column must equal the column of the first point of
+    its inner block.  Only a failing run is re-read pair by pair, to name the
+    pair.  Depths are counted from the outers' block counts, and the cached
     ``foulkes_pairs`` is counted too, at the ranks the module serves."""
     top = 8 if full else 4
+    labels_of, blocks_of = attrgetter("labels"), attrgetter("block_count")
     for r in range(1, top + 1):
-        expected = sum(  # block sizes are the label counts
-            math.prod(map(bell_number, map(outer.labels.count, range(outer.block_count))))
-            for outer in set_partitions(r)
-        )
+        expected = _bell_product_total(r)
+        # outer block counts, tallied by the block count of their inner
+        tallies = [Counter() for _ in range(r + 1)]
+        for inner, outers in setpartitions.pair_runs(r):
+            columns = tuple(zip(*map(labels_of, outers)))
+            if inner.first_point_read(columns) != columns:
+                outer = next(outer for outer in outers if not inner.refines(outer))
+                raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
+            tallies[inner.block_count].update(map(blocks_of, outers))
         by_depth = [0] * r
-        last = None
-        for _, run in setpartitions.pair_runs(r):
-            for inner, outer in run:
-                if inner is not last:  # the runs of one inner partition are adjacent
-                    last = inner
-                    read = _refinement_reader(inner)
-                labels = outer.labels
-                if read(labels) != labels:
-                    raise CheckFailure(f"enumerated pair at r={r} does not refine: {inner} ; {outer}")
-                by_depth[inner.block_count - outer.block_count] += 1
+        for inner_blocks, tally in enumerate(tallies):
+            for outer_blocks, count in tally.items():
+                by_depth[inner_blocks - outer_blocks] += count
         if sum(by_depth) != expected:
             raise CheckFailure(f"pair count at r={r}: {sum(by_depth)} != {expected}")
         if r <= foulkes.MODULE_CAP and len(foulkes_pairs(r)) != expected:
@@ -190,13 +191,15 @@ def _product_table(r: int) -> tuple[tuple[PartitionDiagram, ...], tuple[tuple[in
     for j, y in enumerate(all_diagrams):
         top, bottom = y.partition.labels[:r], y.partition.labels[r:]
         groups.setdefault(top, []).append((j, tuple({b for b in bottom if b in top})))
+    # a growth string opens its blocks in order, so top's are 0..max(top)
+    glued = [(top, max(top) + 1, members) for top, members in groups.items()]
     counts = []
     for x in all_diagrams:
         labels, blocks = x.partition.labels, x.partition.block_count
         middle, north = labels[r:], set(labels[:r])
         row = [0] * len(all_diagrams)
-        for top, members in groups.items():
-            roots, _ = glue(middle, blocks, top)
+        for top, top_blocks, members in glued:
+            roots, _ = glue(middle, blocks, top, top_blocks)
             north_roots = set(map(roots.__getitem__, north))
             lower_root = roots[blocks:].__getitem__
             for j, south in members:

@@ -317,6 +317,10 @@ PINNED_DIGESTS = {
     ("module", "--r", "6", "--info", "matrices"): {
         "json": "1d90c160434f8f97f7666ae85b2c4e46a3360ca2197330dbbcb911746b8f3c5e",
     },
+    ("verify", "--suite", "fast"): {
+        "json": "e45c586255ba49726756a991068b3ef248a3bb09c0ca1335bdd05f3881a884b0",
+        "csv": "e845106ae26f21ad095c7cd8a0369f03b17b4ca3837cc3b010336d3293b36c58",
+    },
 }
 
 

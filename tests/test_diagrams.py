@@ -339,11 +339,11 @@ class TestProductTableChecks:
         glue = diagrams._glue
         middle, top = x.labels[3:], y.labels[:3]
 
-        def escaping(upper_middle, upper_blocks, lower_top):
+        def escaping(upper_middle, upper_blocks, lower_top, lower_blocks):
             if (upper_middle, upper_blocks, lower_top) == (middle, x.block_count, top):
                 # each of the identity's strands joins one of p1's northern blocks
                 return [0, 1, 2, 3, 0, 1, 2], 3
-            return glue(upper_middle, upper_blocks, lower_top)
+            return glue(upper_middle, upper_blocks, lower_top, lower_blocks)
 
         # the table glues label strings through the module attribute
         monkeypatch.setattr(diagrams, "_glue", escaping)

@@ -1,6 +1,8 @@
 import itertools
+import math
 import pickle
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -206,13 +208,19 @@ class TestRefines:
                     assert a.refines(c)
 
     def test_verify_label_read_matches_refines(self):
-        # verify's pair-count check re-checks refinement by one label read
-        for r in range(1, 7):
-            parts = list(set_partitions(r))
+        # refines and verify's pair re-check both read labels at first points
+        for r in range(0, 7):
+            parts = list(set_partitions(r)) if r else [SetPartition(0, ())]
+            block_sets = {sp: [set(block) for block in sp.blocks] for sp in parts}
             for inner in parts:
-                read = verify._refinement_reader(inner)
+                read = inner.first_point_read
                 for outer in parts:
-                    assert (read(outer.labels) == outer.labels) == inner.refines(outer)
+                    contained = all(
+                        any(block <= big for big in block_sets[outer])
+                        for block in block_sets[inner]
+                    )
+                    assert inner.refines(outer) == contained
+                    assert (read(outer.labels) == outer.labels) == contained
 
     @given(refining_pairs())
     def test_generated_pairs_refine(self, pair):
@@ -333,10 +341,9 @@ class TestFoulkesPoset:
         bad_outer = {sp.labels: sp for sp in set_partitions(3)}[(0, 1, 0)]  # {1,3|2}
 
         def one_non_refining(r):
-            # the same depth, not refining, built unchecked as the enumeration builds pairs
-            swapped = tuple.__new__(FoulkesPair, (good, bad_outer))
-            for depth, pairs in runs(r):
-                yield depth, [swapped if p == (good, good) else p for p in pairs]
+            # the same depth, not refining, unchecked as the enumeration's outers are
+            for inner, outers in runs(r):
+                yield inner, [bad_outer if (inner, o) == (good, good) else o for o in outers]
 
         # both verify's stream and the cached enumeration read the runs; the
         # caches built on the enumeration are emptied before and after
@@ -367,21 +374,89 @@ class TestFoulkesPoset:
             "foulkes.depth-radical-closed",
         }
 
+    @pytest.mark.parametrize(
+        "inner, planted, outer",
+        [
+            # the run's depth-0 outer, at r = 3
+            ((0, 0, 1), (0, 0, 1), (0, 1, 0)),
+            # the run's last outer (one block), at the rank only ``full`` reaches
+            ((0, 0, 1, 2, 3, 4, 5, 6), (0,) * 8, (0, 1, 0, 0, 0, 0, 0, 0)),
+        ],
+    )
+    def test_pair_count_names_the_planted_pair(self, monkeypatch, inner, planted, outer):
+        r = len(inner)
+        runs = setpartitions.pair_runs
+        inner, planted, outer = (SetPartition(r, labels) for labels in (inner, planted, outer))
+
+        def one_non_refining(size):
+            for run_inner, outers in runs(size):
+                if run_inner == inner:
+                    outers = [outer if o == planted else o for o in outers]
+                yield run_inner, outers
+
+        # the ranks below r are cached already, or rebuilt from unchanged runs
+        monkeypatch.setattr(setpartitions, "pair_runs", one_non_refining)
+        with pytest.raises(verify.CheckFailure) as failure:
+            verify.check_pair_count(True)
+        assert str(failure.value) == f"enumerated pair at r={r} does not refine: {inner} ; {outer}"
+        assert str(failure.value).endswith(
+            {3: "{1,2|3} ; {1,3|2}", 8: "{1,2|3|4|5|6|7|8} ; {1,3,4,5,6,7,8|2}"}[r]
+        )
+
+    def test_pair_count_enumerates_the_top_rank_once(self, monkeypatch):
+        calls = Counter()
+        enumerate_partitions = setpartitions.set_partitions
+        built = []
+        cached_pairs = verify.foulkes_pairs
+
+        def counted(size, cap=None):
+            calls[size] += 1
+            return enumerate_partitions(size, cap)
+
+        def recorded(size):
+            built.append(size)
+            return cached_pairs(size)
+
+        monkeypatch.setattr(setpartitions, "set_partitions", counted)
+        monkeypatch.setattr(verify, "set_partitions", counted)
+        monkeypatch.setattr(verify, "foulkes_pairs", recorded)
+        verify.check_pair_count(True)
+        assert calls[8] == 1  # the streamed runs; the Bell total is read from shapes
+        assert 8 not in built and max(built) == foulkes.MODULE_CAP
+
+    def test_shape_grouped_bell_total_matches_the_enumerated_outers(self):
+        for r in range(1, 10):
+            by_outer = sum(
+                math.prod(bell_number(len(block)) for block in outer.blocks)
+                for outer in set_partitions(r, cap=9)
+            )
+            assert verify._bell_product_total(r) == by_outer == sum(pair_counts_by_depth(r))
+
     def test_foulkes_pairs_concatenates_the_runs_by_depth(self):
         for r in range(1, 9):
             runs = list(setpartitions.pair_runs(r))
-            by_depth = [pair for d in range(r) for depth, pairs in runs if depth == d for pair in pairs]
-            assert foulkes_pairs(r) == tuple(by_depth)
-            # one run per (inner, depth): inners in lex order, depths rising
-            inners = list({pairs[0][0]: None for _, pairs in runs})
-            assert [sp.labels for sp in inners] == [sp.labels for sp in set_partitions(r)]
-            assert [(p[0], depth) for depth, pairs in runs for p in pairs[:1]] == [
-                (inner, d) for inner in inners for d in range(inner.block_count)
+            by_depth = [
+                (inner, outer)
+                for d in range(r)
+                for inner, outers in runs
+                for outer in outers
+                if inner.block_count - outer.block_count == d
             ]
-            assert all(p[0] is pairs[0][0] for _, pairs in runs for p in pairs)
+            assert foulkes_pairs(r) == tuple(by_depth)
+            # one run per inner in lex order, its outers depth-major, S(k, k - d) at depth d
+            inners = [inner for inner, _ in runs]
+            assert [sp.labels for sp in inners] == [sp.labels for sp in set_partitions(r)]
+            for inner, outers in runs:
+                k = inner.block_count
+                assert [k - outer.block_count for outer in outers] == [
+                    d for d in range(k) for _ in range(setpartitions._stirling2(k, k - d))
+                ]
             # the outers are the enumerated partition objects, the inners themselves
             enumerated = {id(sp) for sp in inners}
-            assert all(id(p[1]) in enumerated for _, pairs in runs for p in pairs)
+            assert all(id(outer) in enumerated for _, outers in runs for outer in outers)
+            # and the cached pairs share one object per partition in the same way
+            pairs = foulkes_pairs(r)
+            assert {id(p[1]) for p in pairs} <= {id(p[0]) for p in pairs}
         foulkes_pairs.cache_clear()  # r = 8 is not kept for the other tests
 
     def test_pickle_round_trip(self):

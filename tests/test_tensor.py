@@ -212,6 +212,29 @@ class TestRank:
         assert integer_matrix_rank([[0, 0]]) == 0
         assert integer_matrix_rank([[3, 1, 2], [6, 2, 4], [1, 1, 1]]) == 2
 
+    def test_fractional_entry_refused_not_truncated(self):
+        # int() would read 0.5 as 0 and give rank 0; the true rank is 1
+        with pytest.raises(MalformedPartitionError, match=r"matrix entry 0\.5 "):
+            integer_matrix_rank([[0.5]])
+
+    def test_fractional_entry_in_a_dependent_row_refused(self):
+        # truncated, the second row would be [0, 1] and the rank 2; the true rank is 1
+        with pytest.raises(MalformedPartitionError, match=r"matrix entry 0\.5 "):
+            integer_matrix_rank([[1, 2], [0.5, 1]])
+
+    def test_string_entry_refused(self):
+        with pytest.raises(MalformedPartitionError, match="matrix entry '1' "):
+            integer_matrix_rank([["1", "2"], ["2", "4"]])
+
+    def test_ragged_rows_refused(self):
+        # the short row would be read as far as it goes, giving rank 2
+        with pytest.raises(SizeMismatchError, match="lengths 2 and 1"):
+            integer_matrix_rank([[0, 1], [1]])
+
+    def test_short_row_refused_before_elimination_reads_past_it(self):
+        with pytest.raises(SizeMismatchError, match="lengths 2 and 1"):
+            integer_matrix_rank([[1, 2], [3]])
+
     def test_injective_exactly_in_range(self):
         assert foulkes_image_rank(2, 2, 2) == 3
         assert foulkes_image_rank(2, 1, 1) == 1
