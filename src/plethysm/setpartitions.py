@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, repeat
 from math import comb
-from operator import index, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 # The enumeration cap and the A000296 count live in ``characters``, which the
@@ -285,21 +285,21 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
-    Each run of ``pair_runs`` is cut into its depth layers by the merge
-    counts S(k, k - d), and the runs fill the layers in inner order, so each
-    layer fills up sorted.  The pairs are refining by construction and are
-    built without the constructor's check.  The depth-major order keeps each
-    filtration layer contiguous and matches the conventional basis layout
-    for the small worked cases.
+    Each run of ``pair_runs`` is cut into its depth layers where its outers'
+    block count changes, each pair going to the layer of its own depth, and
+    the runs fill the layers in inner order, so each layer fills up sorted.
+    The pairs are refining by construction and are built without the
+    constructor's check.  The depth-major order keeps each filtration layer
+    contiguous and matches the conventional basis layout for the small
+    worked cases.
     """
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
-    # counts[k][d]: the outers at depth d in the run of an inner with k blocks
-    counts = [[_stirling2(k, k - d) for d in range(k)] for k in range(size + 1)]
     unchecked_pair = partial(tuple.__new__, FoulkesPair)
+    block_count = attrgetter("block_count")
     for inner, outers in pair_runs(size):
-        pairs = map(unchecked_pair, zip(repeat(inner), outers))
-        for layer, count in zip(layers, counts[inner.block_count]):
-            layer += islice(pairs, count)
+        k = inner.block_count
+        for outer_blocks, same_depth in groupby(outers, block_count):
+            layers[k - outer_blocks] += map(unchecked_pair, zip(repeat(inner), same_depth))
     return tuple(chain.from_iterable(layers))
 
 

@@ -165,12 +165,7 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
 
     An entry that is not an integer is refused, not truncated, and so is a
     row whose length differs from the first row's."""
-    work = []
-    for row in rows:
-        try:
-            work.append(list(map(index, row)))
-        except TypeError:  # read again, entry by entry, to name the one refused
-            work.append(list(map(_integer_entry, row)))
+    work = [list(map(_integer_entry, row)) for row in rows]
     ncols = len(work[0]) if work else 0
     for row in work:
         if len(row) != ncols:

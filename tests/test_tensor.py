@@ -222,6 +222,11 @@ class TestRank:
         with pytest.raises(MalformedPartitionError, match=r"matrix entry 0\.5 "):
             integer_matrix_rank([[1, 2], [0.5, 1]])
 
+    def test_fractional_entry_in_a_one_shot_row_refused(self):
+        # a row read twice would be empty the second time, and its rank 0
+        with pytest.raises(MalformedPartitionError, match=r"matrix entry 0\.5 "):
+            integer_matrix_rank([(x for x in [1, 0.5])])
+
     def test_string_entry_refused(self):
         with pytest.raises(MalformedPartitionError, match="matrix entry '1' "):
             integer_matrix_rank([["1", "2"], ["2", "4"]])
