@@ -13,64 +13,14 @@ set-partition, diagram, module, tensor or verification code.
 
 import importlib
 
-# where each re-exported name is defined
+# where each re-exported name is defined: the computing entry points only
 _ORIGINS = {
-    "characters": (
-        "cayley_sylvester",
-        "character_value",
-        "generalized_plethysm",
-        "homogeneous_plethysm",
-        "pad_partition",
-        "parse_partition",
-        "partitions",
-        "partitions_no_ones",
-        "stab_permutation_character",
-    ),
-    "coefficients": (
-        "plethysm_coefficient",
-        "sharpness_check",
-        "stable_plethysm",
-        "stable_table",
-        "weintraub_check",
-    ),
-    "diagrams": (
-        "PartitionDiagram",
-        "TwoParamScalar",
-        "act_on_set_partition",
-        "generator",
-        "identity_diagram",
-        "multiply_diagrams",
-        "p12_diagram",
-        "p_diagram",
-        "swap_diagram",
-    ),
-    "foulkes": (
-        "ActionMatrix",
-        "act",
-        "action_matrix",
-        "depth_quotient_basis",
-        "depth_radical_basis",
-        "in_depth_radical",
-        "layer_matrix",
-        "module_multiplicities",
-        "orbit_decomposition",
-    ),
-    "setpartitions": (
-        "FoulkesPair",
-        "SetPartition",
-        "bell_number",
-        "foulkes_pairs",
-        "set_partitions",
-    ),
-    "tensor": (
-        "block_constant_support",
-        "block_constant_vector",
-        "diagram_tensor_matrix",
-        "foulkes_image_rank",
-        "tensor_action_consistent",
-        "value_type",
-        "wreath_embed",
-    ),
+    "characters": ("character_value", "generalized_plethysm", "homogeneous_plethysm"),
+    "coefficients": ("plethysm_coefficient", "stable_plethysm", "stable_table"),
+    "diagrams": ("multiply_diagrams",),
+    "foulkes": ("action_matrix", "module_multiplicities", "orbit_decomposition"),
+    "setpartitions": ("foulkes_pairs",),
+    "tensor": ("foulkes_image_rank",),
 }
 _MODULE_OF = {name: module for module, names in _ORIGINS.items() for name in names}
 _SUBMODULES = frozenset(_ORIGINS) | {"cli", "errors", "verify"}

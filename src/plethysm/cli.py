@@ -1,10 +1,12 @@
 """Command-line surface: coefficient queries, tables, module dumps, verification.
 
 Exit codes: 0 success, 1 parse/usage, 2 unsupported regime, 3 resource cap,
-4 verification failure.  JSON output is deterministic (sorted keys, stable
-row order) and validates against the shipped schema.json.  The module and
-verify commands import their modules when they run, so the coefficient
-queries load only ``characters``, ``coefficients`` and ``errors``.
+4 verification failure, 141 output pipe closed by its reader (the status a
+shell reports for a writer killed by SIGPIPE).  JSON output is deterministic
+(sorted keys, stable row order) and validates against the shipped
+schema.json.  The module and verify commands import their modules when they
+run, so the coefficient queries load only ``characters``, ``coefficients``
+and ``errors``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,6 +34,7 @@ EXIT_USAGE = 1
 EXIT_REGIME = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,7 +299,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except UnsupportedRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME

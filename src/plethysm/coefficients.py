@@ -84,9 +84,6 @@ class StableTable(NamedTuple):
     r: int
     rows: tuple[tuple[Partition, int], ...]
 
-    def nonzero(self) -> tuple[tuple[Partition, int], ...]:
-        return tuple((k, v) for k, v in self.rows if v)
-
 
 def stable_table(r: int) -> StableTable:
     if r < 0:

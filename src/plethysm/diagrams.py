@@ -6,7 +6,6 @@ total order 1 < ... < r < 1' < ... < r'.  Multiplying two basis diagrams
 stacks the first above the second; the product is (d1*d2)**closed times one
 diagram, where ``closed`` counts the middle components that touch neither
 outer row, so ``multiply_diagrams`` returns that count and the diagram.
-Module entries are monomials in d1, d2, held exactly as ``TwoParamScalar``.
 
 Stacking works on label strings: ``_stack`` takes two growth strings with
 their block counts and returns ints and a growth string, no objects.  The
@@ -28,73 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import index
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import MalformedPartitionError, SizeMismatchError
 from .setpartitions import SetPartition
-
-
-class TwoParamScalar:
-    """Integer polynomial in the parameters d1, d2, keyed by exponent pairs."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean = {}
-        for (a, b), c in (terms or {}).items():
-            try:  # refused, not truncated: 1.5 or '3' is no integer coefficient
-                a, b, c = index(a), index(b), index(c)
-            except TypeError:
-                raise MalformedPartitionError(
-                    f"scalar term {c!r}*d1^{a!r}*d2^{b!r} is not integral"
-                ) from None
-            if a < 0 or b < 0:
-                raise ValueError("negative exponents are not representable")
-            if c:
-                clean[(a, b)] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "TwoParamScalar":
-        return cls()
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff: int = 1) -> "TwoParamScalar":
-        return cls({(a, b): coeff})
-
-    def items(self):
-        return sorted(self._terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoParamScalar) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "TwoParamScalar") -> "TwoParamScalar":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return TwoParamScalar(out)
-
-    def swapped(self) -> "TwoParamScalar":
-        """The same polynomial with the roles of d1 and d2 exchanged."""
-        return TwoParamScalar({(b, a): c for (a, b), c in self._terms.items()})
-
-    def evaluate(self, d1: int, d2: int) -> int:
-        return sum(c * d1**a * d2**b for (a, b), c in self._terms.items())
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{c}*d1^{a}*d2^{b}" for (a, b), c in self.items())
-
-    def __repr__(self) -> str:
-        return f"TwoParamScalar({self._terms!r})"
 
 
 @dataclass(frozen=True)
@@ -132,10 +68,6 @@ class PartitionDiagram:
     def propagating_count(self) -> int:
         """Number of blocks meeting both the northern and the southern row."""
         return _propagating(self.partition.labels, self.size)
-
-
-def identity_diagram(r: int) -> PartitionDiagram:
-    return PartitionDiagram.from_blocks([[i, r + i] for i in range(1, r + 1)], r)
 
 
 def p_diagram(r: int, i: int = 1) -> PartitionDiagram:

@@ -22,7 +22,7 @@ from .characters import (
     shape_count,
 )
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
-from .diagrams import PartitionDiagram, TwoParamScalar, act_on_set_partition
+from .diagrams import PartitionDiagram, act_on_set_partition
 from .setpartitions import (
     FoulkesPair,
     SetPartition,
@@ -34,9 +34,12 @@ from .setpartitions import (
 
 MODULE_CAP = 7
 
-# matrix entries are the few monomials d1^t1 d2^t2; scalars are never mutated,
-# so entries share one object per exponent pair
-_monomial = lru_cache(maxsize=None)(TwoParamScalar.monomial)
+
+@lru_cache(maxsize=None)
+def monomial_text(t1: int, t2: int) -> str:
+    """The text of the matrix entry d1^t1 d2^t2; one string per exponent pair,
+    shared by every entry that prints it."""
+    return f"1*d1^{t1}*d2^{t2}"
 
 
 @lru_cache(maxsize=None)
@@ -64,35 +67,27 @@ def act(pair: FoulkesPair, d: PartitionDiagram) -> tuple[int, int, FoulkesPair]:
 
 @dataclass(frozen=True)
 class ActionMatrix:
-    """Square matrix over TwoParamScalar; column j is the image of basis j."""
+    """Square matrix of monomials; column j is the image of basis j.
+
+    A diagram sends a pair to one pair times d1^t1 d2^t2, so each entry is
+    held as its exponents: (row, col, t1, t2)."""
 
     basis: tuple[FoulkesPair, ...]
-    entries: tuple[tuple[int, int, TwoParamScalar], ...]  # (row, col, value)
+    entries: tuple[tuple[int, int, int, int], ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def dense(self) -> list[list[TwoParamScalar]]:
-        out = [[TwoParamScalar.zero()] * self.dim for _ in range(self.dim)]
-        for i, j, v in self.entries:
-            out[i][j] = out[i][j] + v
-        return out
-
     def evaluated(self, d1: int, d2: int) -> list[list[int]]:
         out = [[0] * self.dim for _ in range(self.dim)]
-        for i, j, v in self.entries:
-            out[i][j] += v.evaluate(d1, d2)
+        for i, j, t1, t2 in self.entries:
+            out[i][j] += d1**t1 * d2**t2
         return out
 
     def coordinate_dump(self) -> list[tuple[int, int, str]]:
-        """(row, col, text) per entry, in row-major order.  Entries that share
-        one scalar object, as the action's monomials do, are formatted once."""
-        text: dict[int, str] = {}
-        for _, _, v in self.entries:
-            if id(v) not in text:
-                text[id(v)] = str(v)
-        return [(i, j, text[id(v)]) for i, j, v in sorted(self.entries)]
+        """(row, col, text) per entry, in row-major order."""
+        return [(i, j, monomial_text(t1, t2)) for i, j, t1, t2 in sorted(self.entries)]
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +117,8 @@ class _RowImages(dict):
 
 def _columns(
     d: PartitionDiagram, r: int, basis: tuple[FoulkesPair, ...], start: int, stop: int
-) -> Iterator[tuple[int, int, TwoParamScalar]]:
-    """(row, col, monomial) for the images of columns start..stop-1 of the
+) -> Iterator[tuple[int, int, int, int]]:
+    """(row, col, t1, t2) for the images of columns start..stop-1 of the
     rank-r pair basis ``basis``.
 
     Each image is looked up by its (inner, outer) tuple; the basis holds only
@@ -143,7 +138,7 @@ def _columns(
             raise InternalConsistencyError(
                 f"action of {d} on {basis[j]} left the pair basis"
             ) from None
-        yield row, j, _monomial(t1, t2)
+        yield row, j, t1, t2
 
 
 def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
@@ -171,8 +166,8 @@ def layer_matrix(d: PartitionDiagram, r: int, k: int) -> ActionMatrix:
     stop = start + counts[k]
     basis = foulkes_pairs(r)
     entries = tuple(
-        (row - start, col - start, value)
-        for row, col, value in _columns(d, r, basis, start, stop)
+        (row - start, col - start, t1, t2)
+        for row, col, t1, t2 in _columns(d, r, basis, start, stop)
         if start <= row < stop
     )
     return ActionMatrix(basis[start:stop], entries)

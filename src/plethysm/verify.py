@@ -317,18 +317,16 @@ def check_depth_step(full: bool) -> str:
 
 def check_layer_entries(full: bool) -> str:
     top = 5 if full else 4
-    allowed = {
-        diagrams.TwoParamScalar.monomial(0, 0),
-        diagrams.TwoParamScalar.monomial(1, 1),
-    }
+    allowed = {(0, 0), (1, 1)}  # the exponents (t1, t2) of 1 and d1*d2
     for r in range(1, top + 1):
         for name in generator_names(r):
             d = generator(name, r)
             for k in range(r):
-                for _, _, value in foulkes.layer_matrix(d, r, k).entries:
-                    if value and value not in allowed:
+                for _, _, t1, t2 in foulkes.layer_matrix(d, r, k).entries:
+                    if (t1, t2) not in allowed:
                         raise CheckFailure(
-                            f"layer entry {value} at r={r}, k={k}, generator {name}"
+                            f"layer entry {foulkes.monomial_text(t1, t2)} at r={r}, k={k}, "
+                            f"generator {name}"
                         )
     return f"layer entries all lie in {{0, 1, d1*d2}} (r<={top})"
 
@@ -340,7 +338,7 @@ def check_layer_parameter_swap(full: bool) -> str:
             d = generator(name, r)
             for k in range(r):
                 plain = foulkes.layer_matrix(d, r, k).entries
-                swapped = tuple((i, j, v.swapped()) for i, j, v in plain)
+                swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain)
                 if plain != swapped:
                     raise CheckFailure(f"layer swap broke at r={r}, k={k}, {name}")
     return f"layer matrices invariant under parameter swap (r<={top})"
@@ -378,19 +376,15 @@ def check_quotient_truncation(full: bool) -> str:
 
 
 def check_small_generator_matrices(full: bool) -> str:
-    one = diagrams.TwoParamScalar.monomial(0, 0)
-    d1d2 = diagrams.TwoParamScalar.monomial(1, 1)
-    d1 = diagrams.TwoParamScalar.monomial(1, 0)
-    zero = diagrams.TwoParamScalar.zero()
-    expected = {
-        "p1": [[zero] * 3, [one, d1d2, d1], [zero] * 3],
-        "p12": [[one] * 3, [zero] * 3, [zero] * 3],
-        "s1": [[one, zero, zero], [zero, one, zero], [zero, zero, one]],
+    expected = {  # (row, col, t1, t2) in row-major order; every other entry is 0
+        "p1": [(1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 1, 0)],
+        "p12": [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0)],
+        "s1": [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)],
     }
     for name, want in expected.items():
-        got = foulkes.action_matrix(generator(name, 2), 2).dense()
-        if got != want:
-            raise CheckFailure(f"rank-2 matrix for {name} is off: {got}")
+        matrix = foulkes.action_matrix(generator(name, 2), 2)
+        if sorted(matrix.entries) != want:
+            raise CheckFailure(f"rank-2 matrix for {name} is off: {matrix.coordinate_dump()}")
     return "rank-2 generator matrices match their symbolic values"
 
 

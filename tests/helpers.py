@@ -48,6 +48,20 @@ def diagram_from_string(text, size):
     return PartitionDiagram.from_blocks(blocks, size)
 
 
+def identity_diagram(r: int) -> PartitionDiagram:
+    return PartitionDiagram.from_blocks([[i, r + i] for i in range(1, r + 1)], r)
+
+
+def exponent_grid(matrix):
+    """The action matrix written out: the exponents (t1, t2) of each entry
+    d1^t1 d2^t2 at its (row, col), and None where the entry is 0."""
+    grid = [[None] * matrix.dim for _ in range(matrix.dim)]
+    for i, j, t1, t2 in matrix.entries:
+        assert grid[i][j] is None, f"two entries at ({i}, {j})"
+        grid[i][j] = (t1, t2)
+    return grid
+
+
 def value_type_orbit_vector(pair, m, n):
     """Sum of the basis vectors of (C^(mn))^(tensor r) whose value-type is exactly ``pair``."""
     r = pair.size

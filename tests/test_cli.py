@@ -296,6 +296,25 @@ class TestVerify:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_a_closed_pipe_exits_quietly_with_141():
+    # the rank-6 matrices text is about 0.5 MB, far more than a pipe buffer
+    # holds, so the command is still writing when the reader closes its end
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plethysm.cli", "module", "--r", "6", "--info", "matrices"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"basis:\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == cli.EXIT_PIPE == 141, err
+    assert "Traceback" not in err
+
+
 # SHA-256 of stdout per format: each format builds its own lines or rows, and
 # only when it is the one printed, so each needs its own pin
 PINNED_DIGESTS = {

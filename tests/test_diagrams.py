@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +7,9 @@ from hypothesis import strategies as st
 from plethysm import diagrams, verify
 from plethysm.diagrams import (
     PartitionDiagram,
-    TwoParamScalar,
     act_on_set_partition,
     generator,
     generator_names,
-    identity_diagram,
     multiply_diagrams,
     p12_diagram,
     p_diagram,
@@ -21,7 +18,7 @@ from plethysm.diagrams import (
 from plethysm.errors import MalformedPartitionError, SizeMismatchError
 from plethysm.setpartitions import SetPartition, set_partitions
 
-from helpers import diagram_from_string, one_block
+from helpers import diagram_from_string, identity_diagram, one_block
 
 
 @st.composite
@@ -75,47 +72,6 @@ def reference_action(sp, d):
     blocks = [[p - 1 for p in b] for b in sp.blocks + d.partition.blocks]
     closed, induced = stack_points(blocks, 2 * r, range(r, 2 * r))
     return closed, SetPartition.from_blocks(induced, r)
-
-
-class TestScalar:
-    def test_monomial_arithmetic(self):
-        d1 = TwoParamScalar.monomial(1, 0)
-        d2 = TwoParamScalar.monomial(0, 1)
-        assert (d1 + d1) == TwoParamScalar.monomial(1, 0, 2)
-        assert d1 + d2 == TwoParamScalar({(1, 0): 1, (0, 1): 1})
-        assert str(TwoParamScalar.monomial(1, 1)) == "1*d1^1*d2^1"
-
-    def test_zero_terms_dropped(self):
-        s = TwoParamScalar.monomial(1, 1) + TwoParamScalar.monomial(1, 1, -1)
-        assert not s
-        assert str(s) == "0"
-
-    def test_evaluate(self):
-        s = TwoParamScalar({(2, 1): 3, (0, 0): -1})
-        assert s.evaluate(2, 5) == 3 * 4 * 5 - 1
-
-    def test_swap(self):
-        s = TwoParamScalar.monomial(2, 1)
-        assert s.swapped() == TwoParamScalar.monomial(1, 2)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            TwoParamScalar({(-1, 0): 1})
-
-    @pytest.mark.parametrize(
-        "terms, term",
-        [({(0, 0): 1.5}, "1.5*d1^0*d2^0"), ({(0, 0): "3"}, "'3'*d1^0*d2^0"),
-         ({(0.5, 1): 2}, "2*d1^0.5*d2^1")],
-    )
-    def test_non_integer_term_rejected(self, terms, term):
-        # these used to store 1, store 3, and keep the exponent 0.5
-        with pytest.raises(MalformedPartitionError, match=re.escape(f"term {term} is not integral")):
-            TwoParamScalar(terms)
-
-    def test_non_integer_monomial_rejected(self):
-        # this used to print 2*d1^1*d2^1
-        with pytest.raises(MalformedPartitionError, match=re.escape("term 2.9*d1^1*d2^1 is not")):
-            TwoParamScalar.monomial(1, 1, 2.9)
 
 
 class TestGenerators:

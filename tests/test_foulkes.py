@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from plethysm import foulkes, verify
 from plethysm.diagrams import (
     PartitionDiagram,
-    TwoParamScalar,
     act_on_set_partition,
     generator,
     generator_names,
@@ -34,12 +34,13 @@ from plethysm.setpartitions import (
     singleton_free_count,
 )
 
-from helpers import block_of, one_block
+from helpers import block_of, exponent_grid, one_block
 
-ONE = TwoParamScalar.monomial(0, 0)
-D1 = TwoParamScalar.monomial(1, 0)
-D1D2 = TwoParamScalar.monomial(1, 1)
-ZERO = TwoParamScalar.zero()
+# an entry d1^t1 d2^t2 as its exponents (t1, t2); a zero entry is absent
+ONE = (0, 0)
+D1 = (1, 0)
+D1D2 = (1, 1)
+ZERO = None
 
 
 def pair(inner_blocks, outer_blocks, r):
@@ -143,19 +144,19 @@ class TestAct:
 
 class TestActionMatrix:
     def test_rank2_against_displayed_matrices(self):
-        got_p1 = action_matrix(p_diagram(2), 2).dense()
+        got_p1 = exponent_grid(action_matrix(p_diagram(2), 2))
         assert got_p1 == [
             [ZERO, ZERO, ZERO],
             [ONE, D1D2, D1],
             [ZERO, ZERO, ZERO],
         ]
-        got_p12 = action_matrix(p12_diagram(2), 2).dense()
+        got_p12 = exponent_grid(action_matrix(p12_diagram(2), 2))
         assert got_p12 == [
             [ONE, ONE, ONE],
             [ZERO, ZERO, ZERO],
             [ZERO, ZERO, ZERO],
         ]
-        got_s = action_matrix(swap_diagram(2, 1), 2).dense()
+        got_s = exponent_grid(action_matrix(swap_diagram(2, 1), 2))
         identity = [
             [ONE if i == j else ZERO for j in range(3)] for i in range(3)
         ]
@@ -166,12 +167,21 @@ class TestActionMatrix:
             for name in generator_names(r):
                 matrix = action_matrix(generator(name, r), r)
                 for j in range(matrix.dim):
-                    hits = [i for i, jj, v in matrix.entries if jj == j and v]
+                    hits = [i for i, jj, _, _ in matrix.entries if jj == j]
                     assert len(hits) == 1
 
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             action_matrix(p_diagram(8), 8)
+
+    def test_coordinate_dump_and_evaluation(self):
+        matrix = action_matrix(p_diagram(2), 2)
+        assert matrix.coordinate_dump() == [
+            (1, 0, "1*d1^0*d2^0"),
+            (1, 1, "1*d1^1*d2^1"),
+            (1, 2, "1*d1^1*d2^0"),
+        ]
+        assert matrix.evaluated(5, 7) == [[0, 0, 0], [1, 35, 5], [0, 0, 0]]
 
     def test_images_find_their_basis_pairs_by_identity(self, monkeypatch):
         # a cached action keyed on an equal but distinct diagram object would
@@ -224,9 +234,9 @@ class TestActionMatrix:
 
 class TestLayers:
     def test_rank2_layer_restrictions(self):
-        layer0 = layer_matrix(p_diagram(2), 2, 0).dense()
+        layer0 = exponent_grid(layer_matrix(p_diagram(2), 2, 0))
         assert layer0 == [[ZERO, ZERO], [ONE, D1D2]]
-        layer1 = layer_matrix(p_diagram(2), 2, 1).dense()
+        layer1 = exponent_grid(layer_matrix(p_diagram(2), 2, 1))
         assert layer1 == [[ZERO]]
 
     def test_swaps_give_permutation_matrices(self):
@@ -234,12 +244,12 @@ class TestLayers:
             for i in range(1, r):
                 for k in range(r):
                     matrix = layer_matrix(swap_diagram(r, i), r, k)
-                    for row in matrix.dense():
+                    for row in exponent_grid(matrix):
                         for entry in row:
                             assert entry in (ZERO, ONE)
                     for j in range(matrix.dim):
-                        col = [v for _, jj, v in matrix.entries if jj == j]
-                        assert len(col) == 1 and col[0] == ONE
+                        col = [(t1, t2) for _, jj, t1, t2 in matrix.entries if jj == j]
+                        assert col == [ONE]
 
     def test_entries_restricted_and_swap_invariant(self):
         for r in (2, 3, 4, 5):
@@ -247,9 +257,9 @@ class TestLayers:
                 d = generator(name, r)
                 for k in range(r):
                     plain = layer_matrix(d, r, k)
-                    for _, _, value in plain.entries:
-                        assert value in (ONE, D1D2) or not value
-                    swapped = tuple((i, j, v.swapped()) for i, j, v in plain.entries)
+                    for _, _, t1, t2 in plain.entries:
+                        assert (t1, t2) in (ONE, D1D2)
+                    swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain.entries)
                     assert plain.entries == swapped
 
     def test_matches_the_per_layer_action(self):
@@ -264,7 +274,7 @@ class TestLayers:
                     for j, p in enumerate(layer):
                         t1, t2, image = act(p, d)
                         if image.depth == k:
-                            expected.append((index[image], j, TwoParamScalar.monomial(t1, t2)))
+                            expected.append((index[image], j, t1, t2))
                     got = layer_matrix(d, r, k)
                     assert got.basis == layer
                     assert list(got.entries) == expected
@@ -279,6 +289,28 @@ class TestLayers:
         monkeypatch.setattr(foulkes, "_one_row", swap_extremes)
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
             layer_matrix(p_diagram(2), 2, 1)
+
+    def test_checks_catch_an_extra_inner_closed_component(self, monkeypatch):
+        one_row = foulkes._one_row
+
+        def one_more_inner_loop(sp, d):
+            # the singleton partition refines every other, so it is an inner
+            # coordinate, and an outer one only in (singletons ; singletons)
+            closed, image = one_row(sp, d)
+            return closed + (sp.block_count == sp.size), image
+
+        monkeypatch.setattr(foulkes, "_one_row", one_more_inner_loop)
+        # at r = 1 the one pair is (singletons ; singletons), and p1 closes a loop in each
+        message = "layer entry 1*d1^2*d2^2 at r=1, k=0, generator p1"
+        with pytest.raises(verify.CheckFailure, match=re.escape(message)):
+            verify.check_layer_entries(False)
+        # s1 fixes (singletons ; one block), now with the entry d1
+        with pytest.raises(verify.CheckFailure, match="layer swap broke at r=2, k=1, s1"):
+            verify.check_layer_parameter_swap(False)
+        # the rank-2 check names the whole matrix in the same text form
+        message = "rank-2 matrix for p1 is off: [(1, 0, '1*d1^0*d2^0'), (1, 1, '1*d1^2*d2^2')"
+        with pytest.raises(verify.CheckFailure, match=re.escape(message)):
+            verify.check_small_generator_matrices(False)
 
     def test_repeated_layers_compare_no_partitions(self, monkeypatch):
         # the one-row cache is keyed on (partition, diagram); with one shared

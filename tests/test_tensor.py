@@ -9,7 +9,6 @@ from plethysm.diagrams import (
     PartitionDiagram,
     generator,
     generator_names,
-    identity_diagram,
     multiply_diagrams,
     p12_diagram,
     p_diagram,
@@ -35,7 +34,7 @@ from plethysm.tensor import (
     wreath_embed,
 )
 
-from helpers import coarsens, one_block, value_type_orbit_vector
+from helpers import coarsens, identity_diagram, one_block, value_type_orbit_vector
 
 
 def pair(inner_blocks, outer_blocks, r):
