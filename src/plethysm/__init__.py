@@ -18,7 +18,7 @@ _ORIGINS = {
     "characters": ("character_value", "generalized_plethysm", "homogeneous_plethysm"),
     "coefficients": ("plethysm_coefficient", "stable_plethysm", "stable_table"),
     "diagrams": ("multiply_diagrams",),
-    "foulkes": ("action_matrix", "module_multiplicities", "orbit_decomposition"),
+    "foulkes": ("action_matrix", "orbit_decomposition"),
     "setpartitions": ("foulkes_pairs",),
     "tensor": ("foulkes_image_rank",),
 }

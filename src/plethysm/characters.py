@@ -11,8 +11,8 @@ character gives the permutation character, the generalized plethysm
 multiplicities and the rectangle plethysm h_n[h_m], and the sum over the
 no-ones mu is the singleton-free character that the stable values pair with.
 The enumeration cap and the singleton-free count (A000296) live here too, so
-the stable queries need no set-partition code; ``setpartitions`` imports
-them from this module.
+the stable queries need no set-partition code; the module code imports
+them from here.
 """
 
 from __future__ import annotations
@@ -200,45 +200,19 @@ def shape_count(mu: Partition) -> int:
     return factorial(sum(mu)) // stabilizer
 
 
-def shape_block_masks(mu: Partition) -> list[tuple[int, ...]]:
-    """The set-partitions of {1..|mu|} whose block sizes are exactly mu, each
-    as its blocks' bitmasks (point x is bit x - 1) in order of lowest point.
-
-    The lowest free point opens the next block, with companions chosen from
-    the other free points, so blocks open in growth-string order.
-    """
-    results: list[tuple[int, ...]] = []
-
-    def rec(free: tuple[int, ...], sizes: tuple[int, ...], acc: tuple[int, ...]):
-        if len(sizes) <= 1:  # the last block takes every free point
-            results.append(acc + (sum(free),) if free else acc)
-            return
-        first, rest = free[0], free[1:]
-        for size in sorted(set(sizes), reverse=True):
-            left = list(sizes)
-            left.remove(size)
-            for companions in itertools.combinations(rest, size - 1):
-                block = first + sum(companions)
-                rec(tuple(x for x in rest if not x & block), tuple(left), acc + (block,))
-
-    rec(tuple(1 << x for x in range(sum(mu))), mu, ())
-    return results
-
-
 def set_partitions_of_shape(mu: Partition) -> list[SetPartition]:
-    """All set-partitions of {1..|mu|} whose block sizes are exactly mu."""
-    from .setpartitions import SetPartition  # kept off the import path of the stable queries
+    """All set-partitions of {1..|mu|} whose block sizes are exactly mu, in
+    growth-string order; the empty partition alone for mu = ()."""
+    from .setpartitions import SetPartition, set_partitions  # off the stable queries' path
 
-    r = sum(mu)
-    out = []
-    for masks in shape_block_masks(mu):
-        labels = [0] * r
-        for block, mask in enumerate(masks):
-            for x in range(r):
-                if mask >> x & 1:
-                    labels[x] = block
-        out.append(SetPartition(r, tuple(labels)))
-    return out
+    mu = check_partition(mu)
+    if not mu:
+        return [SetPartition(0, ())]
+    return [
+        sp
+        for sp in set_partitions(sum(mu))
+        if tuple(sorted(map(len, sp.blocks), reverse=True)) == mu
+    ]
 
 
 ClassFunction = dict[Partition, int]

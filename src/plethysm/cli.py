@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -63,10 +62,7 @@ def _emit(
         sys.stdout.writelines(json_text(record))
         sys.stdout.write("\n")
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
-        sys.stdout.write(buffer.getvalue())
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in text_lines:
             print(line)

@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .characters import (
     ORACLE_CAP,
     Partition,
-    cayley_sylvester,
     check_partition,
     dimension,
     homogeneous_plethysm,
@@ -23,7 +22,6 @@ from .characters import (
     multiplicity,
     pad_partition,
     partitions,
-    partitions_no_ones,
     singleton_free_character,
     singleton_free_count,
 )
@@ -99,28 +97,3 @@ def stable_table(r: int) -> StableTable:
             f"dimension check failed at r={r}: {weighted}"
         )  # pragma: no cover - structural guarantee
     return table
-
-
-def weintraub_check(lam: Partition) -> bool:
-    """Positivity for even partitions; always true, failure would be a bug."""
-    lam = check_partition(lam)
-    if any(part % 2 for part in lam):
-        raise MalformedPartitionError(f"{lam} has an odd part")
-    return stable_plethysm(lam) > 0
-
-
-def sharpness_check(r: int) -> dict:
-    """The one-row value hits the no-ones count, and drops by one just below
-    the stable range."""
-    if r < 3:
-        raise MalformedPartitionError("sharpness statement needs r >= 3")
-    no_ones = len(partitions_no_ones(r))
-    stable = stable_plethysm((r,))
-    below = cayley_sylvester(r, r - 1, r)
-    return {
-        "r": r,
-        "stable_one_row": stable,
-        "no_ones_count": no_ones,
-        "below_range": below,
-        "sharp": stable == no_ones and below == no_ones - 1,
-    }

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .characters import (
-    Partition,
-    cycle_representative,
-    multiplicity,
-    partitions,
-    partitions_no_ones,
-    shape_count,
-)
+from .characters import Partition, partitions_no_ones, shape_count, singleton_free_count
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from .diagrams import PartitionDiagram, act_on_set_partition
 from .setpartitions import (
@@ -29,7 +22,6 @@ from .setpartitions import (
     foulkes_pairs,
     pair_counts_by_depth,
     set_partitions,
-    singleton_free_count,
 )
 
 MODULE_CAP = 7
@@ -224,33 +216,3 @@ def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     if sum(o.size for o in orbits) != singleton_free_count(r):
         raise InternalConsistencyError("orbit sizes do not cover the quotient basis")
     return tuple(orbits)
-
-
-def _quotient_fixed_counts(k: int) -> dict[Partition, int]:
-    """For each cycle type rho of S_k: depth-quotient pairs fixed by one
-    permutation of that type (the empty pair alone at k = 0)."""
-    if k == 0:
-        return {(): 1}
-    basis = depth_quotient_basis(k)
-    counts = {}
-    for rho in partitions(k):
-        sigma = cycle_representative(rho)
-        counts[rho] = sum(
-            p.inner.permuted(sigma) == p.inner and p.outer.permuted(sigma) == p.outer
-            for p in basis
-        )
-    return counts
-
-
-def module_multiplicities(r: int) -> dict[Partition, int]:
-    """Composition multiplicities of the rank-r module, for every label of size <= r.
-
-    In the semisimple regime the size-k labels are governed by the depth
-    quotient at rank k, which S_k permutes; each multiplicity is that
-    permutation character paired with the irreducible character chi^lam.
-    """
-    out: dict[Partition, int] = {}
-    for k in range(r + 1):
-        fixed = _quotient_fixed_counts(k)
-        out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
-    return out

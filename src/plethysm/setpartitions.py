@@ -33,13 +33,7 @@ from math import comb
 from operator import attrgetter, index, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-# The enumeration cap and the A000296 count live in ``characters``, which the
-# stable queries load without this module; they stay importable from here.
-from .characters import (  # noqa: F401
-    DEFAULT_MAX_GROUND_SIZE,
-    max_ground_size,
-    singleton_free_count,
-)
+from .characters import max_ground_size
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
@@ -149,15 +143,6 @@ class SetPartition:
         # other's labels are constant on each of my blocks
         labels = other.labels
         return self.first_point_read(labels) == labels
-
-    def permuted(self, perm: Sequence[int]) -> "SetPartition":
-        """Apply a permutation (one-line, 1-based images) to the ground set."""
-        if sorted(perm) != list(range(1, self.size + 1)):
-            raise MalformedPartitionError(f"not a permutation of 1..{self.size}: {perm}")
-        keys = [0] * self.size
-        for x, image in enumerate(perm):
-            keys[image - 1] = self.labels[x]
-        return SetPartition.from_keys(keys)
 
     @cached_property
     def _text(self) -> str:

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import attrgetter
+from typing import Callable
 
 from . import characters, coefficients, diagrams, foulkes, setpartitions, tensor
+from .characters import Partition
 from .diagrams import (
     PartitionDiagram,
     generator,
@@ -116,8 +118,10 @@ def check_pair_count(full: bool) -> str:
     columns: each point's column must equal the column of the first point of
     its inner block.  Only a failing run is re-read pair by pair, to name the
     pair.  Depths are counted from the outers' block counts, and the cached
-    ``foulkes_pairs`` is counted too, at the ranks the module serves."""
+    ``foulkes_pairs`` is counted too, at the ranks whose pairs the later
+    checks build anyway."""
     top = 8 if full else 4
+    cached_top = 6 if full else 4
     labels_of, blocks_of = attrgetter("labels"), attrgetter("block_count")
     for r in range(1, top + 1):
         expected = _bell_product_total(r)
@@ -135,7 +139,7 @@ def check_pair_count(full: bool) -> str:
                 by_depth[inner_blocks - outer_blocks] += count
         if sum(by_depth) != expected:
             raise CheckFailure(f"pair count at r={r}: {sum(by_depth)} != {expected}")
-        if r <= foulkes.MODULE_CAP and len(foulkes_pairs(r)) != expected:
+        if r <= cached_top and len(foulkes_pairs(r)) != expected:
             raise CheckFailure(f"pair count at r={r}: {len(foulkes_pairs(r))} != {expected}")
         if tuple(by_depth) != pair_counts_by_depth(r):
             raise CheckFailure(f"depth counts at r={r}: {by_depth} != {pair_counts_by_depth(r)}")
@@ -431,26 +435,66 @@ def _image_table(sigma: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _brute_fixed_counts(r: int) -> dict[characters.Partition, dict[characters.Partition, int]]:
+def _image_tables(r: int, copies: int = 1) -> dict[Partition, Callable[[int], int]]:
+    """For each cycle type rho of S_r, the subset images (``_image_table``)
+    of one permutation of type rho acting on ``copies`` side-by-side copies
+    of {1..r} (copy c holds the points c*r + 1..c*r + r), as a lookup."""
+    tables = {}
+    for rho in characters.partitions(r):
+        sigma = characters.cycle_representative(rho)
+        copied = tuple(c * r + image for c in range(copies) for image in sigma)
+        tables[rho] = _image_table(copied).__getitem__
+    return tables
+
+
+def _fixed_counts(
+    block_sets: list[frozenset[int]], images: dict[Partition, Callable[[int], int]]
+) -> dict[Partition, int]:
+    """For each cycle type, how many of the block sets (blocks as bitmasks)
+    its permutation fixes.  Blocks are compared as sets of points, not as
+    growth strings; since sigma is a bijection and the blocks are disjoint,
+    it fixes a set of blocks iff it maps every block onto a block."""
+    fixed = frozenset.issuperset  # fixed(blocks, map(image, blocks)), mapped over the sets
+    return {
+        rho: sum(map(fixed, block_sets, map(map, itertools.repeat(image), block_sets)))
+        for rho, image in images.items()
+    }
+
+
+def _shape_block_masks(mu: Partition) -> list[tuple[int, ...]]:
+    """The set-partitions of {1..|mu|} whose block sizes are exactly mu, each
+    as its blocks' bitmasks (point x is bit x - 1) in order of lowest point.
+
+    The lowest free point opens the next block, with companions chosen from
+    the other free points, so blocks open in growth-string order.
+    """
+    results: list[tuple[int, ...]] = []
+
+    def rec(free: tuple[int, ...], sizes: tuple[int, ...], acc: tuple[int, ...]):
+        if len(sizes) <= 1:  # the last block takes every free point
+            results.append(acc + (sum(free),) if free else acc)
+            return
+        first, rest = free[0], free[1:]
+        for size in sorted(set(sizes), reverse=True):
+            left = list(sizes)
+            left.remove(size)
+            for companions in itertools.combinations(rest, size - 1):
+                block = first + sum(companions)
+                rec(tuple(x for x in rest if not x & block), tuple(left), acc + (block,))
+
+    rec(tuple(1 << x for x in range(sum(mu))), mu, ())
+    return results
+
+
+def _brute_fixed_counts(r: int) -> dict[Partition, dict[Partition, int]]:
     """For each shape mu of r, then each cycle type rho: the shape-mu
     set-partitions whose block sets a permutation of type rho permutes, by
-    enumeration.  Blocks are compared as sets of points (bitmasks), not as
-    growth strings; since sigma is a bijection and the blocks are disjoint,
-    it fixes a partition iff it maps every block onto a block.  Each rho's
-    image table is built once and serves every shape."""
-    images = {
-        rho: _image_table(characters.cycle_representative(rho)).__getitem__
-        for rho in characters.partitions(r)
+    enumeration.  Each rho's image table is built once and serves every shape."""
+    images = _image_tables(r)
+    return {
+        mu: _fixed_counts(list(map(frozenset, _shape_block_masks(mu))), images)
+        for mu in characters.partitions(r)
     }
-    fixed = frozenset.issuperset  # fixed(blocks, map(image, blocks)), mapped over partitions
-    counts = {}
-    for mu in characters.partitions(r):
-        enumerated = list(map(frozenset, characters.shape_block_masks(mu)))
-        counts[mu] = {
-            rho: sum(map(fixed, enumerated, map(map, itertools.repeat(image), enumerated)))
-            for rho, image in images.items()
-        }
-    return counts
 
 
 def check_fixed_counts(full: bool) -> str:
@@ -534,35 +578,67 @@ def check_oracle_stabilization(full: bool) -> str:
     return f"oracle constant across every stable (m,n) within cap {cap}"
 
 
+def _block_masks(sp: SetPartition, shift: int = 0) -> list[int]:
+    """The blocks of sp as bitmasks, point x at bit x - 1 + shift."""
+    masks = [0] * sp.block_count
+    for x, block in enumerate(sp.labels):
+        masks[block] |= 1 << (x + shift)
+    return masks
+
+
+def _quotient_fixed_counts(r: int) -> dict[Partition, int]:
+    """For each cycle type rho of S_r: the depth-quotient pairs that one
+    permutation of type rho fixes, by enumeration.  A pair is read as one
+    set of blocks on two copies of {1..r}, its inner blocks on the first and
+    its outer blocks on the second, and the permutation acts on both copies,
+    so it fixes the pair iff it fixes both partitions."""
+    block_sets = [
+        frozenset(_block_masks(p.inner) + _block_masks(p.outer, r))
+        for p in foulkes.depth_quotient_basis(r)
+    ]
+    return _fixed_counts(block_sets, _image_tables(r, copies=2))
+
+
 def check_module_vs_stable(full: bool) -> str:
+    """Each stable value is the multiplicity of its label in the depth
+    quotient, the permutation module that S_r acts on; its character is
+    counted here on the quotient basis itself."""
     top = 6 if full else 4
     for r in range(1, top + 1):
-        mults = foulkes.module_multiplicities(r)
+        fixed = _quotient_fixed_counts(r)
         for lam, value in coefficients.stable_table(r).rows:
-            if mults[lam] != value:
+            if characters.multiplicity(fixed, lam) != value:
                 raise CheckFailure(f"module and table disagree at r={r}, lam={lam}")
     return f"module decomposition equals the stable table (r<={top})"
 
 
 def check_weintraub(full: bool) -> str:
+    """Every even partition has a positive stable value."""
     top = 10 if full else 6
     count = 0
     for size in range(0, top + 1, 2):
         for lam in characters.partitions(size):
             if any(part % 2 for part in lam):
                 continue
-            if not coefficients.weintraub_check(lam):
+            if coefficients.stable_plethysm(lam) <= 0:
                 raise CheckFailure(f"even partition {lam} has zero stable value")
             count += 1
     return f"{count} even partitions have positive stable coefficients (|lam|<={top})"
 
 
 def check_sharpness(full: bool) -> str:
+    """The one-row value hits the no-ones count, and drops by one just below
+    the stable range, at (m, n) = (r, r - 1); the statement needs r >= 3."""
     top = 10 if full else 6
     for r in range(3, top + 1):
-        report = coefficients.sharpness_check(r)
-        if not report["sharp"]:
-            raise CheckFailure(f"sharpness fails at r={r}: {report}")
+        no_ones = len(characters.partitions_no_ones(r))
+        stable = coefficients.stable_plethysm((r,))
+        below = characters.cayley_sylvester(r, r - 1, r)
+        if stable != no_ones or below != no_ones - 1:
+            raise CheckFailure(
+                f"sharpness fails at r={r}: one-row value {stable} and {below} below the "
+                f"range, against {no_ones} no-ones partitions"
+            )
     return f"stability boundary is sharp for 3<=r<={top}"
 
 

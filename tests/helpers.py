@@ -6,6 +6,8 @@ what the CLI and ``verify`` call.
 
 import re
 
+from plethysm import verify
+from plethysm.characters import multiplicity, partitions
 from plethysm.diagrams import PartitionDiagram
 from plethysm.errors import MalformedPartitionError
 from plethysm.setpartitions import SetPartition
@@ -20,6 +22,27 @@ def one_block(size):
 def block_of(sp, element):
     """The index of the block holding ``element`` (1-based point)."""
     return sp.labels[element - 1]
+
+
+def permuted(sp, perm):
+    """Apply a permutation (one-line, 1-based images) to the ground set of sp."""
+    if sorted(perm) != list(range(1, sp.size + 1)):
+        raise MalformedPartitionError(f"not a permutation of 1..{sp.size}: {perm}")
+    keys = [0] * sp.size
+    for x, image in enumerate(perm):
+        keys[image - 1] = sp.labels[x]
+    return SetPartition.from_keys(keys)
+
+
+def module_multiplicities(r):
+    """Composition multiplicities of the rank-r module for every label of size
+    <= r, from verify's brute-force fixed counts on each rank's depth
+    quotient; the rank-0 quotient is the empty pair alone."""
+    out = {(): 1}
+    for k in range(1, r + 1):
+        fixed = verify._quotient_fixed_counts(k)
+        out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
+    return out
 
 
 def coarsens(p, q):

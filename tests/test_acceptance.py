@@ -8,6 +8,7 @@ import itertools
 import time
 
 from plethysm.characters import (
+    cayley_sylvester,
     generalized_plethysm,
     homogeneous_plethysm,
     pad_partition,
@@ -18,9 +19,8 @@ from plethysm.coefficients import (
     STABLE_REGIME,
     coefficient_regime,
     plethysm_coefficient,
-    sharpness_check,
+    stable_plethysm,
     stable_table,
-    weintraub_check,
 )
 from plethysm.diagrams import generator, generator_names
 from plethysm.foulkes import (
@@ -37,6 +37,8 @@ from plethysm.verify import (
     check_depth_radical_closed,
     check_diagram_associativity,
     check_propagating_monotone,
+    check_sharpness,
+    check_weintraub,
 )
 
 from helpers import exponent_grid
@@ -193,10 +195,9 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_sharpness():
     started = time.monotonic()
     for r in range(3, 11):
-        result = sharpness_check(r)
-        assert result["stable_one_row"] == len(partitions_no_ones(r))
-        assert result["below_range"] == len(partitions_no_ones(r)) - 1
-        assert result["sharp"]
+        assert stable_plethysm((r,)) == len(partitions_no_ones(r))
+        assert cayley_sylvester(r, r - 1, r) == len(partitions_no_ones(r)) - 1
+    check_sharpness(True)
     report(9, started, "one-row values are sharp for 3 <= r <= 10")
 
 
@@ -222,8 +223,9 @@ def test_criterion_11_weintraub():
     for size in range(0, 11, 2):
         for lam in partitions(size):
             if all(part % 2 == 0 for part in lam):
-                assert weintraub_check(lam), lam
+                assert stable_plethysm(lam) > 0, lam
                 count += 1
+    check_weintraub(True)
     report(11, started, f"{count} even partitions up to size 10 have positive stable values")
 
 

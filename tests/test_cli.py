@@ -279,6 +279,12 @@ class TestVerify:
         assert [line.split(":")[0] for line in lines[1:-1]] == [f"PASS {n}" for n in names]
         assert lines[-1] == f"FAILURES PRESENT ({len(names) + 1} checks)"
 
+    def test_check_list_matches_the_benchmark_expectation(self):
+        # the benchmark marks a verify run incorrect when its check list differs
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+        expected = json.loads(path.read_text())["verify"]["full"]
+        assert [name for name, _ in verify.CHECKS] == expected
+
     def test_fast_suite_runs_without_numpy(self):
         # a None entry in sys.modules makes any numpy import raise ImportError
         script = (
@@ -296,17 +302,21 @@ class TestVerify:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_a_closed_pipe_exits_quietly_with_141():
-    # the rank-6 matrices text is about 0.5 MB, far more than a pipe buffer
-    # holds, so the command is still writing when the reader closes its end
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_closed_pipe_exits_quietly_with_141(fmt):
+    # the rank-6 matrices are 0.4 MB or more in every format, far more than a
+    # pipe buffer holds, so the command is still writing when the reader
+    # closes its end
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "plethysm.cli", "module", "--r", "6", "--info", "matrices"],
+        [sys.executable, "-m", "plethysm.cli", "module", "--r", "6", "--info", "matrices",
+         "--format", fmt],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"basis:\n"
+    first_line = {"text": b"basis:\n", "json": b"{\n", "csv": b"generator,row,col,entry\n"}
+    assert proc.stdout.readline() == first_line[fmt]
     proc.stdout.close()
     code = proc.wait(timeout=120)
     err = proc.stderr.read().decode()

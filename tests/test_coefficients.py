@@ -1,23 +1,29 @@
 import pytest
 
-from plethysm import characters, verify
-from plethysm.characters import homogeneous_plethysm, pad_partition, partitions
+from plethysm import characters, coefficients, foulkes, verify
+from plethysm.characters import (
+    cayley_sylvester,
+    homogeneous_plethysm,
+    pad_partition,
+    partitions,
+    partitions_no_ones,
+)
 from plethysm.coefficients import (
     ORACLE_REGIME,
     STABLE_REGIME,
     coefficient_regime,
     plethysm_coefficient,
-    sharpness_check,
     stable_plethysm,
     stable_table,
-    weintraub_check,
 )
 from plethysm.errors import (
     MalformedPartitionError,
     ResourceCapError,
     UnsupportedRegimeError,
 )
-from plethysm.foulkes import depth_quotient_basis, module_multiplicities
+from plethysm.foulkes import depth_quotient_basis
+
+from helpers import module_multiplicities
 
 RANK8_VALUES = {
     (8,): 7,
@@ -181,6 +187,20 @@ class TestStableTable:
         finally:
             characters.singleton_free_character.cache_clear()
 
+    def test_module_check_catches_a_dropped_quotient_pair(self, monkeypatch):
+        # the last rank-4 quotient pair is the one whose outer is one block;
+        # the three (2,2) pairs left still form an orbit, so the count is a
+        # character and only its pairing with (4) is off
+        real = foulkes.depth_quotient_basis
+
+        def dropped(r):
+            basis = real(r)
+            return basis[:-1] if r == 4 else basis
+
+        monkeypatch.setattr(foulkes, "depth_quotient_basis", dropped)
+        with pytest.raises(verify.CheckFailure, match=r"r=4, lam=\(4,\)"):
+            verify.check_module_vs_stable(False)
+
     def test_weighted_dimension_sum(self):
         # validated inside the builder; spot check the rank-4 number here
         from plethysm.characters import dimension
@@ -190,38 +210,72 @@ class TestStableTable:
         assert weighted == len(depth_quotient_basis(4)) == 4
 
 
+def asked_for(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, which still answers."""
+    real, calls = getattr(module, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 class TestWeintraub:
     def test_examples(self):
-        assert weintraub_check((2, 2))
-        assert weintraub_check((4, 2, 2))
-        assert weintraub_check((2, 2, 2, 2))
+        assert stable_plethysm((2, 2)) > 0
+        assert stable_plethysm((4, 2, 2)) > 0
+        assert stable_plethysm((2, 2, 2, 2)) > 0
 
     def test_all_even_partitions_up_to_ten(self):
+        assert verify.check_weintraub(True) == (
+            "19 even partitions have positive stable coefficients (|lam|<=10)"
+        )
         for size in range(0, 11, 2):
             for lam in partitions(size):
                 if all(part % 2 == 0 for part in lam):
-                    assert weintraub_check(lam)
+                    assert stable_plethysm(lam) > 0
 
-    def test_odd_part_rejected(self):
-        with pytest.raises(MalformedPartitionError):
-            weintraub_check((3, 1))
+    def test_odd_part_rejected(self, monkeypatch):
+        # the check asks only the even partitions: (3, 1) is not a Weintraub case
+        calls = asked_for(monkeypatch, coefficients, "stable_plethysm")
+        verify.check_weintraub(False)
+        assert ((3, 1),) not in calls
+        assert calls and all(part % 2 == 0 for (lam,) in calls for part in lam)
+
+    def test_zero_value_fails_the_check(self, monkeypatch):
+        real = coefficients.stable_plethysm
+        monkeypatch.setattr(
+            coefficients, "stable_plethysm", lambda lam: 0 if lam == (4, 2) else real(lam)
+        )
+        with pytest.raises(verify.CheckFailure, match=r"\(4, 2\) has zero stable value"):
+            verify.check_weintraub(False)
 
 
 class TestSharpness:
     def test_rank3(self):
-        report = sharpness_check(3)
-        assert report["stable_one_row"] == 1
-        assert report["below_range"] == 0
-        assert report["sharp"]
+        assert stable_plethysm((3,)) == 1 == len(partitions_no_ones(3))
+        assert cayley_sylvester(3, 2, 3) == 0
+        assert verify.check_sharpness(False) == "stability boundary is sharp for 3<=r<=6"
 
     def test_rank4(self):
-        report = sharpness_check(4)
-        assert (report["stable_one_row"], report["below_range"]) == (2, 1)
+        assert (stable_plethysm((4,)), cayley_sylvester(4, 3, 4)) == (2, 1)
 
     def test_rank8(self):
-        report = sharpness_check(8)
-        assert (report["stable_one_row"], report["below_range"]) == (7, 6)
+        assert (stable_plethysm((8,)), cayley_sylvester(8, 7, 8)) == (7, 6)
+        assert verify.check_sharpness(True) == "stability boundary is sharp for 3<=r<=10"
 
-    def test_small_rank_rejected(self):
-        with pytest.raises(MalformedPartitionError):
-            sharpness_check(2)
+    def test_small_rank_rejected(self, monkeypatch):
+        # the statement needs r >= 3, and the check starts there
+        calls = asked_for(monkeypatch, characters, "cayley_sylvester")
+        verify.check_sharpness(False)
+        assert [r for _, _, r in calls] == [3, 4, 5, 6]
+
+    def test_value_below_the_range_fails_the_check(self, monkeypatch):
+        real = characters.cayley_sylvester
+        monkeypatch.setattr(
+            characters, "cayley_sylvester", lambda m, n, r: real(m, n, r) + (r == 8)
+        )
+        with pytest.raises(verify.CheckFailure, match="sharpness fails at r=8"):
+            verify.check_sharpness(True)

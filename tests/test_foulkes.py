@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from plethysm import foulkes, verify
+from plethysm.characters import singleton_free_count
 from plethysm.diagrams import (
     PartitionDiagram,
     act_on_set_partition,
@@ -23,18 +24,11 @@ from plethysm.foulkes import (
     depth_radical_basis,
     in_depth_radical,
     layer_matrix,
-    module_multiplicities,
     orbit_decomposition,
 )
-from plethysm.setpartitions import (
-    FoulkesPair,
-    SetPartition,
-    foulkes_pairs,
-    set_partitions,
-    singleton_free_count,
-)
+from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs, set_partitions
 
-from helpers import block_of, exponent_grid, one_block
+from helpers import block_of, exponent_grid, module_multiplicities, one_block, permuted
 
 # an entry d1^t1 d2^t2 as its exponents (t1, t2); a zero entry is absent
 ONE = (0, 0)
@@ -76,7 +70,7 @@ def reference_p1(p):
 def reference_swap(p, i):
     one_line = list(range(1, p.size + 1))
     one_line[i - 1], one_line[i] = one_line[i], one_line[i - 1]
-    return (0, 0, FoulkesPair(p.inner.permuted(one_line), p.outer.permuted(one_line)))
+    return (0, 0, FoulkesPair(permuted(p.inner, one_line), permuted(p.outer, one_line)))
 
 
 def _merge(sp, a, b):

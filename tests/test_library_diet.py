@@ -17,7 +17,7 @@ ALLOWED = {
     "cli.main": "the console script entry point named in pyproject.toml",
     "characters.set_partitions_of_shape": (
         "the benchmark wraps it by name as a layer span; verify enumerates "
-        "shapes through shape_block_masks"
+        "shapes through its own _shape_block_masks"
     ),
 }
 
