@@ -18,14 +18,13 @@ block labels minus the unions minus the free blocks, so no final scan is
 needed.  The product and the one-row action are both this one operation, and
 each wraps its result in a validated ``SetPartition``; verify's exhaustive
 product table calls ``_glue`` once per upper diagram and lower northern
-string, and reads each propagating count from the roots.  A diagram stores
-its hash, because the one-row action's cache hashes it on every lookup.
+string, and reads each propagating count from the roots.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -39,18 +38,12 @@ class PartitionDiagram:
 
     size: int
     partition: SetPartition
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.partition.size != 2 * self.size:
             raise MalformedPartitionError(
                 f"diagram on {self.size} strands needs a partition of {2 * self.size} points"
             )
-        # the value the generated __hash__ would give, so set and dict order stay
-        object.__setattr__(self, "_hash", hash((self.size, self.partition)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "PartitionDiagram":
@@ -101,8 +94,8 @@ def swap_diagram(r: int, i: int) -> PartitionDiagram:
 def generator(name: str, r: int) -> PartitionDiagram:
     """Named generator: ``p1``, ``p12``, or ``s<i>`` for 1 <= i < r.
 
-    One shared diagram per (name, r), so a cache keyed on a generator finds
-    it by identity instead of comparing it field by field."""
+    One shared diagram per (name, r), built once however often the checks
+    and the action matrices ask for it."""
     if name == "p1":
         return p_diagram(r, 1)
     if name == "p12":

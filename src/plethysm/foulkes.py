@@ -3,7 +3,10 @@
 The module is spanned by refining pairs of set-partitions.  A diagram acts on
 a pair through two copies of the one-row concatenation action, one per
 coordinate; the closed-component counts become exponents of d1 and d2.
-Action matrices and filtration layers read one column loop over the basis.
+Action matrices and filtration layers read one column loop over the basis,
+which stacks the diagram once under each of the Bell(r) partitions of
+{1..r} and reads every pair's image off those.  The matrices are the only
+path from a diagram to pair images: verify and the tensor oracle read them.
 """
 
 from __future__ import annotations
@@ -32,29 +35,6 @@ def monomial_text(t1: int, t2: int) -> str:
     """The text of the matrix entry d1^t1 d2^t2; one string per exponent pair,
     shared by every entry that prints it."""
     return f"1*d1^{t1}*d2^{t2}"
-
-
-@lru_cache(maxsize=None)
-def _one_row(sp: SetPartition, d: PartitionDiagram) -> tuple[int, SetPartition]:
-    """The one-row action, stacked once per (partition, diagram).
-
-    A diagram meets at most Bell(r) distinct coordinates across the whole
-    pair basis, so filling this on demand saves every repeated stacking.
-    """
-    return act_on_set_partition(sp, d)
-
-
-def act(pair: FoulkesPair, d: PartitionDiagram) -> tuple[int, int, FoulkesPair]:
-    """Image of a basis pair under a diagram: exponents of d1, d2 and the pair."""
-    t1, inner = _one_row(pair.inner, d)
-    t2, outer = _one_row(pair.outer, d)
-    try:
-        image = FoulkesPair(inner, outer)
-    except MalformedPartitionError as exc:  # pragma: no cover - structural guarantee
-        raise InternalConsistencyError(
-            f"action of {d} on {pair} broke refinement"
-        ) from exc
-    return t1, t2, image
 
 
 @dataclass(frozen=True)
@@ -88,38 +68,24 @@ def _basis_index(r: int) -> dict[FoulkesPair, int]:
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
 
 
-class _RowImages(dict):
-    """Partition -> (closed count, image) under one diagram, filled on first use.
-
-    Each image is replaced by the basis's own partition object with its
-    labels, so a pair of images finds its basis pair by identity and no
-    partition is compared field by field.
-    """
-
-    def __init__(self, d: PartitionDiagram, partitions: dict[tuple[int, ...], SetPartition]):
-        super().__init__()
-        self.d = d
-        self.partitions = partitions
-
-    def __missing__(self, sp: SetPartition) -> tuple[int, SetPartition]:
-        closed, image = _one_row(sp, self.d)
-        self[sp] = found = closed, self.partitions.get(image.labels, image)
-        return found
-
-
 def _columns(
     d: PartitionDiagram, r: int, basis: tuple[FoulkesPair, ...], start: int, stop: int
 ) -> Iterator[tuple[int, int, int, int]]:
     """(row, col, t1, t2) for the images of columns start..stop-1 of the
     rank-r pair basis ``basis``.
 
-    Each image is looked up by its (inner, outer) tuple; the basis holds only
-    refining pairs, so a hit needs no refinement check and a miss is a fault.
+    Each one-row image is replaced by the basis's own partition object with
+    its labels, so a pair of images finds its basis pair by identity, looked
+    up by its (inner, outer) tuple; the basis holds only refining pairs, so a
+    hit needs no refinement check and a miss is a fault.
     """
     index = _basis_index(r)
     # the depth-0 pairs (p, p) come first, one per partition: the basis's own objects
     partitions = {p.labels: p for p, _ in basis[: pair_counts_by_depth(r)[0]]}
-    images = _RowImages(d, partitions)
+    images = {}
+    for sp in partitions.values():
+        closed, image = act_on_set_partition(sp, d)
+        images[sp] = closed, partitions.get(image.labels, image)
     for j in range(start, stop):
         inner, outer = basis[j]
         t1, inner_image = images[inner]

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .diagrams import PartitionDiagram, generator
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
-from .foulkes import act
+from .foulkes import action_matrix
 from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
 
 VECTOR_CAP = 10**5
@@ -222,24 +222,28 @@ def support_image(support: Iterable[int], matrix: RowMap) -> Counter[int]:
 def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> bool:
     """Does the pair action match the tensor action along a generator word?
 
-    Tracks, for every basis pair, the pair image with its scale on one side
-    and the tensor image on the other, and compares after every letter.  Up
+    Tracks, for every basis pair, the pair image with its scale on one side,
+    read off the letters' action matrices, and the tensor image on the
+    other, and compares after every letter.  Up
     to the last prefix both sides agree, so the tensor image is the scale
     times the 0/1 vector on the current pair's support; the next letter
     must then hit each support index of the next pair exactly m**t1 * n**t2
     times, and nothing else.
     """
     matrices = {name: diagram_tensor_matrix(generator(name, r), m, n) for name in set(word)}
-    diagrams = {name: generator(name, r) for name in set(word)}
+    images = {  # column -> (row, t1, t2): each column of an action matrix has one entry
+        name: {j: (i, t1, t2) for i, j, t1, t2 in action_matrix(generator(name, r), r).entries}
+        for name in set(word)
+    }
     pairs = foulkes_pairs(r)
     _check_cap("dimension", (m * n) ** r)
-    for start in pairs:
-        support = block_constant_support(start, m, n)
-        pair = start
+    for start, pair in enumerate(pairs):
+        support = block_constant_support(pair, m, n)
+        j = start
         for name in word:
             hits = support_image(support, matrices[name])
-            t1, t2, pair = act(pair, diagrams[name])
-            support = block_constant_support(pair, m, n)
+            j, t1, t2 = images[name][j]
+            support = block_constant_support(pairs[j], m, n)
             if hits != dict.fromkeys(support, m**t1 * n**t2):
                 return False
     return True

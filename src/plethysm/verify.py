@@ -310,12 +310,11 @@ def check_action_homomorphism(full: bool) -> str:
 def check_depth_step(full: bool) -> str:
     top = 5 if full else 4
     for r in range(1, top + 1):
+        pairs = foulkes_pairs(r)
         for name in generator_names(r):
-            d = generator(name, r)
-            for p in foulkes_pairs(r):
-                _, _, image = foulkes.act(p, d)
-                if p.depth - image.depth not in (0, 1):
-                    raise CheckFailure(f"depth jumped: {p} under {name} at r={r}")
+            for i, j, _, _ in foulkes.action_matrix(generator(name, r), r).entries:
+                if pairs[j].depth - pairs[i].depth not in (0, 1):
+                    raise CheckFailure(f"depth jumped: {pairs[j]} under {name} at r={r}")
     return f"every generator moves depth by 0 or -1 (r<={top})"
 
 
@@ -351,29 +350,26 @@ def check_layer_parameter_swap(full: bool) -> str:
 def check_depth_radical_closed(full: bool) -> str:
     top = 5 if full else 4
     for r in range(1, top + 1):
-        radical = foulkes.depth_radical_basis(r)
+        pairs = foulkes_pairs(r)
+        radical = list(map(foulkes.in_depth_radical, pairs))
         for name in generator_names(r):
-            d = generator(name, r)
-            for p in radical:
-                _, _, image = foulkes.act(p, d)
-                if not foulkes.in_depth_radical(image):
-                    raise CheckFailure(f"radical escaped: {p} under {name} at r={r}")
+            for i, j, _, _ in foulkes.action_matrix(generator(name, r), r).entries:
+                if radical[j] and not radical[i]:
+                    raise CheckFailure(f"radical escaped: {pairs[j]} under {name} at r={r}")
     return f"depth radical closed under all generators (r<={top})"
 
 
 def check_quotient_truncation(full: bool) -> str:
     for r in range(2, 5):
-        cut = p_diagram(r, 1)
-        for p in foulkes.depth_quotient_basis(r):
-            _, _, image = foulkes.act(p, cut)
-            if not foulkes.in_depth_radical(image):
-                raise CheckFailure(f"quotient not annihilated: {p} at r={r}")
-        images = {foulkes.act(p, cut)[2] for p in foulkes.depth_radical_basis(r)}
-        split = {
-            q
-            for q in foulkes_pairs(r)
-            if (1,) in q.inner.blocks and (1,) in q.outer.blocks
-        }
+        pairs = foulkes_pairs(r)
+        radical = list(map(foulkes.in_depth_radical, pairs))
+        images = set()  # of the radical pairs under the cut strand p1
+        for i, j, _, _ in foulkes.action_matrix(generator("p1", r), r).entries:
+            if radical[j]:
+                images.add(pairs[i])
+            elif not radical[i]:
+                raise CheckFailure(f"quotient not annihilated: {pairs[j]} at r={r}")
+        split = {q for q in pairs if (1,) in q.inner.blocks and (1,) in q.outer.blocks}
         if images != split or len(split) != len(foulkes_pairs(r - 1)):
             raise CheckFailure(f"radical truncation is not the next rank at r={r}")
     return "cut strand annihilates the quotient and shifts the radical down a rank"

@@ -85,6 +85,14 @@ def exponent_grid(matrix):
     return grid
 
 
+def pair_images(matrix):
+    """Each basis pair's image (t1, t2, pair) under the matrix's diagram,
+    read off the one entry d1^t1 d2^t2 in that pair's column."""
+    images = {matrix.basis[j]: (t1, t2, matrix.basis[i]) for i, j, t1, t2 in matrix.entries}
+    assert len(images) == len(matrix.entries) == matrix.dim, "a column without one entry"
+    return images
+
+
 def value_type_orbit_vector(pair, m, n):
     """Sum of the basis vectors of (C^(mn))^(tensor r) whose value-type is exactly ``pair``."""
     r = pair.size

@@ -17,7 +17,6 @@ from plethysm.diagrams import (
 )
 from plethysm.errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from plethysm.foulkes import (
-    act,
     action_matrix,
     block_filling,
     depth_quotient_basis,
@@ -28,7 +27,14 @@ from plethysm.foulkes import (
 )
 from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs, set_partitions
 
-from helpers import block_of, exponent_grid, module_multiplicities, one_block, permuted
+from helpers import (
+    block_of,
+    exponent_grid,
+    module_multiplicities,
+    one_block,
+    pair_images,
+    permuted,
+)
 
 # an entry d1^t1 d2^t2 as its exponents (t1, t2); a zero entry is absent
 ONE = (0, 0)
@@ -95,45 +101,63 @@ def direct_act(p, d):
 
 
 class TestAct:
+    # the action is read off the action matrices' columns
     def test_matches_direct_stacking_for_generators(self):
         for r in range(1, 6):
             for name in generator_names(r):
                 d = generator(name, r)
+                images = pair_images(action_matrix(d, r))
                 for p in foulkes_pairs(r):
-                    assert act(p, d) == direct_act(p, d)
+                    assert images[p] == direct_act(p, d)
 
     def test_matches_direct_stacking_for_random_diagrams(self):
         rng = random.Random(4)
         eight_points = list(set_partitions(8))
         for sp in rng.choices(eight_points, k=200):
             d = PartitionDiagram(4, sp)
+            images = pair_images(action_matrix(d, 4))
             for p in foulkes_pairs(4):
-                assert act(p, d) == direct_act(p, d)
+                assert images[p] == direct_act(p, d)
 
     def test_rank2_worked_values(self):
         b2 = pair([[1], [2]], [[1], [2]], 2)
         b3 = pair([[1], [2]], [[1, 2]], 2)
         b1 = pair([[1, 2]], [[1, 2]], 2)
-        assert act(b2, p_diagram(2)) == (1, 1, b2)
-        assert act(b3, p_diagram(2)) == (1, 0, b2)
-        assert act(b2, p12_diagram(2)) == (0, 0, b1)
-        assert act(b1, p_diagram(2)) == (0, 0, b2)
+        p1 = pair_images(action_matrix(p_diagram(2), 2))
+        p12 = pair_images(action_matrix(p12_diagram(2), 2))
+        assert p1[b2] == (1, 1, b2)
+        assert p1[b3] == (1, 0, b2)
+        assert p12[b2] == (0, 0, b1)
+        assert p1[b1] == (0, 0, b2)
 
     def test_matches_case_analysis_everywhere(self):
         for r in (2, 3, 4):
+            p12 = pair_images(action_matrix(p12_diagram(r), r))
+            p1 = pair_images(action_matrix(p_diagram(r), r))
+            swaps = {i: pair_images(action_matrix(swap_diagram(r, i), r)) for i in range(1, r)}
             for p in foulkes_pairs(r):
-                assert act(p, p12_diagram(r)) == reference_p12(p)
-                assert act(p, p_diagram(r)) == reference_p1(p)
+                assert p12[p] == reference_p12(p)
+                assert p1[p] == reference_p1(p)
                 for i in range(1, r):
-                    assert act(p, swap_diagram(r, i)) == reference_swap(p, i)
+                    assert swaps[i][p] == reference_swap(p, i)
 
     def test_depth_step_bounded(self):
         for r in (2, 3, 4):
             for name in generator_names(r):
-                d = generator(name, r)
+                images = pair_images(action_matrix(generator(name, r), r))
                 for p in foulkes_pairs(r):
-                    _, _, image = act(p, d)
+                    _, _, image = images[p]
                     assert p.depth - image.depth in (0, 1)
+
+    def test_depth_step_check_catches_a_jump(self, monkeypatch):
+        def to_singletons(sp, d):
+            # every pair goes to (singletons ; singletons), a basis pair of depth 0
+            return 0, SetPartition.singletons(sp.size)
+
+        monkeypatch.setattr(foulkes, "act_on_set_partition", to_singletons)
+        message = "depth jumped: {1|2|3} ; {1,2,3} under p1 at r=3"
+        with pytest.raises(verify.CheckFailure, match=re.escape(message)):
+            verify.check_depth_step(False)
 
 
 class TestActionMatrix:
@@ -177,10 +201,23 @@ class TestActionMatrix:
         ]
         assert matrix.evaluated(5, 7) == [[0, 0, 0], [1, 35, 5], [0, 0, 0]]
 
+    def test_stacks_each_partition_once(self, monkeypatch):
+        stacked = []
+        one_row = foulkes.act_on_set_partition
+
+        def counted(sp, d):
+            stacked.append(sp)
+            return one_row(sp, d)
+
+        monkeypatch.setattr(foulkes, "act_on_set_partition", counted)
+        for r, bell in zip(range(1, 6), (1, 2, 5, 15, 52)):
+            for name in generator_names(r):
+                stacked.clear()
+                action_matrix(generator(name, r), r)
+                assert len(stacked) == bell
+                assert set(stacked) == set(set_partitions(r))
+
     def test_images_find_their_basis_pairs_by_identity(self, monkeypatch):
-        # a cached action keyed on an equal but distinct diagram object would
-        # compare partitions field by field; start from an empty cache
-        foulkes._one_row.cache_clear()
         compared = []
         equal = SetPartition.__eq__
         monkeypatch.setattr(SetPartition, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
@@ -196,7 +233,7 @@ class TestActionMatrix:
                 return 0, one_block(sp.size)
             return 0, SetPartition.singletons(sp.size)
 
-        monkeypatch.setattr(foulkes, "_one_row", coarsen_singletons)
+        monkeypatch.setattr(foulkes, "act_on_set_partition", coarsen_singletons)
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
             action_matrix(p_diagram(2), 2)
 
@@ -257,16 +294,18 @@ class TestLayers:
                     assert plain.entries == swapped
 
     def test_matches_the_per_layer_action(self):
-        # reference: act on each depth-k pair, keep the images that stay at depth k
+        # reference: each depth-k pair's image in the full action matrix, kept
+        # when it stays at depth k
         for r in range(1, 6):
             for name in generator_names(r):
                 d = generator(name, r)
                 for k in range(r):
                     layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
                     index = {p: i for i, p in enumerate(layer)}
+                    images = pair_images(action_matrix(d, r))
                     expected = []
                     for j, p in enumerate(layer):
-                        t1, t2, image = act(p, d)
+                        t1, t2, image = images[p]
                         if image.depth == k:
                             expected.append((index[image], j, t1, t2))
                     got = layer_matrix(d, r, k)
@@ -280,12 +319,12 @@ class TestLayers:
                 return 0, one_block(sp.size)
             return 0, SetPartition.singletons(sp.size)
 
-        monkeypatch.setattr(foulkes, "_one_row", swap_extremes)
+        monkeypatch.setattr(foulkes, "act_on_set_partition", swap_extremes)
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
             layer_matrix(p_diagram(2), 2, 1)
 
     def test_checks_catch_an_extra_inner_closed_component(self, monkeypatch):
-        one_row = foulkes._one_row
+        one_row = foulkes.act_on_set_partition
 
         def one_more_inner_loop(sp, d):
             # the singleton partition refines every other, so it is an inner
@@ -293,7 +332,7 @@ class TestLayers:
             closed, image = one_row(sp, d)
             return closed + (sp.block_count == sp.size), image
 
-        monkeypatch.setattr(foulkes, "_one_row", one_more_inner_loop)
+        monkeypatch.setattr(foulkes, "act_on_set_partition", one_more_inner_loop)
         # at r = 1 the one pair is (singletons ; singletons), and p1 closes a loop in each
         message = "layer entry 1*d1^2*d2^2 at r=1, k=0, generator p1"
         with pytest.raises(verify.CheckFailure, match=re.escape(message)):
@@ -382,9 +421,29 @@ class TestDepthRadical:
     def test_radical_closed_under_generators(self):
         for r in (2, 3, 4, 5):
             for name in generator_names(r):
-                d = generator(name, r)
+                images = pair_images(action_matrix(generator(name, r), r))
                 for p in depth_radical_basis(r):
-                    assert in_depth_radical(act(p, d)[2])
+                    assert in_depth_radical(images[p][2])
+
+    @staticmethod
+    def _merge_all_but_singletons(sp, d):
+        # singletons stay and anything else goes to one block, so every image
+        # is a refining pair: (singletons ; q) goes to (singletons ; one block)
+        if sp.block_count == sp.size:
+            return 0, sp
+        return 0, one_block(sp.size)
+
+    def test_radical_check_catches_an_escape(self, monkeypatch):
+        monkeypatch.setattr(foulkes, "act_on_set_partition", self._merge_all_but_singletons)
+        message = "radical escaped: {1|2|3} ; {1,2|3} under p1 at r=3"
+        with pytest.raises(verify.CheckFailure, match=re.escape(message)):
+            verify.check_depth_radical_closed(False)
+
+    def test_truncation_check_catches_a_surviving_quotient_pair(self, monkeypatch):
+        monkeypatch.setattr(foulkes, "act_on_set_partition", self._merge_all_but_singletons)
+        message = "quotient not annihilated: {1|2} ; {1,2} at r=2"
+        with pytest.raises(verify.CheckFailure, match=re.escape(message)):
+            verify.check_quotient_truncation(False)
 
 
 class TestOrbits:

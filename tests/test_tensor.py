@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from plethysm import tensor, verify
+from plethysm import foulkes, verify
 from plethysm.characters import homogeneous_plethysm
 from plethysm.diagrams import (
     PartitionDiagram,
@@ -295,14 +295,15 @@ class TestOracleReferences:
             foulkes_image_rank(5, 4, 4)
 
     def test_action_oracle_catches_a_wrong_exponent(self, monkeypatch):
-        exact = tensor.act
+        exact = foulkes.act_on_set_partition
         target = generator("p1", 3)
 
-        def off_by_one(pair, d):
-            t1, t2, image = exact(pair, d)
-            return t1, t2 + (d == target), image
+        def off_by_one(sp, d):
+            # one closed component too many in the one-row action of p1 at r = 3
+            closed, image = exact(sp, d)
+            return closed + (d == target), image
 
-        monkeypatch.setattr(tensor, "act", off_by_one)
+        monkeypatch.setattr(foulkes, "act_on_set_partition", off_by_one)
         assert tensor_action_consistent(3, 3, 3, ["s1"])
         assert not tensor_action_consistent(3, 3, 3, ["p1"])
         with pytest.raises(verify.CheckFailure, match="one-letter word p1 fails at r=3"):
