@@ -47,7 +47,7 @@ def max_ground_size() -> int:
     if raw is None:
         return DEFAULT_MAX_GROUND_SIZE
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         value = -1
     if value < 0:
@@ -62,6 +62,15 @@ def singleton_free_count(n: int) -> int:
         return 1
     # the block holding n has j >= 1 further elements
     return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
+
+
+def parse_int(text: str) -> int:
+    """ASCII digits after an optional '-': every integer a user types.  ``int``
+    alone also reads '_', '+', spaces and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -81,7 +90,7 @@ def parse_partition(text: str) -> Partition:
     if cleaned in ("", "-"):
         return ()
     try:
-        parts = tuple(int(t) for t in cleaned.split(","))
+        parts = tuple(map(parse_int, cleaned.split(",")))
     except ValueError as exc:
         raise MalformedPartitionError(f"cannot parse partition {text!r}") from exc
     return check_partition(parts)

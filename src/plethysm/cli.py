@@ -19,7 +19,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import coefficients
-from .characters import format_partition, parse_partition, singleton_free_count
+from .characters import format_partition, parse_int, parse_partition, singleton_free_count
 from .errors import (
     MalformedPartitionError,
     PlethysmError,
@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_argument(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:  # argparse's own wording for a value int() refuses
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _json_text(record: dict) -> Iterator[str]:
@@ -115,7 +122,7 @@ def _cmd_table(args) -> int:
 
 def _module_payload(r: int, info: str):
     from . import foulkes
-    from .diagrams import generator, generator_names
+    from .diagrams import generators
     from .setpartitions import foulkes_pairs, pair_counts_by_depth
 
     if info == "dims":
@@ -124,10 +131,9 @@ def _module_payload(r: int, info: str):
         return {"pairs": total, "depth_radical": total - quotient, "depth_quotient": quotient}
     if info == "matrices":
         basis = [str(p) for p in foulkes_pairs(r)]
-        matrices = {}
-        for name in generator_names(r):
-            matrix = foulkes.action_matrix(generator(name, r), r)
-            matrices[name] = matrix.coordinate_dump()  # JSON writes each tuple as a list
+        matrices = {  # JSON writes each dumped tuple as a list
+            name: foulkes.action_matrix(d, r).coordinate_dump() for name, d in generators(r).items()
+        }
         return {"basis": basis, "matrices": matrices}
     if info == "dq":
         return [
@@ -263,19 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_stable)
 
     cp = sub.add_parser("coeff", help="coefficient for a specific rectangle")
-    cp.add_argument("--m", type=int, required=True)
-    cp.add_argument("--n", type=int, required=True)
+    cp.add_argument("--m", type=_int_argument, required=True)
+    cp.add_argument("--n", type=_int_argument, required=True)
     cp.add_argument("--lambda", dest="lam", required=True)
     add_format(cp)
     cp.set_defaults(func=_cmd_coeff)
 
     tp = sub.add_parser("table", help="stable table over all partitions of r")
-    tp.add_argument("--r", type=int, required=True)
+    tp.add_argument("--r", type=_int_argument, required=True)
     add_format(tp)
     tp.set_defaults(func=_cmd_table)
 
     mp = sub.add_parser("module", help="inspect the rank-r diagrammatic module")
-    mp.add_argument("--r", type=int, required=True)
+    mp.add_argument("--r", type=_int_argument, required=True)
     mp.add_argument("--info", choices=("dims", "matrices", "dq", "filtration"),
                     required=True)
     add_format(mp)

@@ -6,6 +6,7 @@ total order 1 < ... < r < 1' < ... < r'.  Multiplying two basis diagrams
 stacks the first above the second; the product is (d1*d2)**closed times one
 diagram, where ``closed`` counts the middle components that touch neither
 outer row, so ``multiply_diagrams`` returns that count and the diagram.
+The generators of a rank, p1, p12 and s_i, are one table, ``generators(r)``.
 
 Stacking works on label strings: ``_stack`` takes two growth strings with
 their block counts and returns ints and a growth string, no objects.  The
@@ -23,10 +24,10 @@ string, and reads each propagating count from the roots.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import MalformedPartitionError, SizeMismatchError
 from .setpartitions import SetPartition
@@ -91,27 +92,15 @@ def swap_diagram(r: int, i: int) -> PartitionDiagram:
 
 
 @lru_cache(maxsize=None)
-def generator(name: str, r: int) -> PartitionDiagram:
-    """Named generator: ``p1``, ``p12``, or ``s<i>`` for 1 <= i < r.
-
-    One shared diagram per (name, r), built once however often the checks
-    and the action matrices ask for it."""
-    if name == "p1":
-        return p_diagram(r, 1)
-    if name == "p12":
-        return p12_diagram(r)
-    m = re.fullmatch(r"s(\d+)", name)
-    if m:
-        return swap_diagram(r, int(m.group(1)))
-    raise MalformedPartitionError(f"unknown generator {name!r}")
-
-
-def generator_names(r: int) -> tuple[str, ...]:
-    names = ["p1"]
+def generators(r: int) -> Mapping[str, PartitionDiagram]:
+    """The rank-r generators by name, in the order ``p1``, ``p12``, ``s1`` ..
+    ``s{r-1}``: one read-only table per rank, so every check and action
+    matrix shares one diagram per generator."""
+    table = {"p1": p_diagram(r, 1)}
     if r >= 2:
-        names.append("p12")
-    names += [f"s{i}" for i in range(1, r)]
-    return tuple(names)
+        table["p12"] = p12_diagram(r)
+    table.update((f"s{i}", swap_diagram(r, i)) for i in range(1, r))
+    return MappingProxyType(table)
 
 
 def _propagating(labels: tuple[int, ...], size: int) -> int:

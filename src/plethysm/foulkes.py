@@ -3,10 +3,11 @@
 The module is spanned by refining pairs of set-partitions.  A diagram acts on
 a pair through two copies of the one-row concatenation action, one per
 coordinate; the closed-component counts become exponents of d1 and d2.
-Action matrices and filtration layers read one column loop over the basis,
-which stacks the diagram once under each of the Bell(r) partitions of
-{1..r} and reads every pair's image off those.  The matrices are the only
-path from a diagram to pair images: verify and the tensor oracle read them.
+``action_matrix`` stacks the diagram once under each of the Bell(r)
+partitions of {1..r} and reads every pair's image off those.  The matrices
+are the only path from a diagram to pair images: the filtration layers are
+blocks read from a built matrix (``layer_matrix``), and verify and the
+tensor oracle read the matrices too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .characters import Partition, partitions_no_ones, shape_count, singleton_free_count
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
@@ -68,17 +68,18 @@ def _basis_index(r: int) -> dict[FoulkesPair, int]:
     return {p: i for i, p in enumerate(foulkes_pairs(r))}
 
 
-def _columns(
-    d: PartitionDiagram, r: int, basis: tuple[FoulkesPair, ...], start: int, stop: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """(row, col, t1, t2) for the images of columns start..stop-1 of the
-    rank-r pair basis ``basis``.
+def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
+    """Matrix of a single diagram on the full pair basis.
 
-    Each one-row image is replaced by the basis's own partition object with
-    its labels, so a pair of images finds its basis pair by identity, looked
-    up by its (inner, outer) tuple; the basis holds only refining pairs, so a
-    hit needs no refinement check and a miss is a fault.
+    The diagram is stacked once under each of the Bell(r) partitions of
+    {1..r}, and each one-row image is replaced by the basis's own partition
+    object with its labels, so a pair of images finds its basis pair by
+    identity, looked up by its (inner, outer) tuple; the basis holds only
+    refining pairs, so a hit needs no refinement check and a miss is a fault.
     """
+    if r > MODULE_CAP:
+        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
+    basis = foulkes_pairs(r)
     index = _basis_index(r)
     # the depth-0 pairs (p, p) come first, one per partition: the basis's own objects
     partitions = {p.labels: p for p, _ in basis[: pair_counts_by_depth(r)[0]]}
@@ -86,8 +87,8 @@ def _columns(
     for sp in partitions.values():
         closed, image = act_on_set_partition(sp, d)
         images[sp] = closed, partitions.get(image.labels, image)
-    for j in range(start, stop):
-        inner, outer = basis[j]
+    entries = []
+    for j, (inner, outer) in enumerate(basis):
         t1, inner_image = images[inner]
         t2, outer_image = images[outer]
         try:
@@ -96,39 +97,30 @@ def _columns(
             raise InternalConsistencyError(
                 f"action of {d} on {basis[j]} left the pair basis"
             ) from None
-        yield row, j, t1, t2
+        entries.append((row, j, t1, t2))
+    return ActionMatrix(basis, tuple(entries))
 
 
-def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
-    """Matrix of a single diagram on the full pair basis."""
-    if r > MODULE_CAP:
-        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
-    basis = foulkes_pairs(r)
-    return ActionMatrix(basis, tuple(_columns(d, r, basis, 0, len(basis))))
-
-
-def layer_matrix(d: PartitionDiagram, r: int, k: int) -> ActionMatrix:
-    """Action on the depth-k subquotient of the filtration.
+def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
+    """The depth-k subquotient block of a built action matrix.
 
     The basis is sorted by depth, so layer k is one contiguous block of
-    columns, placed by ``pair_counts_by_depth``.  Only those columns are
-    acted on; images that fall below depth k map to zero, and the rest stay
-    in the block and are shifted to its start.
+    columns, placed by ``pair_counts_by_depth``.  Images of those columns
+    that fall below depth k map to zero, and the rest stay in the block and
+    are shifted to its start.
     """
-    if not 0 <= k <= max(r - 1, 0):
+    r = matrix.basis[0].size
+    if not 0 <= k < r:
         raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
-    if r > MODULE_CAP:
-        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
     counts = pair_counts_by_depth(r)
     start = sum(counts[:k])
     stop = start + counts[k]
-    basis = foulkes_pairs(r)
     entries = tuple(
         (row - start, col - start, t1, t2)
-        for row, col, t1, t2 in _columns(d, r, basis, start, stop)
-        if start <= row < stop
+        for row, col, t1, t2 in matrix.entries
+        if start <= col < stop and start <= row < stop
     )
-    return ActionMatrix(basis[start:stop], entries)
+    return ActionMatrix(matrix.basis[start:stop], entries)
 
 
 def in_depth_radical(pair: FoulkesPair) -> bool:

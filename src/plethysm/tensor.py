@@ -16,7 +16,7 @@ from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
-from .diagrams import PartitionDiagram, generator
+from .diagrams import PartitionDiagram, generators
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from .foulkes import action_matrix
 from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
@@ -230,9 +230,10 @@ def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> boo
     must then hit each support index of the next pair exactly m**t1 * n**t2
     times, and nothing else.
     """
-    matrices = {name: diagram_tensor_matrix(generator(name, r), m, n) for name in set(word)}
+    letters = generators(r)
+    matrices = {name: diagram_tensor_matrix(letters[name], m, n) for name in set(word)}
     images = {  # column -> (row, t1, t2): each column of an action matrix has one entry
-        name: {j: (i, t1, t2) for i, j, t1, t2 in action_matrix(generator(name, r), r).entries}
+        name: {j: (i, t1, t2) for i, j, t1, t2 in action_matrix(letters[name], r).entries}
         for name in set(word)
     }
     pairs = foulkes_pairs(r)

@@ -22,13 +22,7 @@ from typing import Callable
 
 from . import characters, coefficients, diagrams, foulkes, setpartitions, tensor
 from .characters import Partition
-from .diagrams import (
-    PartitionDiagram,
-    generator,
-    generator_names,
-    multiply_diagrams,
-    p_diagram,
-)
+from .diagrams import PartitionDiagram, generators, multiply_diagrams, p_diagram
 from .errors import ResourceCapError
 from .setpartitions import (
     SetPartition,
@@ -275,22 +269,29 @@ def _matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _generator_matrices(r: int) -> dict[str, foulkes.ActionMatrix]:
+    """Each rank-r generator's action matrix by name, built once per rank for
+    the module checks, which read the filtration layers from it too."""
+    return {name: foulkes.action_matrix(d, r) for name, d in generators(r).items()}
+
+
 def check_action_homomorphism(full: bool) -> str:
     d1, d2 = GENERIC_POINT
     top = 4 if full else 3
     rng = random.Random(31337)
     words = 0
     for r in range(1, top + 1):
-        names = generator_names(r)
+        letters = generators(r)
+        names = tuple(letters)
         numeric = {
-            name: foulkes.action_matrix(generator(name, r), r).evaluated(d1, d2)
-            for name in names
+            name: matrix.evaluated(d1, d2) for name, matrix in _generator_matrices(r).items()
         }
         for _ in range(8):
             word = [rng.choice(names) for _ in range(rng.randint(2, 5))]
-            closed, product = 0, generator(word[0], r)
+            closed, product = 0, letters[word[0]]
             for name in word[1:]:
-                t, product = multiply_diagrams(product, generator(name, r))
+                t, product = multiply_diagrams(product, letters[name])
                 closed += t
             # right action composes in reverse order on matrices
             acc = numeric[word[0]]
@@ -311,8 +312,8 @@ def check_depth_step(full: bool) -> str:
     top = 5 if full else 4
     for r in range(1, top + 1):
         pairs = foulkes_pairs(r)
-        for name in generator_names(r):
-            for i, j, _, _ in foulkes.action_matrix(generator(name, r), r).entries:
+        for name, matrix in _generator_matrices(r).items():
+            for i, j, _, _ in matrix.entries:
                 if pairs[j].depth - pairs[i].depth not in (0, 1):
                     raise CheckFailure(f"depth jumped: {pairs[j]} under {name} at r={r}")
     return f"every generator moves depth by 0 or -1 (r<={top})"
@@ -322,10 +323,9 @@ def check_layer_entries(full: bool) -> str:
     top = 5 if full else 4
     allowed = {(0, 0), (1, 1)}  # the exponents (t1, t2) of 1 and d1*d2
     for r in range(1, top + 1):
-        for name in generator_names(r):
-            d = generator(name, r)
+        for name, matrix in _generator_matrices(r).items():
             for k in range(r):
-                for _, _, t1, t2 in foulkes.layer_matrix(d, r, k).entries:
+                for _, _, t1, t2 in foulkes.layer_matrix(matrix, k).entries:
                     if (t1, t2) not in allowed:
                         raise CheckFailure(
                             f"layer entry {foulkes.monomial_text(t1, t2)} at r={r}, k={k}, "
@@ -337,10 +337,9 @@ def check_layer_entries(full: bool) -> str:
 def check_layer_parameter_swap(full: bool) -> str:
     top = 5 if full else 4
     for r in range(1, top + 1):
-        for name in generator_names(r):
-            d = generator(name, r)
+        for name, matrix in _generator_matrices(r).items():
             for k in range(r):
-                plain = foulkes.layer_matrix(d, r, k).entries
+                plain = foulkes.layer_matrix(matrix, k).entries
                 swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain)
                 if plain != swapped:
                     raise CheckFailure(f"layer swap broke at r={r}, k={k}, {name}")
@@ -352,8 +351,8 @@ def check_depth_radical_closed(full: bool) -> str:
     for r in range(1, top + 1):
         pairs = foulkes_pairs(r)
         radical = list(map(foulkes.in_depth_radical, pairs))
-        for name in generator_names(r):
-            for i, j, _, _ in foulkes.action_matrix(generator(name, r), r).entries:
+        for name, matrix in _generator_matrices(r).items():
+            for i, j, _, _ in matrix.entries:
                 if radical[j] and not radical[i]:
                     raise CheckFailure(f"radical escaped: {pairs[j]} under {name} at r={r}")
     return f"depth radical closed under all generators (r<={top})"
@@ -364,7 +363,7 @@ def check_quotient_truncation(full: bool) -> str:
         pairs = foulkes_pairs(r)
         radical = list(map(foulkes.in_depth_radical, pairs))
         images = set()  # of the radical pairs under the cut strand p1
-        for i, j, _, _ in foulkes.action_matrix(generator("p1", r), r).entries:
+        for i, j, _, _ in _generator_matrices(r)["p1"].entries:
             if radical[j]:
                 images.add(pairs[i])
             elif not radical[i]:
@@ -382,7 +381,7 @@ def check_small_generator_matrices(full: bool) -> str:
         "s1": [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)],
     }
     for name, want in expected.items():
-        matrix = foulkes.action_matrix(generator(name, 2), 2)
+        matrix = _generator_matrices(2)[name]
         if sorted(matrix.entries) != want:
             raise CheckFailure(f"rank-2 matrix for {name} is off: {matrix.coordinate_dump()}")
     return "rank-2 generator matrices match their symbolic values"
@@ -694,7 +693,7 @@ def check_tensor_homomorphism(full: bool) -> str:
         for m, n in ((3, 3), (2, 4), (4, 2), (2, 2), (3, 2)):
             if (m * n) ** r > tensor.MATRIX_CAP:
                 continue
-            names = generator_names(r)
+            names = tuple(generators(r))
             for name in names:
                 if not tensor.tensor_action_consistent(r, m, n, [name]):
                     raise CheckFailure(f"one-letter word {name} fails at r={r}, mn={m * n}")

@@ -228,6 +228,41 @@ class TestModule:
         assert "r=8 exceeds MODULE_CAP = 7" in err
 
 
+class TestStrictIntegers:
+    # int() reads '_' separators, a '+' sign, spaces and non-ASCII digits
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stable", "--lambda", "3_0"),
+            ("stable", "--lambda", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+            ("stable", "--lambda", "3, 1"),
+            ("coeff", "--m", "+3", "--n", "3", "--lambda", "1"),
+            ("coeff", "--m", "3", "--n", "\uff13", "--lambda", "1"),  # FULLWIDTH DIGIT THREE
+            ("table", "--r", "1_0"),
+            ("table", "--r", " 4"),
+            ("module", "--r", "-+1", "--info", "dims"),
+        ],
+    )
+    def test_non_ascii_digit_forms_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith(("usage", "error"))
+
+    @pytest.mark.parametrize("raw", ["1_2", "+12", "\u0661\u0662", " 12"])
+    def test_cap_variable_in_other_forms_exits_1(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PLETHYSM_MAX_R", raw)
+        code, out, err = run(capsys, "table", "--r", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: PLETHYSM_MAX_R={raw!r} is not a nonnegative integer\n"
+
+    def test_negative_values_keep_their_messages(self, capsys):
+        assert run(capsys, "table", "--r", "-1") == (1, "", "error: r=-1 is negative\n")
+        code, _, err = run(capsys, "coeff", "--m", "-1", "--n", "3", "--lambda", "1")
+        assert code == 1 and err == "error: m=-1, n=3: both must be positive\n"
+        assert run(capsys, "stable", "--lambda", "3,-1") == (
+            1, "", "error: not a partition: (3, -1)\n"
+        )
+
+
 class TestVerify:
     def test_fast_suite_passes(self, capsys, schema):
         code, record, _ = run_json(capsys, schema, "verify", "--suite", "fast")
@@ -350,6 +385,10 @@ PINNED_DIGESTS = {
         "json": "e45c586255ba49726756a991068b3ef248a3bb09c0ca1335bdd05f3881a884b0",
         "csv": "e845106ae26f21ad095c7cd8a0369f03b17b4ca3837cc3b010336d3293b36c58",
     },
+    ("verify", "--suite", "full"): {
+        "json": "9bcaf7fcb8354a36e2ae8277b6bd102a7f4b592e8e2cdcf3b31256be559441df",
+        "csv": "5d9063adff96f951334acb0f3720f698b5323c22f96558c5dda42a5afbf1a09d",
+    },
 }
 
 
@@ -384,7 +423,7 @@ partition_texts = st.one_of(
     st.lists(st.integers(1, 4), max_size=5).map(
         lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "-"
     ),
-    st.text(alphabet="0123,-x", max_size=6),
+    st.text(alphabet="0123,-x_+\u0663", max_size=6),
 )
 small_ints = st.integers(-1, 6).map(str)
 fuzzed_commands = st.one_of(

@@ -8,8 +8,7 @@ from plethysm import diagrams, verify
 from plethysm.diagrams import (
     PartitionDiagram,
     act_on_set_partition,
-    generator,
-    generator_names,
+    generators,
     multiply_diagrams,
     p12_diagram,
     p_diagram,
@@ -86,12 +85,10 @@ class TestGenerators:
         assert str(d) == "{1,2'|2,1'|3,3'}"
 
     def test_dispatch(self):
-        assert generator("p1", 3) == p_diagram(3)
-        assert generator("p12", 3) == p12_diagram(3)
-        assert generator("s2", 3) == swap_diagram(3, 2)
-        with pytest.raises(MalformedPartitionError):
-            generator("bogus", 3)
-        assert generator_names(3) == ("p1", "p12", "s1", "s2")
+        assert generators(3)["p1"] == p_diagram(3)
+        assert generators(3)["p12"] == p12_diagram(3)
+        assert generators(3)["s2"] == swap_diagram(3, 2)
+        assert tuple(generators(3)) == ("p1", "p12", "s1", "s2")
 
     def test_index_bounds(self):
         with pytest.raises(MalformedPartitionError):
@@ -113,8 +110,8 @@ class TestGenerators:
 
     def test_one_shared_diagram_per_generator(self):
         for r in (1, 3):
-            for name in generator_names(r):
-                assert generator(name, r) is generator(name, r)
+            for name in generators(r):
+                assert generators(r)[name] is generators(r)[name]
 
 
 class TestMultiply:

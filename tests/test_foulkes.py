@@ -9,8 +9,7 @@ from plethysm.characters import singleton_free_count
 from plethysm.diagrams import (
     PartitionDiagram,
     act_on_set_partition,
-    generator,
-    generator_names,
+    generators,
     p12_diagram,
     p_diagram,
     swap_diagram,
@@ -104,8 +103,7 @@ class TestAct:
     # the action is read off the action matrices' columns
     def test_matches_direct_stacking_for_generators(self):
         for r in range(1, 6):
-            for name in generator_names(r):
-                d = generator(name, r)
+            for d in generators(r).values():
                 images = pair_images(action_matrix(d, r))
                 for p in foulkes_pairs(r):
                     assert images[p] == direct_act(p, d)
@@ -143,8 +141,8 @@ class TestAct:
 
     def test_depth_step_bounded(self):
         for r in (2, 3, 4):
-            for name in generator_names(r):
-                images = pair_images(action_matrix(generator(name, r), r))
+            for d in generators(r).values():
+                images = pair_images(action_matrix(d, r))
                 for p in foulkes_pairs(r):
                     _, _, image = images[p]
                     assert p.depth - image.depth in (0, 1)
@@ -182,8 +180,8 @@ class TestActionMatrix:
 
     def test_columns_have_single_entry(self):
         for r in (1, 2, 3, 4):
-            for name in generator_names(r):
-                matrix = action_matrix(generator(name, r), r)
+            for d in generators(r).values():
+                matrix = action_matrix(d, r)
                 for j in range(matrix.dim):
                     hits = [i for i, jj, _, _ in matrix.entries if jj == j]
                     assert len(hits) == 1
@@ -211,9 +209,9 @@ class TestActionMatrix:
 
         monkeypatch.setattr(foulkes, "act_on_set_partition", counted)
         for r, bell in zip(range(1, 6), (1, 2, 5, 15, 52)):
-            for name in generator_names(r):
+            for d in generators(r).values():
                 stacked.clear()
-                action_matrix(generator(name, r), r)
+                action_matrix(d, r)
                 assert len(stacked) == bell
                 assert set(stacked) == set(set_partitions(r))
 
@@ -221,8 +219,8 @@ class TestActionMatrix:
         compared = []
         equal = SetPartition.__eq__
         monkeypatch.setattr(SetPartition, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
-        for name in generator_names(5):
-            action_matrix(generator(name, 5), 5)
+        for d in generators(5).values():
+            action_matrix(d, 5)
         assert compared == []
 
     def test_image_outside_the_basis_is_a_fault(self, monkeypatch):
@@ -265,16 +263,16 @@ class TestActionMatrix:
 
 class TestLayers:
     def test_rank2_layer_restrictions(self):
-        layer0 = exponent_grid(layer_matrix(p_diagram(2), 2, 0))
+        layer0 = exponent_grid(layer_matrix(action_matrix(p_diagram(2), 2), 0))
         assert layer0 == [[ZERO, ZERO], [ONE, D1D2]]
-        layer1 = exponent_grid(layer_matrix(p_diagram(2), 2, 1))
+        layer1 = exponent_grid(layer_matrix(action_matrix(p_diagram(2), 2), 1))
         assert layer1 == [[ZERO]]
 
     def test_swaps_give_permutation_matrices(self):
         for r in (2, 3, 4):
             for i in range(1, r):
                 for k in range(r):
-                    matrix = layer_matrix(swap_diagram(r, i), r, k)
+                    matrix = layer_matrix(action_matrix(swap_diagram(r, i), r), k)
                     for row in exponent_grid(matrix):
                         for entry in row:
                             assert entry in (ZERO, ONE)
@@ -284,10 +282,9 @@ class TestLayers:
 
     def test_entries_restricted_and_swap_invariant(self):
         for r in (2, 3, 4, 5):
-            for name in generator_names(r):
-                d = generator(name, r)
+            for d in generators(r).values():
                 for k in range(r):
-                    plain = layer_matrix(d, r, k)
+                    plain = layer_matrix(action_matrix(d, r), k)
                     for _, _, t1, t2 in plain.entries:
                         assert (t1, t2) in (ONE, D1D2)
                     swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain.entries)
@@ -297,8 +294,7 @@ class TestLayers:
         # reference: each depth-k pair's image in the full action matrix, kept
         # when it stays at depth k
         for r in range(1, 6):
-            for name in generator_names(r):
-                d = generator(name, r)
+            for d in generators(r).values():
                 for k in range(r):
                     layer = tuple(p for p in foulkes_pairs(r) if p.depth == k)
                     index = {p: i for i, p in enumerate(layer)}
@@ -308,7 +304,7 @@ class TestLayers:
                         t1, t2, image = images[p]
                         if image.depth == k:
                             expected.append((index[image], j, t1, t2))
-                    got = layer_matrix(d, r, k)
+                    got = layer_matrix(action_matrix(d, r), k)
                     assert got.basis == layer
                     assert list(got.entries) == expected
 
@@ -321,7 +317,7 @@ class TestLayers:
 
         monkeypatch.setattr(foulkes, "act_on_set_partition", swap_extremes)
         with pytest.raises(InternalConsistencyError, match="left the pair basis"):
-            layer_matrix(p_diagram(2), 2, 1)
+            layer_matrix(action_matrix(p_diagram(2), 2), 1)
 
     def test_checks_catch_an_extra_inner_closed_component(self, monkeypatch):
         one_row = foulkes.act_on_set_partition
@@ -346,13 +342,13 @@ class TestLayers:
             verify.check_small_generator_matrices(False)
 
     def test_repeated_layers_compare_no_partitions(self, monkeypatch):
-        # the one-row cache is keyed on (partition, diagram); with one shared
-        # diagram per generator a later hit is found by identity, so the
-        # second pass compares no partitions field by field
+        # images are interned to the basis's own partitions, so building the
+        # matrices and their layers again compares no partitions field by field
         def build_all():
-            for name in generator_names(5):
+            for d in generators(5).values():
+                matrix = action_matrix(d, 5)
                 for k in range(5):
-                    layer_matrix(generator(name, 5), 5, k)
+                    layer_matrix(matrix, k)
 
         build_all()
         exact = SetPartition.__eq__
@@ -366,16 +362,36 @@ class TestLayers:
         build_all()
         assert calls == []
 
+    def test_layer_checks_stack_nothing_after_the_matrices(self, monkeypatch):
+        # verify builds each generator matrix once per rank and reads every
+        # layer from it, so the layer checks stack no partition again
+        stacked = []
+        one_row = foulkes.act_on_set_partition
+
+        def counted(sp, d):
+            stacked.append(sp)
+            return one_row(sp, d)
+
+        monkeypatch.setattr(foulkes, "act_on_set_partition", counted)
+        for r in range(1, 6):
+            verify._generator_matrices(r)
+        built = len(stacked)
+        # Bell(r) stackings for each of the generators p1, p12 and s1..s{r-1}
+        assert built == 1 * 1 + 2 * 3 + 5 * 4 + 15 * 5 + 52 * 6
+        verify.check_layer_entries(True)
+        verify.check_layer_parameter_swap(True)
+        assert len(stacked) == built
+
     def test_layer_out_of_range(self):
         # a bad layer index is malformed input (exit 1), not a resource cap
         for k in (5, -1):
             message = rf"layer index {k} out of range 0\.\.1"
             with pytest.raises(MalformedPartitionError, match=message):
-                layer_matrix(p_diagram(2), 2, k)
+                layer_matrix(action_matrix(p_diagram(2), 2), k)
 
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
-            layer_matrix(p_diagram(8), 8, 0)
+            layer_matrix(action_matrix(p_diagram(8), 8), 0)
 
 
 class TestDepthRadical:
@@ -420,8 +436,8 @@ class TestDepthRadical:
 
     def test_radical_closed_under_generators(self):
         for r in (2, 3, 4, 5):
-            for name in generator_names(r):
-                images = pair_images(action_matrix(generator(name, r), r))
+            for d in generators(r).values():
+                images = pair_images(action_matrix(d, r))
                 for p in depth_radical_basis(r):
                     assert in_depth_radical(images[p][2])
 

@@ -60,6 +60,53 @@ def uncalled():
     return out
 
 
+def module_imports(tree):
+    """(bound name, line) of each import at module level, also under a
+    module-level ``if`` such as ``TYPE_CHECKING``; ``from __future__`` binds
+    nothing used."""
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, ast.If):
+            body += node.body + node.orelse
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    """Every name the module reads, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                names |= used_names(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def unused_imports():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = used_names(tree)
+        out += [
+            f"{path.stem}:{line} {name}"
+            for name, line in module_imports(tree)
+            if name not in used
+        ]
+    return out
+
+
 def test_every_definition_has_a_caller_in_the_package():
     assert [name for name in uncalled() if name not in ALLOWED] == []
 
@@ -69,3 +116,22 @@ def test_every_allowed_name_is_still_defined():
         module, name = entry.split(".")
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in {found for found, _, _ in definitions(tree)}, entry
+
+
+def test_no_unused_module_level_import():
+    assert unused_imports() == []
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import re\n"
+        "from typing import TYPE_CHECKING, Iterator, Mapping\n"
+        "if TYPE_CHECKING:\n"
+        "    from .setpartitions import SetPartition\n"
+        "def f(x: 'SetPartition') -> Mapping[str, int]:\n"
+        "    return {}\n"
+    )
+    tree = ast.parse(source)
+    used = used_names(tree)
+    assert [name for name, _ in module_imports(tree) if name not in used] == ["re", "Iterator"]

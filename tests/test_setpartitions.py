@@ -370,6 +370,7 @@ class TestFoulkesPoset:
             "layer-entries",
             "layer-parameter-swap",
             "depth-radical-closed",
+            "quotient-truncation",
         ):
             assert failed.pop(f"foulkes.{name}").endswith("left the pair basis")
         assert set(failed) == {"setpartitions.pair-count"}

@@ -7,8 +7,7 @@ from plethysm import foulkes, verify
 from plethysm.characters import homogeneous_plethysm
 from plethysm.diagrams import (
     PartitionDiagram,
-    generator,
-    generator_names,
+    generators,
     multiply_diagrams,
     p12_diagram,
     p_diagram,
@@ -263,7 +262,7 @@ class TestActionCompatibility:
             for m, n in ((2, 2), (3, 3), (2, 4)):
                 if (m * n) ** r > 4096:
                     continue
-                for name in generator_names(r):
+                for name in generators(r):
                     assert tensor_action_consistent(r, m, n, [name])
 
     def test_longer_word(self):
@@ -296,7 +295,7 @@ class TestOracleReferences:
 
     def test_action_oracle_catches_a_wrong_exponent(self, monkeypatch):
         exact = foulkes.act_on_set_partition
-        target = generator("p1", 3)
+        target = generators(3)["p1"]
 
         def off_by_one(sp, d):
             # one closed component too many in the one-row action of p1 at r = 3
