@@ -2,12 +2,14 @@
 
 The module is spanned by refining pairs of set-partitions.  A diagram acts on
 a pair through two copies of the one-row concatenation action, one per
-coordinate; the closed-component counts become exponents of d1 and d2.
-``action_matrix`` stacks the diagram once under each of the Bell(r)
-partitions of {1..r} and reads every pair's image off those.  The matrices
-are the only path from a diagram to pair images: the filtration layers are
-blocks read from a built matrix (``layer_matrix``), and verify and the
-tensor oracle read the matrices too.
+coordinate; the closed-component counts become exponents of d1 and d2.  So a
+diagram sends each pair to exactly one pair times d1^t1 d2^t2, and its action
+matrix is held as one image per column.  ``action_matrix`` stacks the diagram
+once under each of the Bell(r) partitions of {1..r} and reads every pair's
+image off those.  The matrices are the only path from a diagram to pair
+images: the filtration layers are blocks read from a built matrix
+(``layer_matrix``), and verify and the tensor oracle follow columns through
+the built matrices too.
 """
 
 from __future__ import annotations
@@ -39,27 +41,23 @@ def monomial_text(t1: int, t2: int) -> str:
 
 @dataclass(frozen=True)
 class ActionMatrix:
-    """Square matrix of monomials; column j is the image of basis j.
+    """Square matrix of monomials, held by column: column j is the image of
+    basis pair j.
 
-    A diagram sends a pair to one pair times d1^t1 d2^t2, so each entry is
-    held as its exponents: (row, col, t1, t2)."""
+    A diagram sends a pair to one pair times d1^t1 d2^t2, so column j holds
+    one entry, ``entries[j] = (row, t1, t2)``.  In a layer block a column
+    whose image falls below the layer is zero, held as None."""
 
     basis: tuple[FoulkesPair, ...]
-    entries: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def evaluated(self, d1: int, d2: int) -> list[list[int]]:
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for i, j, t1, t2 in self.entries:
-            out[i][j] += d1**t1 * d2**t2
-        return out
+    entries: tuple[tuple[int, int, int] | None, ...]
 
     def coordinate_dump(self) -> list[tuple[int, int, str]]:
-        """(row, col, text) per entry, in row-major order."""
-        return [(i, j, monomial_text(t1, t2)) for i, j, t1, t2 in sorted(self.entries)]
+        """(row, col, text) per nonzero entry, in row-major order."""
+        return sorted(
+            (entry[0], j, monomial_text(*entry[1:]))
+            for j, entry in enumerate(self.entries)
+            if entry is not None
+        )
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +95,7 @@ def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
             raise InternalConsistencyError(
                 f"action of {d} on {basis[j]} left the pair basis"
             ) from None
-        entries.append((row, j, t1, t2))
+        entries.append((row, t1, t2))
     return ActionMatrix(basis, tuple(entries))
 
 
@@ -105,8 +103,8 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     """The depth-k subquotient block of a built action matrix.
 
     The basis is sorted by depth, so layer k is one contiguous block of
-    columns, placed by ``pair_counts_by_depth``.  Images of those columns
-    that fall below depth k map to zero, and the rest stay in the block and
+    columns, placed by ``pair_counts_by_depth``.  A column whose image falls
+    below depth k is zero (None), and the other images stay in the block and
     are shifted to its start.
     """
     r = matrix.basis[0].size
@@ -116,9 +114,8 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     start = sum(counts[:k])
     stop = start + counts[k]
     entries = tuple(
-        (row - start, col - start, t1, t2)
-        for row, col, t1, t2 in matrix.entries
-        if start <= col < stop and start <= row < stop
+        (row - start, t1, t2) if start <= row < stop else None
+        for row, t1, t2 in matrix.entries[start:stop]
     )
     return ActionMatrix(matrix.basis[start:stop], entries)
 

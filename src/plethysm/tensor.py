@@ -6,6 +6,9 @@ c = (j-1)*m + (i-1), matching the subscript/superscript bookkeeping used for
 value-types.  Vectors and 0/1 diagram matrices are sparse dicts of Python
 integers; ranks are computed by fraction-free elimination so injectivity
 never hinges on a float.  Caps bound the dimension and the enumerated support.
+The action oracle builds nothing of the module: it is handed the built action
+matrices and each letter's diagram matrix, and follows the pairs' columns
+through them.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from collections import Counter, defaultdict
 from itertools import chain, repeat
 from math import gcd
 from operator import index
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .diagrams import PartitionDiagram, generators
+from .diagrams import PartitionDiagram
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
-from .foulkes import action_matrix
 from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
+
+if TYPE_CHECKING:
+    from .foulkes import ActionMatrix
 
 VECTOR_CAP = 10**5
 MATRIX_CAP = 4096
@@ -219,31 +224,32 @@ def support_image(support: Iterable[int], matrix: RowMap) -> Counter[int]:
     return Counter(chain.from_iterable(map(matrix.get, support, repeat(()))))
 
 
-def tensor_action_consistent(r: int, m: int, n: int, word: Sequence[str]) -> bool:
+def tensor_action_consistent(
+    matrices: Mapping[str, ActionMatrix],
+    tensors: Mapping[str, RowMap],
+    m: int,
+    n: int,
+    word: Sequence[str],
+) -> bool:
     """Does the pair action match the tensor action along a generator word?
 
-    Tracks, for every basis pair, the pair image with its scale on one side,
-    read off the letters' action matrices, and the tensor image on the
-    other, and compares after every letter.  Up
-    to the last prefix both sides agree, so the tensor image is the scale
-    times the 0/1 vector on the current pair's support; the next letter
-    must then hit each support index of the next pair exactly m**t1 * n**t2
-    times, and nothing else.
+    ``matrices`` holds each letter's action matrix on the rank-r pair basis
+    and ``tensors`` its ``diagram_tensor_matrix`` at (m, n).  Each basis
+    pair's column is followed through the word: the pair side reads the one
+    entry (row, t1, t2) of the current column, and the tensor side applies
+    the letter's 0/1 matrix to the current support.  Up to the last prefix
+    both sides agree, so the tensor image is the scale times the 0/1 vector
+    on the current pair's support; the next letter must then hit each
+    support index of the next pair exactly m**t1 * n**t2 times, and nothing
+    else.
     """
-    letters = generators(r)
-    matrices = {name: diagram_tensor_matrix(letters[name], m, n) for name in set(word)}
-    images = {  # column -> (row, t1, t2): each column of an action matrix has one entry
-        name: {j: (i, t1, t2) for i, j, t1, t2 in action_matrix(letters[name], r).entries}
-        for name in set(word)
-    }
-    pairs = foulkes_pairs(r)
-    _check_cap("dimension", (m * n) ** r)
+    pairs = matrices[word[0]].basis if word else ()
     for start, pair in enumerate(pairs):
         support = block_constant_support(pair, m, n)
         j = start
         for name in word:
-            hits = support_image(support, matrices[name])
-            j, t1, t2 = images[name][j]
+            hits = support_image(support, tensors[name])
+            j, t1, t2 = matrices[name].entries[j]
             support = block_constant_support(pairs[j], m, n)
             if hits != dict.fromkeys(support, m**t1 * n**t2):
                 return False

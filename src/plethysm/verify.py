@@ -33,7 +33,6 @@ from .setpartitions import (
 )
 
 Labels = tuple[int, ...]
-GENERIC_POINT = (5, 7)  # product 35 keeps every rank here semisimple
 
 
 class CheckFailure(AssertionError):
@@ -253,56 +252,37 @@ def check_subalgebra_truncation(full: bool) -> str:
 # ---------------------------------------------------------------- foulkes module
 
 
-def _matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The integer product a b, row by row over the nonzero entries only: the
-    evaluated generator matrices hold at most one nonzero entry per column."""
-    width = len(b[0]) if b else 0
-    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_support[k]:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _generator_matrices(r: int) -> dict[str, foulkes.ActionMatrix]:
     """Each rank-r generator's action matrix by name, built once per rank for
-    the module checks, which read the filtration layers from it too."""
+    the module and tensor checks; the filtration layers are read from it too."""
     return {name: foulkes.action_matrix(d, r) for name, d in generators(r).items()}
 
 
 def check_action_homomorphism(full: bool) -> str:
-    d1, d2 = GENERIC_POINT
     top = 4 if full else 3
     rng = random.Random(31337)
     words = 0
     for r in range(1, top + 1):
         letters = generators(r)
         names = tuple(letters)
-        numeric = {
-            name: matrix.evaluated(d1, d2) for name, matrix in _generator_matrices(r).items()
-        }
+        matrices = _generator_matrices(r)
         for _ in range(8):
             word = [rng.choice(names) for _ in range(rng.randint(2, 5))]
             closed, product = 0, letters[word[0]]
             for name in word[1:]:
                 t, product = multiply_diagrams(product, letters[name])
                 closed += t
-            # right action composes in reverse order on matrices
-            acc = numeric[word[0]]
-            for name in word[1:]:
-                acc = _matrix_product(numeric[name], acc)
-            scale = (d1 * d2) ** closed
-            direct = [
-                [scale * v for v in row]
-                for row in foulkes.action_matrix(product, r).evaluated(d1, d2)
-            ]
-            if acc != direct:
+            # the right action follows each column through the word's letters in order
+            walked = []
+            for j in range(len(matrices[word[0]].entries)):
+                row, t1, t2 = j, 0, 0
+                for name in word:
+                    row, s1, s2 = matrices[name].entries[row]
+                    t1, t2 = t1 + s1, t2 + s2
+                walked.append((row, t1, t2))
+            direct = foulkes.action_matrix(product, r).entries
+            if walked != [(i, t1 + closed, t2 + closed) for i, t1, t2 in direct]:
                 raise CheckFailure(f"word {word} disagrees at r={r}")
             words += 1
     return f"{words} generator words match their evaluated matrices (r<={top})"
@@ -313,7 +293,7 @@ def check_depth_step(full: bool) -> str:
     for r in range(1, top + 1):
         pairs = foulkes_pairs(r)
         for name, matrix in _generator_matrices(r).items():
-            for i, j, _, _ in matrix.entries:
+            for j, (i, _, _) in enumerate(matrix.entries):
                 if pairs[j].depth - pairs[i].depth not in (0, 1):
                     raise CheckFailure(f"depth jumped: {pairs[j]} under {name} at r={r}")
     return f"every generator moves depth by 0 or -1 (r<={top})"
@@ -325,7 +305,7 @@ def check_layer_entries(full: bool) -> str:
     for r in range(1, top + 1):
         for name, matrix in _generator_matrices(r).items():
             for k in range(r):
-                for _, _, t1, t2 in foulkes.layer_matrix(matrix, k).entries:
+                for _, t1, t2 in filter(None, foulkes.layer_matrix(matrix, k).entries):
                     if (t1, t2) not in allowed:
                         raise CheckFailure(
                             f"layer entry {foulkes.monomial_text(t1, t2)} at r={r}, k={k}, "
@@ -339,9 +319,8 @@ def check_layer_parameter_swap(full: bool) -> str:
     for r in range(1, top + 1):
         for name, matrix in _generator_matrices(r).items():
             for k in range(r):
-                plain = foulkes.layer_matrix(matrix, k).entries
-                swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain)
-                if plain != swapped:
+                entries = filter(None, foulkes.layer_matrix(matrix, k).entries)
+                if any(t1 != t2 for _, t1, t2 in entries):
                     raise CheckFailure(f"layer swap broke at r={r}, k={k}, {name}")
     return f"layer matrices invariant under parameter swap (r<={top})"
 
@@ -352,7 +331,7 @@ def check_depth_radical_closed(full: bool) -> str:
         pairs = foulkes_pairs(r)
         radical = list(map(foulkes.in_depth_radical, pairs))
         for name, matrix in _generator_matrices(r).items():
-            for i, j, _, _ in matrix.entries:
+            for j, (i, _, _) in enumerate(matrix.entries):
                 if radical[j] and not radical[i]:
                     raise CheckFailure(f"radical escaped: {pairs[j]} under {name} at r={r}")
     return f"depth radical closed under all generators (r<={top})"
@@ -363,7 +342,7 @@ def check_quotient_truncation(full: bool) -> str:
         pairs = foulkes_pairs(r)
         radical = list(map(foulkes.in_depth_radical, pairs))
         images = set()  # of the radical pairs under the cut strand p1
-        for i, j, _, _ in _generator_matrices(r)["p1"].entries:
+        for j, (i, _, _) in enumerate(_generator_matrices(r)["p1"].entries):
             if radical[j]:
                 images.add(pairs[i])
             elif not radical[i]:
@@ -375,14 +354,14 @@ def check_quotient_truncation(full: bool) -> str:
 
 
 def check_small_generator_matrices(full: bool) -> str:
-    expected = {  # (row, col, t1, t2) in row-major order; every other entry is 0
-        "p1": [(1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 1, 0)],
-        "p12": [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0)],
-        "s1": [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)],
+    expected = {  # (row, t1, t2) of columns 0, 1, 2; every other entry is 0
+        "p1": ((1, 0, 0), (1, 1, 1), (1, 1, 0)),
+        "p12": ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        "s1": ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
     }
     for name, want in expected.items():
         matrix = _generator_matrices(2)[name]
-        if sorted(matrix.entries) != want:
+        if matrix.entries != want:
             raise CheckFailure(f"rank-2 matrix for {name} is off: {matrix.coordinate_dump()}")
     return "rank-2 generator matrices match their symbolic values"
 
@@ -690,16 +669,20 @@ def check_tensor_homomorphism(full: bool) -> str:
     rng = random.Random(777)
     cases = 0
     for r in range(1, r_top + 1):
+        matrices = _generator_matrices(r)
+        names = tuple(matrices)
         for m, n in ((3, 3), (2, 4), (4, 2), (2, 2), (3, 2)):
             if (m * n) ** r > tensor.MATRIX_CAP:
                 continue
-            names = tuple(generators(r))
+            tensors = {
+                name: tensor.diagram_tensor_matrix(d, m, n) for name, d in generators(r).items()
+            }
             for name in names:
-                if not tensor.tensor_action_consistent(r, m, n, [name]):
+                if not tensor.tensor_action_consistent(matrices, tensors, m, n, [name]):
                     raise CheckFailure(f"one-letter word {name} fails at r={r}, mn={m * n}")
                 cases += 1
             word = [rng.choice(names) for _ in range(3)]
-            if not tensor.tensor_action_consistent(r, m, n, word):
+            if not tensor.tensor_action_consistent(matrices, tensors, m, n, word):
                 raise CheckFailure(f"word {word} fails at r={r}, mn={m * n}")
             cases += 1
     return f"pair action matches the tensor action in {cases} generator words"

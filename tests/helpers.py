@@ -8,10 +8,17 @@ import re
 
 from plethysm import verify
 from plethysm.characters import multiplicity, partitions
-from plethysm.diagrams import PartitionDiagram
+from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import MalformedPartitionError
+from plethysm.foulkes import action_matrix
 from plethysm.setpartitions import SetPartition
-from plethysm.tensor import digit_to_pair, index_digits, value_type
+from plethysm.tensor import (
+    diagram_tensor_matrix,
+    digit_to_pair,
+    index_digits,
+    tensor_action_consistent,
+    value_type,
+)
 
 
 def one_block(size):
@@ -78,19 +85,30 @@ def identity_diagram(r: int) -> PartitionDiagram:
 def exponent_grid(matrix):
     """The action matrix written out: the exponents (t1, t2) of each entry
     d1^t1 d2^t2 at its (row, col), and None where the entry is 0."""
-    grid = [[None] * matrix.dim for _ in range(matrix.dim)]
-    for i, j, t1, t2 in matrix.entries:
-        assert grid[i][j] is None, f"two entries at ({i}, {j})"
-        grid[i][j] = (t1, t2)
+    size = len(matrix.basis)
+    assert len(matrix.entries) == size, "not one entry per column"
+    grid = [[None] * size for _ in range(size)]
+    for j, entry in enumerate(matrix.entries):
+        if entry is not None:
+            i, t1, t2 = entry
+            grid[i][j] = (t1, t2)
     return grid
 
 
 def pair_images(matrix):
     """Each basis pair's image (t1, t2, pair) under the matrix's diagram,
     read off the one entry d1^t1 d2^t2 in that pair's column."""
-    images = {matrix.basis[j]: (t1, t2, matrix.basis[i]) for i, j, t1, t2 in matrix.entries}
-    assert len(images) == len(matrix.entries) == matrix.dim, "a column without one entry"
-    return images
+    assert len(matrix.entries) == len(matrix.basis), "not one entry per column"
+    return {p: (t1, t2, matrix.basis[i]) for p, (i, t1, t2) in zip(matrix.basis, matrix.entries)}
+
+
+def word_consistent(r, m, n, word):
+    """``tensor_action_consistent`` on freshly built rank-r action matrices
+    and (m, n) diagram matrices of the word's letters."""
+    letters = {name: generators(r)[name] for name in word}
+    matrices = {name: action_matrix(d, r) for name, d in letters.items()}
+    tensors = {name: diagram_tensor_matrix(d, m, n) for name, d in letters.items()}
+    return tensor_action_consistent(matrices, tensors, m, n, word)
 
 
 def value_type_orbit_vector(pair, m, n):

@@ -182,22 +182,21 @@ class TestActionMatrix:
         for r in (1, 2, 3, 4):
             for d in generators(r).values():
                 matrix = action_matrix(d, r)
-                for j in range(matrix.dim):
-                    hits = [i for i, jj, _, _ in matrix.entries if jj == j]
-                    assert len(hits) == 1
+                assert len(matrix.entries) == len(matrix.basis)
+                assert None not in matrix.entries
 
     def test_cap(self):
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             action_matrix(p_diagram(8), 8)
 
-    def test_coordinate_dump_and_evaluation(self):
+    def test_coordinate_dump_and_column_entries(self):
         matrix = action_matrix(p_diagram(2), 2)
         assert matrix.coordinate_dump() == [
             (1, 0, "1*d1^0*d2^0"),
             (1, 1, "1*d1^1*d2^1"),
             (1, 2, "1*d1^1*d2^0"),
         ]
-        assert matrix.evaluated(5, 7) == [[0, 0, 0], [1, 35, 5], [0, 0, 0]]
+        assert matrix.entries == ((1, 0, 0), (1, 1, 1), (1, 1, 0))
 
     def test_stacks_each_partition_once(self, monkeypatch):
         stacked = []
@@ -246,19 +245,16 @@ class TestActionMatrix:
         with pytest.raises(verify.CheckFailure, match="disagrees"):
             verify.check_action_homomorphism(False)
 
-    def test_verify_product_matches_the_triple_sum(self):
-        rng = random.Random(2024)
-        for _ in range(200):
-            rows, inner, cols = (rng.randint(1, 7) for _ in range(3))
-            a = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(inner)]
-                 for _ in range(rows)]
-            b = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(cols)]
-                 for _ in range(inner)]
-            expected = [
-                [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-                for i in range(rows)
-            ]
-            assert verify._matrix_product(a, b) == expected
+    def test_homomorphism_check_catches_a_wrong_row(self):
+        # s1 fixes every rank-2 pair; send column 1 to row 2 with its exponents kept
+        matrices = verify._generator_matrices(2)
+        s1 = matrices["s1"]
+        assert s1.entries[1] == (1, 0, 0)
+        entries = list(s1.entries)
+        entries[1] = (2, 0, 0)
+        matrices["s1"] = foulkes.ActionMatrix(s1.basis, tuple(entries))
+        with pytest.raises(verify.CheckFailure, match="disagrees at r=2"):
+            verify.check_action_homomorphism(False)
 
 
 class TestLayers:
@@ -276,18 +272,17 @@ class TestLayers:
                     for row in exponent_grid(matrix):
                         for entry in row:
                             assert entry in (ZERO, ONE)
-                    for j in range(matrix.dim):
-                        col = [(t1, t2) for _, jj, t1, t2 in matrix.entries if jj == j]
-                        assert col == [ONE]
+                    for entry in matrix.entries:
+                        assert entry is not None and entry[1:] == ONE
 
     def test_entries_restricted_and_swap_invariant(self):
         for r in (2, 3, 4, 5):
             for d in generators(r).values():
                 for k in range(r):
                     plain = layer_matrix(action_matrix(d, r), k)
-                    for _, _, t1, t2 in plain.entries:
+                    for _, t1, t2 in filter(None, plain.entries):
                         assert (t1, t2) in (ONE, D1D2)
-                    swapped = tuple((i, j, t2, t1) for i, j, t1, t2 in plain.entries)
+                    swapped = tuple(e and (e[0], e[2], e[1]) for e in plain.entries)
                     assert plain.entries == swapped
 
     def test_matches_the_per_layer_action(self):
@@ -300,10 +295,9 @@ class TestLayers:
                     index = {p: i for i, p in enumerate(layer)}
                     images = pair_images(action_matrix(d, r))
                     expected = []
-                    for j, p in enumerate(layer):
+                    for p in layer:
                         t1, t2, image = images[p]
-                        if image.depth == k:
-                            expected.append((index[image], j, t1, t2))
+                        expected.append((index[image], t1, t2) if image.depth == k else None)
                     got = layer_matrix(action_matrix(d, r), k)
                     assert got.basis == layer
                     assert list(got.entries) == expected

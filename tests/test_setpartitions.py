@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plethysm
 from plethysm import foulkes, setpartitions, verify
 from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import (
@@ -270,6 +271,18 @@ class TestFoulkesPoset:
         assert len(foulkes_pairs(2)) == 3
         assert len(foulkes_pairs(3)) == 12
         assert len(foulkes_pairs(4)) == 60
+
+    def test_cached_basis_is_capped_before_enumerating(self, monkeypatch):
+        # r = 10 would hold 16,733,779 pairs; the root re-exports refuse it
+        # without starting the enumeration
+        runs = []
+        monkeypatch.setattr(setpartitions, "pair_runs", runs.append)
+        message = "r=10 exceeds PAIR_BASIS_CAP = 9"
+        with pytest.raises(ResourceCapError, match=message):
+            plethysm.foulkes_pairs(10)
+        with pytest.raises(ResourceCapError, match=message):
+            plethysm.foulkes_image_rank(10, 1, 1)
+        assert runs == []
 
     def test_double_count(self):
         # independent count: sum over outer partitions of the Bell product

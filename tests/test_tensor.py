@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from plethysm import foulkes, verify
+from plethysm import foulkes, tensor, verify
 from plethysm.characters import homogeneous_plethysm
 from plethysm.diagrams import (
     PartitionDiagram,
@@ -26,14 +26,19 @@ from plethysm.tensor import (
     foulkes_image_rank,
     index_digits,
     integer_matrix_rank,
-    tensor_action_consistent,
     tensor_basis_orbits,
     value_type,
     value_type_fibers,
     wreath_embed,
 )
 
-from helpers import coarsens, identity_diagram, one_block, value_type_orbit_vector
+from helpers import (
+    coarsens,
+    identity_diagram,
+    one_block,
+    value_type_orbit_vector,
+    word_consistent,
+)
 
 
 def pair(inner_blocks, outer_blocks, r):
@@ -263,17 +268,39 @@ class TestActionCompatibility:
                 if (m * n) ** r > 4096:
                     continue
                 for name in generators(r):
-                    assert tensor_action_consistent(r, m, n, [name])
+                    assert word_consistent(r, m, n, [name])
 
     def test_longer_word(self):
-        assert tensor_action_consistent(3, 3, 3, ["p12", "s2", "p1"])
+        assert word_consistent(3, 3, 3, ["p12", "s2", "p1"])
 
     def test_rank1_scalar(self):
-        assert tensor_action_consistent(1, 3, 2, ["p1"])
+        assert word_consistent(1, 3, 2, ["p1"])
 
     def test_rank2_parameter_specialisation(self):
         # the p1 column scalars specialise to m*n and m at (2, 2)
-        assert tensor_action_consistent(2, 2, 2, ["p1", "p1"])
+        assert word_consistent(2, 2, 2, ["p1", "p1"])
+
+    def test_verify_check_reads_the_built_matrices(self, monkeypatch):
+        # with verify's generator matrices built, the tensor check stacks no
+        # partition again and builds each letter's tensor matrix once per (r, m, n)
+        for r in (1, 2, 3):
+            verify._generator_matrices(r)
+        stacked = []
+        one_row = foulkes.act_on_set_partition
+        monkeypatch.setattr(
+            foulkes, "act_on_set_partition", lambda sp, d: stacked.append(sp) or one_row(sp, d)
+        )
+        built = []
+        tensor_matrix = tensor.diagram_tensor_matrix
+        monkeypatch.setattr(
+            tensor,
+            "diagram_tensor_matrix",
+            lambda d, m, n: built.append((m, n, d)) or tensor_matrix(d, m, n),
+        )
+        verify.check_tensor_homomorphism(True)
+        assert stacked == []
+        # five (m, n) cases at each rank, with 1, 3 and 4 letters at r = 1, 2, 3
+        assert len(built) == len(set(built)) == 5 * (1 + 3 + 4)
 
 
 def dense_image_rank(r, m, n):
@@ -303,8 +330,8 @@ class TestOracleReferences:
             return closed + (d == target), image
 
         monkeypatch.setattr(foulkes, "act_on_set_partition", off_by_one)
-        assert tensor_action_consistent(3, 3, 3, ["s1"])
-        assert not tensor_action_consistent(3, 3, 3, ["p1"])
+        assert word_consistent(3, 3, 3, ["s1"])
+        assert not word_consistent(3, 3, 3, ["p1"])
         with pytest.raises(verify.CheckFailure, match="one-letter word p1 fails at r=3"):
             verify.check_tensor_homomorphism(True)
 
