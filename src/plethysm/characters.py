@@ -4,12 +4,13 @@ Integer partitions are plain tuples of weakly decreasing positive ints; the
 empty partition is ``()``.  Irreducible characters come from the border-strip
 recursion on beta-sets.  Every character is an integer class function, a dict
 from cycle type to value; ``multiplicity`` pairs one with an irreducible
-character, and every multiplicity in the package goes through it.  The
-permutation module on set-partitions of shape mu has Frobenius characteristic
-prod over distinct parts a of h_b[h_a], b the multiplicity of a; its cached
-character gives the permutation character, the generalized plethysm
-multiplicities and the rectangle plethysm h_n[h_m], and the sum over the
-no-ones mu is the singleton-free character that the stable values pair with.
+character, and every multiplicity in the package goes through it.  One
+Newton recursion builds every permutation character on set-partitions: the
+plethystic exponential for block sizes in a range.  Sizes 2..r give the
+singleton-free character that the stable values pair with; one size a gives
+h_b[h_a], and their product over the distinct parts of mu the shape-mu
+character behind the generalized plethysm multiplicities and the rectangle
+plethysm h_n[h_m].
 The enumeration cap and the singleton-free count (A000296) live here too, so
 the stable queries need no set-partition code; the module code imports
 them from here.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from collections import defaultdict
 from functools import lru_cache
 from math import comb, factorial
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -231,38 +231,43 @@ def _multiply(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     """Induction product of two class functions (the product of their
     characteristics): p_rho * p_sigma is p of the merged cycle type gamma, and
     z_gamma / (z_rho z_sigma) is a product of binomials, so an integer."""
-    out: ClassFunction = defaultdict(int)
+    out: ClassFunction = {}
     for rho, a in f.items():
         for sigma, b in g.items():
             gamma = tuple(sorted(rho + sigma, reverse=True))
             weight = cycle_type_centralizer(gamma) // (
                 cycle_type_centralizer(rho) * cycle_type_centralizer(sigma)
             )
-            out[gamma] += weight * a * b
+            out[gamma] = out.get(gamma, 0) + weight * a * b
     return out
 
 
 @lru_cache(maxsize=None)
-def _h_plethysm_h(b: int, a: int) -> ClassFunction:
-    """Character of h_b[h_a], from Newton's identity b h_b = sum_k p_k h_{b-k}.
+def _power_sum_of_h(k: int, a: int) -> ClassFunction:
+    """Character of p_k[h_a] = sum_rho p_{k rho} / z_rho, since p_k[p_l] =
+    p_{kl}; as z_{k rho} = k^len(rho) z_rho, it is k^len(rho) at k rho."""
+    return {tuple(k * part for part in rho): k ** len(rho) for rho in partitions(a)}
 
-    Plethysm by h_a is a ring map with p_k[h_a] = sum_rho p_{k rho} / z_rho,
-    since p_k[p_l] = p_{kl}; as z_{k rho} = k^len(rho) z_rho, its character
-    is k^len(rho) at k rho.
-    """
-    if b == 0:
+
+@lru_cache(maxsize=None)
+def _plethystic_exp(low: int, high: int, d: int) -> ClassFunction:
+    """Permutation character F_d of S_d on the set-partitions of {1..d} with
+    every block size in low..high: the species E o (E_low + ... + E_high), so
+    the degree-d part of exp(sum_k p_k[h_low + ... + h_high] / k).  Newton's
+    identity reads d F_d = sum_j (j Phi_j) F_{d-j}, j Phi_j = sum_{ka=j} a p_k[h_a]."""
+    if d == 0:
         return {(): 1}
-    total: ClassFunction = defaultdict(int)
-    for k in range(1, b + 1):
-        p_k_of_h_a = {tuple(k * part for part in rho): k ** len(rho) for rho in partitions(a)}
-        for gamma, value in _multiply(p_k_of_h_a, _h_plethysm_h(b - k, a)).items():
-            total[gamma] += value
     out: ClassFunction = {}
-    for gamma, value in total.items():
-        out[gamma], rest = divmod(value, b)
-        if rest:
+    for a in range(low, high + 1):
+        for k in range(1, d // a + 1):
+            rest = _plethystic_exp(low, min(high, d - k * a), d - k * a)
+            for gamma, value in _multiply(_power_sum_of_h(k, a), rest).items():
+                out[gamma] = out.get(gamma, 0) + a * value
+    for gamma, value in out.items():
+        out[gamma], remainder = divmod(value, d)
+        if remainder:
             raise InternalConsistencyError(
-                f"Newton's identity for h_{b}[h_{a}] leaves {value}/{b} at {gamma}"
+                f"Newton's identity in degree {d} leaves {value}/{d} at {gamma}"
             )
     return out
 
@@ -276,19 +281,13 @@ def _shape_characteristic(mu: Partition) -> ClassFunction:
     """
     out: ClassFunction = {(): 1}
     for a, group in itertools.groupby(mu):
-        out = _multiply(out, _h_plethysm_h(len(list(group)), a))
+        out = _multiply(out, _plethystic_exp(a, a, a * len(list(group))))
     return out
 
 
-@lru_cache(maxsize=None)
 def singleton_free_character(r: int) -> ClassFunction:
-    """Permutation character of S_r on the set-partitions of {1..r} with no
-    singleton block: the sum of the shape characters over the no-ones mu."""
-    out: ClassFunction = defaultdict(int)
-    for mu in partitions_no_ones(r):
-        for rho, value in _shape_characteristic(mu).items():
-            out[rho] += value
-    return out
+    """Permutation character of S_r on the singleton-free set-partitions of {1..r}."""
+    return _plethystic_exp(2, r, r)
 
 
 def multiplicity(chi: ClassFunction, lam: Partition) -> int:

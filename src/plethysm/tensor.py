@@ -227,31 +227,30 @@ def support_image(support: Iterable[int], matrix: RowMap) -> Counter[int]:
 def tensor_action_consistent(
     matrices: Mapping[str, ActionMatrix],
     tensors: Mapping[str, RowMap],
+    supports: Sequence[list[int]],
     m: int,
     n: int,
     word: Sequence[str],
 ) -> bool:
     """Does the pair action match the tensor action along a generator word?
 
-    ``matrices`` holds each letter's action matrix on the rank-r pair basis
-    and ``tensors`` its ``diagram_tensor_matrix`` at (m, n).  Each basis
-    pair's column is followed through the word: the pair side reads the one
-    entry (row, t1, t2) of the current column, and the tensor side applies
-    the letter's 0/1 matrix to the current support.  Up to the last prefix
-    both sides agree, so the tensor image is the scale times the 0/1 vector
-    on the current pair's support; the next letter must then hit each
-    support index of the next pair exactly m**t1 * n**t2 times, and nothing
-    else.
+    ``matrices`` holds each letter's action matrix on the rank-r pair basis,
+    ``tensors`` its ``diagram_tensor_matrix`` at (m, n), and ``supports``
+    each basis pair's ``block_constant_support`` at (m, n), in basis order.
+    Each basis pair's column is followed through the word: the pair side
+    reads the one entry (row, t1, t2) of the current column, and the tensor
+    side applies the letter's 0/1 matrix to the current support.  Up to the
+    last prefix both sides agree, so the tensor image is the scale times the
+    0/1 vector on the current pair's support; the next letter must then hit
+    each support index of the next pair exactly m**t1 * n**t2 times, and
+    nothing else.
     """
-    pairs = matrices[word[0]].basis if word else ()
-    for start, pair in enumerate(pairs):
-        support = block_constant_support(pair, m, n)
+    for start in range(len(supports)):
         j = start
         for name in word:
-            hits = support_image(support, tensors[name])
+            hits = support_image(supports[j], tensors[name])
             j, t1, t2 = matrices[name].entries[j]
-            support = block_constant_support(pairs[j], m, n)
-            if hits != dict.fromkeys(support, m**t1 * n**t2):
+            if hits != dict.fromkeys(supports[j], m**t1 * n**t2):
                 return False
     return True
 

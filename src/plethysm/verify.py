@@ -677,12 +677,13 @@ def check_tensor_homomorphism(full: bool) -> str:
             tensors = {
                 name: tensor.diagram_tensor_matrix(d, m, n) for name, d in generators(r).items()
             }
+            supports = [tensor.block_constant_support(p, m, n) for p in foulkes_pairs(r)]
             for name in names:
-                if not tensor.tensor_action_consistent(matrices, tensors, m, n, [name]):
+                if not tensor.tensor_action_consistent(matrices, tensors, supports, m, n, [name]):
                     raise CheckFailure(f"one-letter word {name} fails at r={r}, mn={m * n}")
                 cases += 1
             word = [rng.choice(names) for _ in range(3)]
-            if not tensor.tensor_action_consistent(matrices, tensors, m, n, word):
+            if not tensor.tensor_action_consistent(matrices, tensors, supports, m, n, word):
                 raise CheckFailure(f"word {word} fails at r={r}, mn={m * n}")
             cases += 1
     return f"pair action matches the tensor action in {cases} generator words"

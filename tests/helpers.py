@@ -6,13 +6,14 @@ what the CLI and ``verify`` call.
 
 import re
 
-from plethysm import verify
+from plethysm import characters, verify
 from plethysm.characters import multiplicity, partitions
 from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import MalformedPartitionError
 from plethysm.foulkes import action_matrix
-from plethysm.setpartitions import SetPartition
+from plethysm.setpartitions import SetPartition, foulkes_pairs
 from plethysm.tensor import (
+    block_constant_support,
     diagram_tensor_matrix,
     digit_to_pair,
     index_digits,
@@ -49,6 +50,16 @@ def module_multiplicities(r):
     for k in range(1, r + 1):
         fixed = verify._quotient_fixed_counts(k)
         out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
+    return out
+
+
+def singleton_free_by_shapes(r):
+    """The singleton-free character as the sum of the shape characters over
+    the partitions of r with no part 1: one product per shape."""
+    out = {}
+    for mu in characters.partitions_no_ones(r):
+        for rho, value in characters._shape_characteristic(mu).items():
+            out[rho] = out.get(rho, 0) + value
     return out
 
 
@@ -103,12 +114,13 @@ def pair_images(matrix):
 
 
 def word_consistent(r, m, n, word):
-    """``tensor_action_consistent`` on freshly built rank-r action matrices
-    and (m, n) diagram matrices of the word's letters."""
+    """``tensor_action_consistent`` on freshly built rank-r action matrices,
+    (m, n) diagram matrices of the word's letters and the pairs' supports."""
     letters = {name: generators(r)[name] for name in word}
     matrices = {name: action_matrix(d, r) for name, d in letters.items()}
     tensors = {name: diagram_tensor_matrix(d, m, n) for name, d in letters.items()}
-    return tensor_action_consistent(matrices, tensors, m, n, word)
+    supports = [block_constant_support(p, m, n) for p in foulkes_pairs(r)]
+    return tensor_action_consistent(matrices, tensors, supports, m, n, word)
 
 
 def value_type_orbit_vector(pair, m, n):

@@ -34,7 +34,7 @@ from plethysm.errors import (
 )
 from plethysm.setpartitions import SetPartition, set_partitions
 
-from helpers import permuted
+from helpers import permuted, singleton_free_by_shapes
 
 
 def syt_count(lam):
@@ -329,7 +329,50 @@ class TestSingletonFreeCharacter:
 
     def test_degree_is_the_singleton_free_count(self):
         for r in range(13):
-            assert singleton_free_character(r)[(1,) * r] == singleton_free_count(r)
+            assert singleton_free_character(r).get((1,) * r, 0) == singleton_free_count(r)
+
+    def test_matches_the_sum_over_shapes(self):
+        for r in range(15):
+            assert singleton_free_character(r) == singleton_free_by_shapes(r), r
+
+    def test_cached_characters_are_plain_dicts(self):
+        # a defaultdict read would write a 0 into the process-wide cache
+        with pytest.raises(KeyError):
+            singleton_free_character(1)[(1,)]
+        assert singleton_free_character(1) == {}
+        for chi in (singleton_free_character(6), characters._shape_characteristic((2, 2))):
+            assert type(chi) is dict
+
+
+class TestPlethysticExp:
+    RANGES = ((1, 1), (2, 2), (3, 3), (1, 3), (3, 5), (1, 20), (2, 20), (4, 20))
+
+    def test_identity_value_counts_the_set_partitions(self):
+        for low, high in self.RANGES:
+            for d in range(21):
+                count = sum(
+                    shape_count(mu) for mu in partitions(d) if all(low <= p <= high for p in mu)
+                )
+                assert characters._plethystic_exp(low, high, d).get((1,) * d, 0) == count
+
+    def test_newton_remainder_names_the_degree(self, monkeypatch):
+        def unweighted(f, g):
+            # the merged cycle types without their binomial weights
+            out = {}
+            for rho, a in f.items():
+                for sigma, b in g.items():
+                    gamma = tuple(sorted(rho + sigma, reverse=True))
+                    out[gamma] = out.get(gamma, 0) + a * b
+            return out
+
+        monkeypatch.setattr(characters, "_multiply", unweighted)
+        characters._plethystic_exp.cache_clear()
+        try:
+            # below degree 4 every product is by {(): 1}, whose weight is 1
+            with pytest.raises(InternalConsistencyError, match=r"in degree 4 leaves \d+/4 at"):
+                singleton_free_character(4)
+        finally:
+            characters._plethystic_exp.cache_clear()
 
 
 class TestOracle:

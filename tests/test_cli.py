@@ -389,6 +389,11 @@ PINNED_DIGESTS = {
         "json": "9bcaf7fcb8354a36e2ae8277b6bd102a7f4b592e8e2cdcf3b31256be559441df",
         "csv": "5d9063adff96f951334acb0f3720f698b5323c22f96558c5dda42a5afbf1a09d",
     },
+    ("table", "--r", "12"): {  # the largest table under the default cap
+        "json": "e9465621edc70eee3d544e9e07265974b01ee53d52ce176f63e82b56566354e8",
+        "text": "d16bb2e6b0cca328b1b6a4cef8a7e695d316f111173de2b8dcdb709e00af8cce",
+        "csv": "fafe32afae36b172b723bc81851dbe0c759cf93f38892043ddf2378593c5c78e",
+    },
 }
 
 

@@ -171,21 +171,26 @@ class TestStableTable:
 
     def test_module_check_catches_a_wrong_kernel(self, monkeypatch):
         # (3,1) has the dimension of (4) + (2,2), so stable_table's own
-        # A000296 check passes; only the module's own decomposition disagrees
-        real = characters._shape_characteristic
+        # A000296 check passes; only the module's own decomposition disagrees.
+        # The rank-4 singleton-free character gets the (3,1) irreducible in
+        # place of the (2,2) shape's character; the (4) shape keeps its own
+        real = characters._plethystic_exp
 
-        def wrong(mu):
-            if mu == (2, 2):
-                return {rho: characters.character_value((3, 1), rho) for rho in partitions(4)}
-            return real(mu)
+        def wrong(low, high, d):
+            if (low, high, d) == (2, 4, 4):
+                one_block = real(4, 4, 4)
+                return {
+                    rho: one_block.get(rho, 0) + characters.character_value((3, 1), rho)
+                    for rho in partitions(4)
+                }
+            return real(low, high, d)
 
-        monkeypatch.setattr(characters, "_shape_characteristic", wrong)
-        characters.singleton_free_character.cache_clear()
+        monkeypatch.setattr(characters, "_plethystic_exp", wrong)
         try:
             with pytest.raises(verify.CheckFailure, match="r=4"):
                 verify.check_module_vs_stable(False)
         finally:
-            characters.singleton_free_character.cache_clear()
+            real.cache_clear()  # degrees cached while the wrong one was planted
 
     def test_module_check_catches_a_dropped_quotient_pair(self, monkeypatch):
         # the last rank-4 quotient pair is the one whose outer is one block;

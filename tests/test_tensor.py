@@ -302,6 +302,18 @@ class TestActionCompatibility:
         # five (m, n) cases at each rank, with 1, 3 and 4 letters at r = 1, 2, 3
         assert len(built) == len(set(built)) == 5 * (1 + 3 + 4)
 
+    def test_verify_check_builds_each_support_once(self, monkeypatch):
+        # five (m, n) cases at each rank, with 1, 3 and 12 pairs at r = 1, 2, 3
+        calls = []
+        support = tensor.block_constant_support
+        monkeypatch.setattr(
+            tensor,
+            "block_constant_support",
+            lambda p, m, n: calls.append((p, m, n)) or support(p, m, n),
+        )
+        verify.check_tensor_homomorphism(True)
+        assert len(calls) == len(set(calls)) == 5 * (1 + 3 + 12) == 80
+
 
 def dense_image_rank(r, m, n):
     # reference: eliminate the pairs' 0/1 vectors over every support column
