@@ -3,8 +3,10 @@
 The package computes the stable values of rectangle plethysm coefficients by
 the no-singleton-orbit character sum, read off one power-sum plethysm
 kernel, and realises the diagrammatic module whose decomposition produces
-that formula.  Brute-force fixed-point counting on set-partitions and the
-explicit diagram action on small tensor powers check it in ``verify``.
+that formula.  Brute-force fixed-point counting on the set-partitions of
+each shape, the module's own permutation matrices on its depth quotient,
+and the explicit diagram action on small tensor powers check it in
+``verify``.
 
 Submodules and the names re-exported here load on first access (PEP 562),
 so a command imports only what it runs: the stable queries never load the

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, groupby, repeat
-from math import comb
 from operator import attrgetter, index, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -44,13 +43,6 @@ from .errors import (
 # foulkes_pairs(9) holds 1,606,137 pairs (2.7 s, 148 MB peak, cold); r = 10
 # would hold 16,733,779 (A000258), so the cached basis stops at 9
 PAIR_BASIS_CAP = 9
-
-
-@lru_cache(maxsize=None)
-def bell_number(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
 def _point(x) -> int:

@@ -26,7 +26,6 @@ from .diagrams import PartitionDiagram, generators, multiply_diagrams, p_diagram
 from .errors import ResourceCapError
 from .setpartitions import (
     SetPartition,
-    bell_number,
     foulkes_pairs,
     pair_counts_by_depth,
     set_partitions,
@@ -93,13 +92,17 @@ def check_refinement_partial_order(full: bool) -> str:
     return f"partial order verified exhaustively for r<={top}"
 
 
-def _bell_product_total(r: int) -> int:
-    """The number of refining pairs on {1..r}: the sum over outer partitions
-    of the product of the Bell numbers of their block sizes, grouped by block
-    shape mu, so each shape counts ``shape_count(mu)`` partitions."""
+def _truncated_pair_count(r: int, m: int, n: int) -> int:
+    """Refining pairs on {1..r} whose outer has at most n blocks, each holding
+    at most m inner blocks: over outer shapes mu with at most n parts, each
+    counting ``shape_count(mu)`` outers, a block of s points splits into at
+    most m inner blocks in sum_{k<=m} S(s, k) ways.  At m, n >= r nothing is
+    cut and this is the blockwise Bell product sum."""
+    at_most_m = [sum(setpartitions._stirling2(s, k) for k in range(m + 1)) for s in range(r + 1)]
     return sum(
-        characters.shape_count(mu) * math.prod(map(bell_number, mu))
+        characters.shape_count(mu) * math.prod(map(at_most_m.__getitem__, mu))
         for mu in characters.partitions(r)
+        if len(mu) <= n
     )
 
 
@@ -117,7 +120,7 @@ def check_pair_count(full: bool) -> str:
     cached_top = 6 if full else 4
     labels_of, blocks_of = attrgetter("labels"), attrgetter("block_count")
     for r in range(1, top + 1):
-        expected = _bell_product_total(r)
+        expected = _truncated_pair_count(r, r, r)
         # outer block counts, tallied by the block count of their inner
         tallies = [Counter() for _ in range(r + 1)]
         for inner, outers in setpartitions.pair_runs(r):
@@ -139,13 +142,18 @@ def check_pair_count(full: bool) -> str:
     return f"pair counts match the blockwise Bell product sum and Stirling depth counts (r<={top})"
 
 
-def check_truncation_trivial_bounds(full: bool) -> str:
-    top = 6 if full else 4
+def check_truncation_bounds(full: bool) -> str:
+    """Each bound 1 <= m, n <= r keeps the pairs the closed form counts; at
+    r = 6 every (m, n) costs about ten times ranks 1..5."""
+    top = 5 if full else 4
     for r in range(1, top + 1):
-        for p in foulkes_pairs(r):
-            if not p.in_truncation(r, r):
-                raise CheckFailure(f"{p} rejected by bounds m=n={r}")
-    return f"bounds m,n>=r never bind (r<={top})"
+        pairs = foulkes_pairs(r)
+        for m, n in itertools.product(range(1, r + 1), repeat=2):
+            kept = sum(p.in_truncation(m, n) for p in pairs)
+            expected = _truncated_pair_count(r, m, n)
+            if kept != expected:
+                raise CheckFailure(f"truncation m={m}, n={n} at r={r} keeps {kept}, not {expected}")
+    return f"pairs kept by every truncation 1<=m,n<=r match the shape-sum count (r<={top})"
 
 
 # ---------------------------------------------------------------- diagram algebra
@@ -409,18 +417,6 @@ def _image_table(sigma: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _image_tables(r: int, copies: int = 1) -> dict[Partition, Callable[[int], int]]:
-    """For each cycle type rho of S_r, the subset images (``_image_table``)
-    of one permutation of type rho acting on ``copies`` side-by-side copies
-    of {1..r} (copy c holds the points c*r + 1..c*r + r), as a lookup."""
-    tables = {}
-    for rho in characters.partitions(r):
-        sigma = characters.cycle_representative(rho)
-        copied = tuple(c * r + image for c in range(copies) for image in sigma)
-        tables[rho] = _image_table(copied).__getitem__
-    return tables
-
-
 def _fixed_counts(
     block_sets: list[frozenset[int]], images: dict[Partition, Callable[[int], int]]
 ) -> dict[Partition, int]:
@@ -464,7 +460,10 @@ def _brute_fixed_counts(r: int) -> dict[Partition, dict[Partition, int]]:
     """For each shape mu of r, then each cycle type rho: the shape-mu
     set-partitions whose block sets a permutation of type rho permutes, by
     enumeration.  Each rho's image table is built once and serves every shape."""
-    images = _image_tables(r)
+    images = {
+        rho: _image_table(characters.cycle_representative(rho)).__getitem__
+        for rho in characters.partitions(r)
+    }
     return {
         mu: _fixed_counts(list(map(frozenset, _shape_block_masks(mu))), images)
         for mu in characters.partitions(r)
@@ -552,34 +551,34 @@ def check_oracle_stabilization(full: bool) -> str:
     return f"oracle constant across every stable (m,n) within cap {cap}"
 
 
-def _block_masks(sp: SetPartition, shift: int = 0) -> list[int]:
-    """The blocks of sp as bitmasks, point x at bit x - 1 + shift."""
-    masks = [0] * sp.block_count
-    for x, block in enumerate(sp.labels):
-        masks[block] |= 1 << (x + shift)
-    return masks
-
-
-def _quotient_fixed_counts(r: int) -> dict[Partition, int]:
-    """For each cycle type rho of S_r: the depth-quotient pairs that one
-    permutation of type rho fixes, by enumeration.  A pair is read as one
-    set of blocks on two copies of {1..r}, its inner blocks on the first and
-    its outer blocks on the second, and the permutation acts on both copies,
-    so it fixes the pair iff it fixes both partitions."""
-    block_sets = [
-        frozenset(_block_masks(p.inner) + _block_masks(p.outer, r))
-        for p in foulkes.depth_quotient_basis(r)
-    ]
-    return _fixed_counts(block_sets, _image_tables(r, copies=2))
+def _quotient_character(r: int) -> dict[Partition, int]:
+    """For each cycle type rho of S_r: the depth-quotient pairs fixed by one
+    permutation of type rho, read from the module's own s_i matrices.  Each
+    cycle of ``cycle_representative(rho)`` runs over consecutive positions
+    a..b, and the word s_a ... s_{b-1} is one cycle on them; a quotient
+    column counts when the words of all cycles bring it back to itself."""
+    matrices = _generator_matrices(r)
+    index = foulkes._basis_index(r)
+    columns = [index[p] for p in foulkes.depth_quotient_basis(r)]
+    character = {}
+    for rho in characters.partitions(r):
+        starts = itertools.accumulate((1,) + rho)
+        rows = columns
+        for a, k in zip(starts, rho):
+            for i in range(a, a + k - 1):
+                entries = matrices[f"s{i}"].entries
+                rows = [entries[row][0] for row in rows]
+        character[rho] = sum(row == j for row, j in zip(rows, columns))
+    return character
 
 
 def check_module_vs_stable(full: bool) -> str:
     """Each stable value is the multiplicity of its label in the depth
     quotient, the permutation module that S_r acts on; its character is
-    counted here on the quotient basis itself."""
+    read from the module's own s_i matrices."""
     top = 6 if full else 4
     for r in range(1, top + 1):
-        fixed = _quotient_fixed_counts(r)
+        fixed = _quotient_character(r)
         for lam, value in coefficients.stable_table(r).rows:
             if characters.multiplicity(fixed, lam) != value:
                 raise CheckFailure(f"module and table disagree at r={r}, lam={lam}")
@@ -710,7 +709,7 @@ CHECKS = [
     ("setpartitions.canonical-idempotent", check_canonical_idempotent),
     ("setpartitions.refinement-partial-order", check_refinement_partial_order),
     ("setpartitions.pair-count", check_pair_count),
-    ("setpartitions.truncation-bounds", check_truncation_trivial_bounds),
+    ("setpartitions.truncation-bounds", check_truncation_bounds),
     ("diagrams.associativity", check_diagram_associativity),
     ("diagrams.propagating-monotone", check_propagating_monotone),
     ("diagrams.ideal-filtration", check_ideal_filtration),

@@ -5,6 +5,8 @@ what the CLI and ``verify`` call.
 """
 
 import re
+from functools import lru_cache
+from math import comb
 
 from plethysm import characters, verify
 from plethysm.characters import multiplicity, partitions
@@ -20,6 +22,14 @@ from plethysm.tensor import (
     tensor_action_consistent,
     value_type,
 )
+
+
+@lru_cache(maxsize=None)
+def bell_number(n):
+    """The number of set-partitions of {1..n}: B(n) = sum_k C(n-1, k) B(k)."""
+    if n == 0:
+        return 1
+    return sum(comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
 def one_block(size):
@@ -44,11 +54,11 @@ def permuted(sp, perm):
 
 def module_multiplicities(r):
     """Composition multiplicities of the rank-r module for every label of size
-    <= r, from verify's brute-force fixed counts on each rank's depth
-    quotient; the rank-0 quotient is the empty pair alone."""
+    <= r, from the character that verify reads off each rank's s_i matrices
+    on the depth quotient; the rank-0 quotient is the empty pair alone."""
     out = {(): 1}
     for k in range(1, r + 1):
-        fixed = verify._quotient_fixed_counts(k)
+        fixed = verify._quotient_character(k)
         out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
     return out
 

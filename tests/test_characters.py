@@ -319,11 +319,11 @@ class TestMultiplicity:
 
 
 class TestSingletonFreeCharacter:
-    def test_matches_the_depth_quotient_fixed_counts(self):
+    def test_matches_the_modules_own_action_on_the_depth_quotient(self):
         for r in range(7):
             chi = singleton_free_character(r)
-            # verify's oracle starts at rank 1; the rank-0 quotient is the empty pair
-            fixed = verify._quotient_fixed_counts(r) if r else {(): 1}
+            # verify's reader starts at rank 1; the rank-0 quotient is the empty pair
+            fixed = verify._quotient_character(r) if r else {(): 1}
             for rho in partitions(r):
                 assert chi.get(rho, 0) == fixed[rho]
 

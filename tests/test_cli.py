@@ -382,12 +382,12 @@ PINNED_DIGESTS = {
         "json": "1d90c160434f8f97f7666ae85b2c4e46a3360ca2197330dbbcb911746b8f3c5e",
     },
     ("verify", "--suite", "fast"): {
-        "json": "e45c586255ba49726756a991068b3ef248a3bb09c0ca1335bdd05f3881a884b0",
-        "csv": "e845106ae26f21ad095c7cd8a0369f03b17b4ca3837cc3b010336d3293b36c58",
+        "json": "070ba07eb98e86a7405e0249ac8b322d9aa722b33aa022f8094fdc4ff00301de",
+        "csv": "04c81d97628a037fe749dbfb07bb48c3748ffd3400d49791f5740d2b5bfcb0c2",
     },
     ("verify", "--suite", "full"): {
-        "json": "9bcaf7fcb8354a36e2ae8277b6bd102a7f4b592e8e2cdcf3b31256be559441df",
-        "csv": "5d9063adff96f951334acb0f3720f698b5323c22f96558c5dda42a5afbf1a09d",
+        "json": "e992bf84a87d9b4b98cb7e5e0fc5b4ffa7ba2abe17b4aa9b83a0e9771baad460",
+        "csv": "9fe38779313aafe0abe5110219b37d690cb3abb3a5e38bf79c91eb6b80c7a005",
     },
     ("table", "--r", "12"): {  # the largest table under the default cap
         "json": "e9465621edc70eee3d544e9e07265974b01ee53d52ce176f63e82b56566354e8",

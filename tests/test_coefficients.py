@@ -17,6 +17,7 @@ from plethysm.coefficients import (
     stable_table,
 )
 from plethysm.errors import (
+    InternalConsistencyError,
     MalformedPartitionError,
     ResourceCapError,
     UnsupportedRegimeError,
@@ -204,6 +205,19 @@ class TestStableTable:
 
         monkeypatch.setattr(foulkes, "depth_quotient_basis", dropped)
         with pytest.raises(verify.CheckFailure, match=r"r=4, lam=\(4,\)"):
+            verify.check_module_vs_stable(False)
+
+    def test_module_check_reads_the_s_i_matrices(self):
+        # a planted s1 that fixes every quotient column changes the character
+        # the check reads; the autouse fixture drops the planted matrix after
+        matrices = verify._generator_matrices(4)
+        index = foulkes._basis_index(4)
+        quotient = {index[p] for p in foulkes.depth_quotient_basis(4)}
+        entries = matrices["s1"].entries
+        planted = tuple((j, 0, 0) if j in quotient else e for j, e in enumerate(entries))
+        matrices["s1"] = foulkes.ActionMatrix(matrices["s1"].basis, planted)
+        assert planted != entries
+        with pytest.raises((verify.CheckFailure, InternalConsistencyError)):
             verify.check_module_vs_stable(False)
 
     def test_weighted_dimension_sum(self):

@@ -15,13 +15,12 @@ from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMisma
 from plethysm.setpartitions import (
     FoulkesPair,
     SetPartition,
-    bell_number,
     foulkes_pairs,
     pair_counts_by_depth,
     set_partitions,
 )
 
-from helpers import block_of, one_block, permuted
+from helpers import bell_number, block_of, one_block, permuted
 
 
 def brute_bell(n):
@@ -378,14 +377,19 @@ class TestFoulkesPoset:
         # outside the basis
         failed = {name: r.detail for name, r in results.items() if not r.ok}
         for name in (
-            "action-homomorphism",
-            "depth-step",
-            "layer-entries",
-            "layer-parameter-swap",
-            "depth-radical-closed",
-            "quotient-truncation",
+            "foulkes.action-homomorphism",
+            "foulkes.depth-step",
+            "foulkes.layer-entries",
+            "foulkes.layer-parameter-swap",
+            "foulkes.depth-radical-closed",
+            "foulkes.quotient-truncation",
+            "coefficients.module-vs-stable",
         ):
-            assert failed.pop(f"foulkes.{name}").endswith("left the pair basis")
+            assert failed.pop(name).endswith("left the pair basis")
+        # the bad pair's outer block {1,3} meets two inner blocks, where each
+        # block of the pair it replaces meets one, so the bound m = 1 drops it
+        truncation = failed.pop("setpartitions.truncation-bounds")
+        assert truncation.startswith("truncation m=1, n=2 at r=3 keeps"), truncation
         assert set(failed) == {"setpartitions.pair-count"}
 
     @pytest.mark.parametrize(
@@ -446,7 +450,17 @@ class TestFoulkesPoset:
                 math.prod(bell_number(len(block)) for block in outer.blocks)
                 for outer in set_partitions(r, cap=9)
             )
-            assert verify._bell_product_total(r) == by_outer == sum(pair_counts_by_depth(r))
+            assert verify._truncated_pair_count(r, r, r) == by_outer == sum(pair_counts_by_depth(r))
+
+    def test_truncated_pair_count_matches_the_pairs_each_bound_keeps(self):
+        for r in range(1, 7):
+            pairs = foulkes_pairs(r)
+            for m, n in itertools.product(range(1, r + 2), repeat=2):
+                kept = sum(p.in_truncation(m, n) for p in pairs)
+                assert verify._truncated_pair_count(r, m, n) == kept, (r, m, n)
+            # past r no bound binds
+            for m, n in itertools.product((r, r + 1), repeat=2):
+                assert verify._truncated_pair_count(r, m, n) == len(pairs)
 
     def test_foulkes_pairs_concatenates_the_runs_by_depth(self):
         for r in range(1, 9):
