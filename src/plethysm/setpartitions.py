@@ -169,11 +169,11 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             m[j] = top
 
 
-def set_partitions(size: int, cap: int | None = None) -> Iterator[SetPartition]:
+def set_partitions(size: int) -> Iterator[SetPartition]:
     """All set-partitions of {1..size}, canonical, in growth-string lex order."""
     if size < 1:
         raise MalformedPartitionError("ground size must be positive")
-    limit = cap if cap is not None else max_ground_size()
+    limit = max_ground_size()
     if size > limit:
         raise ResourceCapError(f"r={size} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
     for labels in _growth_strings(size):

@@ -95,32 +95,6 @@ def apply(vector: Vector, matrix: RowMap) -> Vector:
     return {col: v for col, v in out.items() if v}
 
 
-def _check_permutation(perm: Sequence[int], k: int) -> None:
-    if sorted(perm) != list(range(1, k + 1)):
-        raise MalformedPartitionError(f"not a permutation of 1..{k}: {perm}")
-
-
-def wreath_embed(sigmas: Sequence[Sequence[int]], pi: Sequence[int]) -> tuple[int, ...]:
-    """Embed (sigma_1..sigma_n; pi) into the permutations of {1..mn}.
-
-    ``sigmas`` holds n one-line permutations of {1..m} and ``pi`` one of
-    {1..n}; the image sends (j-1)m + i to (pi(j)-1)m + sigma_{pi(j)}(i).
-    """
-    n = len(pi)
-    if len(sigmas) != n:
-        raise SizeMismatchError(f"{len(sigmas)} inner permutations for n={n}")
-    m = len(sigmas[0]) if sigmas else 0
-    for sigma in sigmas:
-        _check_permutation(sigma, m)
-    _check_permutation(pi, n)
-    out = [0] * (m * n)
-    for j in range(1, n + 1):
-        target = pi[j - 1]
-        for i in range(1, m + 1):
-            out[(j - 1) * m + i - 1] = (target - 1) * m + sigmas[target - 1][i - 1]
-    return tuple(out)
-
-
 def value_type(pairs: Sequence[tuple[int, int]]) -> FoulkesPair:
     """Equality pattern of a basis vector: inner by (i, j), outer by j alone."""
     return FoulkesPair(
@@ -255,26 +229,22 @@ def tensor_action_consistent(
     return True
 
 
-def wreath_group_generators(m: int, n: int) -> list[tuple[int, ...]]:
-    """Embedded generators of the wreath subgroup: adjacent swaps inside each
-    inner factor plus adjacent swaps of the factors."""
-    identity_m = tuple(range(1, m + 1))
-    identity_n = tuple(range(1, n + 1))
-
-    def swap(k: int, i: int) -> tuple[int, ...]:
-        out = list(range(1, k + 1))
-        out[i - 1], out[i] = out[i], out[i - 1]
-        return tuple(out)
-
-    gens = []
-    for j in range(n):
-        for i in range(1, m):
-            sigmas = [identity_m] * n
-            sigmas[j] = swap(m, i)
-            gens.append(wreath_embed(sigmas, identity_n))
-    for i in range(1, n):
-        gens.append(wreath_embed([identity_m] * n, swap(n, i)))
-    return gens
+def _wreath_digit_maps(m: int, n: int) -> list[tuple[int, ...]]:
+    """Generators of the wreath subgroup S_m wr S_n as maps of the digits
+    c = (j-1)*m + (i-1): the swap of c and c+1 inside one factor, then the
+    swap of factors j and j+1, which moves each of their digits by m."""
+    digits = list(range(m * n))
+    maps = []
+    for c in range(m * n - 1):
+        if c % m != m - 1:
+            swapped = digits.copy()
+            swapped[c : c + 2] = c + 1, c
+            maps.append(tuple(swapped))
+    for low in range(0, m * (n - 1), m):
+        swapped = digits.copy()
+        swapped[low : low + 2 * m] = digits[low + m : low + 2 * m] + digits[low : low + m]
+        maps.append(tuple(swapped))
+    return maps
 
 
 def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
@@ -282,8 +252,7 @@ def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
     mn = m * n
     dim = mn**r
     _check_cap("dimension", dim)
-    gens = wreath_group_generators(m, n)
-    gen_digit_maps = [tuple(w[c] - 1 for c in range(mn)) for w in gens]
+    gen_digit_maps = _wreath_digit_maps(m, n)
     seen = [False] * dim
     orbits = set()
     for start in range(dim):

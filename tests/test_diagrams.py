@@ -34,7 +34,7 @@ def diagrams_of_size(draw, r):
 
 
 def all_diagrams(r):
-    return [PartitionDiagram(r, sp) for sp in set_partitions(2 * r, cap=2 * r)]
+    return [PartitionDiagram(r, sp) for sp in set_partitions(2 * r)]
 
 
 def point_components(n, blocks):
@@ -293,7 +293,8 @@ class TestProductTableChecks:
         middle, top = x.labels[3:], y.labels[:3]
 
         def escaping(upper_middle, upper_blocks, lower_top, lower_blocks):
-            if (upper_middle, upper_blocks, lower_top) == (middle, x.block_count, top):
+            key = (upper_middle, upper_blocks, lower_top, lower_blocks)
+            if key == (middle, x.block_count, top, 3):
                 # each of the identity's strands joins one of p1's northern blocks
                 return [0, 1, 2, 3, 0, 1, 2], 3
             return glue(upper_middle, upper_blocks, lower_top, lower_blocks)
@@ -308,3 +309,17 @@ class TestProductTableChecks:
             verify.check_ideal_filtration(True)
         with pytest.raises(verify.CheckFailure, match="propagating count grew"):
             verify.check_propagating_monotone(True)
+
+    def test_ideal_check_reads_the_diagram_product(self, monkeypatch):
+        # a product that lifts a low-propagating factor to a permutation
+        product = verify.multiply_diagrams
+
+        def escaping(x, y):
+            closed, z = product(x, y)
+            if min(x.propagating_count, y.propagating_count) < x.size:
+                return closed, identity_diagram(x.size)
+            return closed, z
+
+        monkeypatch.setattr(verify, "multiply_diagrams", escaping)
+        with pytest.raises(verify.CheckFailure, match="ideal escaped"):
+            verify.check_ideal_filtration(True)

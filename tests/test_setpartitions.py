@@ -427,9 +427,9 @@ class TestFoulkesPoset:
         built = []
         cached_pairs = verify.foulkes_pairs
 
-        def counted(size, cap=None):
+        def counted(size):
             calls[size] += 1
-            return enumerate_partitions(size, cap)
+            return enumerate_partitions(size)
 
         def recorded(size):
             built.append(size)
@@ -448,7 +448,7 @@ class TestFoulkesPoset:
         for r in range(1, 10):
             by_outer = sum(
                 math.prod(bell_number(len(block)) for block in outer.blocks)
-                for outer in set_partitions(r, cap=9)
+                for outer in set_partitions(r)
             )
             assert verify._truncated_pair_count(r, r, r) == by_outer == sum(pair_counts_by_depth(r))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -29,7 +30,6 @@ from plethysm.tensor import (
     tensor_basis_orbits,
     value_type,
     value_type_fibers,
-    wreath_embed,
 )
 
 from helpers import (
@@ -75,7 +75,7 @@ class TestDiagramMatrix:
 
     def test_multiplicative_with_loop_scalar(self):
         m = n = 2
-        diagrams = [PartitionDiagram(2, sp) for sp in set_partitions(4, cap=4)]
+        diagrams = [PartitionDiagram(2, sp) for sp in set_partitions(4)]
         mats = {d: diagram_tensor_matrix(d, m, n) for d in diagrams}
         for x, y in itertools.product(diagrams, repeat=2):
             t, z = multiply_diagrams(x, y)
@@ -101,49 +101,6 @@ class TestDiagramMatrix:
         d = PartitionDiagram(6, one_block(12))
         with pytest.raises(ResourceCapError, match=f"dimension {5**6} exceeds MATRIX_CAP"):
             diagram_tensor_matrix(d, 5, 1)
-
-
-class TestWreathEmbed:
-    def test_identity(self):
-        assert wreath_embed([(1, 2), (1, 2)], (1, 2)) == (1, 2, 3, 4)
-
-    def test_outer_swap(self):
-        assert wreath_embed([(1, 2), (1, 2)], (2, 1)) == (3, 4, 1, 2)
-
-    def test_inner_only(self):
-        assert wreath_embed([(2, 1)], (1,)) == (2, 1)
-
-    def test_malformed(self):
-        with pytest.raises(MalformedPartitionError):
-            wreath_embed([(1, 1)], (1,))
-        with pytest.raises(SizeMismatchError):
-            wreath_embed([(1, 2)], (1, 2))
-
-    def test_group_homomorphism_on_samples(self):
-        # embedding respects composition for a handful of elements
-        import random
-
-        rng = random.Random(5)
-        m, n = 3, 2
-        for _ in range(25):
-            s1 = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(n)]
-            p1 = tuple(rng.sample(range(1, n + 1), n))
-            s2 = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(n)]
-            p2 = tuple(rng.sample(range(1, n + 1), n))
-            w1 = wreath_embed(s1, p1)
-            w2 = wreath_embed(s2, p2)
-            # group law of the wreath product acting on the left
-            composed_pi = tuple(p1[p2[j] - 1] for j in range(n))
-            composed_sigmas = [
-                tuple(s1[j][s2[_pre(p1, j + 1) - 1][i] - 1] for i in range(m))
-                for j in range(n)
-            ]
-            lhs = tuple(w1[w2[c - 1] - 1] for c in range(1, m * n + 1))
-            assert lhs == wreath_embed(composed_sigmas, composed_pi)
-
-
-def _pre(pi, target):
-    return pi.index(target) + 1
 
 
 class TestValueType:
@@ -367,6 +324,25 @@ class TestOrbits:
 
     def test_three_cubed(self):
         assert tensor_basis_orbits(3, 3, 3) == value_type_fibers(3, 3, 3)
+
+    def test_digit_maps_generate_the_whole_wreath_group(self):
+        # closure under composition, then (m!)^n * n! elements that each send
+        # every factor's digits onto one factor's
+        for m, n in itertools.product((1, 2, 3), repeat=2):
+            letters = tensor._wreath_digit_maps(m, n)
+            identity = tuple(range(m * n))
+            group, queue = {identity}, [identity]
+            while queue:
+                g = queue.pop()
+                for s in letters:
+                    h = tuple(s[c] for c in g)
+                    if h not in group:
+                        group.add(h)
+                        queue.append(h)
+            assert len(group) == math.factorial(m) ** n * math.factorial(n), (m, n)
+            factors = {frozenset(range(low, low + m)) for low in range(0, m * n, m)}
+            for g in group:
+                assert {frozenset(g[c] for c in f) for f in factors} == factors
 
 
 class TestBimoduleSpotCheck:
