@@ -220,7 +220,8 @@ class FoulkesPair(tuple):
         """True iff outer has at most n blocks, each holding at most m inner blocks."""
         if self.outer.block_count > n:
             return False
-        return max(self.inner_blocks_per_outer()) <= m
+        # an outer block meets at most every inner block, even in a pair that does not refine
+        return m >= self.inner.block_count or max(self.inner_blocks_per_outer()) <= m
 
     def __repr__(self) -> str:
         return f"FoulkesPair(inner={self.inner!r}, outer={self.outer!r})"

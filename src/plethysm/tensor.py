@@ -5,7 +5,7 @@ significant digit first.  Digit c encodes the pair (i, j) with
 c = (j-1)*m + (i-1), matching the subscript/superscript bookkeeping used for
 value-types.  Vectors and 0/1 diagram matrices are sparse dicts of Python
 integers; ranks are computed by fraction-free elimination so injectivity
-never hinges on a float.  Caps bound the dimension and the enumerated support.
+never hinges on a float.  Caps bound the dimension, supports and Gram matrix.
 The action oracle builds nothing of the module: it is handed the built action
 matrices and each letter's diagram matrix, and follows the pairs' columns
 through them.
@@ -21,7 +21,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .diagrams import PartitionDiagram
 from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
-from .setpartitions import FoulkesPair, SetPartition, foulkes_pairs
+from .setpartitions import (
+    PAIR_BASIS_CAP,
+    FoulkesPair,
+    SetPartition,
+    foulkes_pairs,
+    pair_counts_by_depth,
+)
 
 if TYPE_CHECKING:
     from .foulkes import ActionMatrix
@@ -186,8 +192,11 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     pairwise intersections of the supports: one row per pair, not one
     column per support index.
     """
+    if r <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses before enumerating
+        gram = sum(pair_counts_by_depth(r)) ** 2  # refuses r < 1 before the dimension is read
+        _check_cap("dimension", (m * n) ** r)
+        _check_cap("Gram matrix size", gram)
     pairs = foulkes_pairs(r)
-    _check_cap("dimension", (m * n) ** r)
     supports = [set(block_constant_support(p, m, n)) for p in pairs]
     return integer_matrix_rank([[len(a & b) for b in supports] for a in supports])
 

@@ -176,7 +176,6 @@ def check_diagram_associativity(full: bool) -> str:
     return f"{trials} random triples associate (r<=4)"
 
 
-@lru_cache(maxsize=None)
 def _product_table(r: int) -> tuple[tuple[PartitionDiagram, ...], tuple[tuple[int, ...], ...]]:
     """Every rank-r diagram, and the propagating count of each product x*y
     (row x, column y), read by the exhaustive propagating-bound check.
@@ -433,43 +432,24 @@ def _fixed_counts(
     }
 
 
-def _shape_block_masks(mu: Partition) -> list[tuple[int, ...]]:
-    """The set-partitions of {1..|mu|} whose block sizes are exactly mu, each
-    as its blocks' bitmasks (point x is bit x - 1) in order of lowest point.
-
-    The lowest free point opens the next block, with companions chosen from
-    the other free points, so blocks open in growth-string order.
-    """
-    results: list[tuple[int, ...]] = []
-
-    def rec(free: tuple[int, ...], sizes: tuple[int, ...], acc: tuple[int, ...]):
-        if len(sizes) <= 1:  # the last block takes every free point
-            results.append(acc + (sum(free),) if free else acc)
-            return
-        first, rest = free[0], free[1:]
-        for size in sorted(set(sizes), reverse=True):
-            left = list(sizes)
-            left.remove(size)
-            for companions in itertools.combinations(rest, size - 1):
-                block = first + sum(companions)
-                rec(tuple(x for x in rest if not x & block), tuple(left), acc + (block,))
-
-    rec(tuple(1 << x for x in range(sum(mu))), mu, ())
-    return results
-
-
 def _brute_fixed_counts(r: int) -> dict[Partition, dict[Partition, int]]:
     """For each shape mu of r, then each cycle type rho: the shape-mu
     set-partitions whose block sets a permutation of type rho permutes, by
-    enumeration.  Each rho's image table is built once and serves every shape."""
+    enumeration.  Each growth string of length r is read once as its blocks'
+    bitmasks (point x is bit x - 1), filed under the shape of their popcounts;
+    each rho's image table is built once and serves every shape."""
     images = {
         rho: _image_table(characters.cycle_representative(rho)).__getitem__
         for rho in characters.partitions(r)
     }
-    return {
-        mu: _fixed_counts(list(map(frozenset, _shape_block_masks(mu))), images)
-        for mu in characters.partitions(r)
-    }
+    by_shape: dict[Partition, list[frozenset[int]]] = {mu: [] for mu in characters.partitions(r)}
+    points = [1 << x for x in range(r)]
+    for labels in setpartitions._growth_strings(r):
+        masks = [0] * (max(labels) + 1)
+        for point, label in zip(points, labels):
+            masks[label] |= point
+        by_shape[tuple(sorted(map(int.bit_count, masks), reverse=True))].append(frozenset(masks))
+    return {mu: _fixed_counts(block_sets, images) for mu, block_sets in by_shape.items()}
 
 
 def check_fixed_counts(full: bool) -> str:

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from plethysm import characters, verify
+from plethysm import characters, setpartitions, verify
 from plethysm.characters import (
     cayley_sylvester,
     character_value,
@@ -200,7 +200,7 @@ class TestShapeEnumeration:
             total = sum(len(set_partitions_of_shape(mu)) for mu in partitions(r))
             assert total == len(list(set_partitions(r)))
 
-    def test_bitmask_shapes_match_the_partitions_of_each_shape(self):
+    def test_enumerated_shapes_match_the_partitions_of_each_shape(self):
         # reference: every set-partition of r, sorted by the shape of its blocks
         for r in range(0, 9):
             by_shape = {}
@@ -210,12 +210,6 @@ class TestShapeEnumeration:
             for mu in partitions(r):
                 enumerated = set_partitions_of_shape(mu)
                 assert set(enumerated) == by_shape[mu] and len(enumerated) == len(by_shape[mu])
-                masks = [
-                    tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks)
-                    for sp in enumerated
-                ]
-                # verify's enumerator lists the partitions in an order of its own
-                assert sorted(verify._shape_block_masks(mu)) == sorted(masks), mu
 
     def test_closed_form_count_matches_enumeration(self):
         for r in range(1, 8):
@@ -272,6 +266,18 @@ class TestVerifyFixedCounts:
         monkeypatch.setattr(characters, "stab_permutation_character", off_by_one)
         message = r"mu=\(3, 2\), rho=\(2, 2, 1\)"
         with pytest.raises(verify.CheckFailure, match=message):
+            verify.check_fixed_counts(False)
+
+    def test_check_reads_the_growth_strings(self, monkeypatch):
+        # without {1,2|3,4}, the oracle counts 2 shape-(2, 2) partitions fixed
+        # by rho = (2, 2) where the kernel counts 3
+        exact = setpartitions._growth_strings
+
+        def drop_one(r):
+            return (labels for labels in exact(r) if labels != (0, 0, 1, 1))
+
+        monkeypatch.setattr(setpartitions, "_growth_strings", drop_one)
+        with pytest.raises(verify.CheckFailure, match=r"mu=\(2, 2\)"):
             verify.check_fixed_counts(False)
 
 

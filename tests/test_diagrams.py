@@ -257,12 +257,6 @@ class TestStoredHash:
 
 
 class TestProductTableChecks:
-    @pytest.fixture(autouse=True)
-    def fresh_table(self):
-        verify._product_table.cache_clear()
-        yield
-        verify._product_table.cache_clear()
-
     def test_ideal_filtration_alone(self):
         assert "two-sided ideal" in verify.check_ideal_filtration(True)
 

@@ -16,8 +16,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plethysm"
 ALLOWED = {
     "cli.main": "the console script entry point named in pyproject.toml",
     "characters.set_partitions_of_shape": (
-        "the benchmark wraps it by name as a layer span; verify enumerates "
-        "shapes through its own _shape_block_masks"
+        "the benchmark wraps it by name as a layer span; verify files every "
+        "growth string by shape instead"
     ),
 }
 

@@ -289,6 +289,17 @@ class TestOracleReferences:
         with pytest.raises(ResourceCapError, match=f"dimension {16**5} exceeds VECTOR_CAP"):
             foulkes_image_rank(5, 4, 4)
 
+    def test_rank_refuses_a_large_gram_matrix_before_enumerating(self, monkeypatch):
+        # 358 pairs at r = 5 and 2,471 at r = 6: both dimensions pass the cap
+        built = []
+        monkeypatch.setattr(tensor, "foulkes_pairs", built.append)
+        for r, m, n, pairs in ((5, 1, 1, 358), (6, 2, 3, 2471)):
+            assert (m * n) ** r <= VECTOR_CAP
+            message = f"Gram matrix size {pairs**2} exceeds VECTOR_CAP"
+            with pytest.raises(ResourceCapError, match=message):
+                foulkes_image_rank(r, m, n)
+        assert built == []
+
     def test_action_oracle_catches_a_wrong_exponent(self, monkeypatch):
         exact = foulkes.act_on_set_partition
         target = generators(3)["p1"]
