@@ -26,7 +26,6 @@ from .setpartitions import (
     SetPartition,
     foulkes_pairs,
     pair_counts_by_depth,
-    set_partitions,
 )
 
 MODULE_CAP = 7
@@ -130,16 +129,9 @@ def depth_radical_basis(r: int) -> tuple[FoulkesPair, ...]:
 
 
 def depth_quotient_basis(r: int) -> tuple[FoulkesPair, ...]:
-    """Pairs (all singletons; outer with no singleton block), in basis order.
-
-    Only the singleton inner partition can qualify, so the outers are read
-    off ``set_partitions(r)``; their lex order is the basis order within
-    each depth, and a stable sort by depth restores the rest.
-    """
-    outers = list(set_partitions(r))  # rejects r < 1 first, as foulkes_pairs does
-    inner = SetPartition.singletons(r)
-    pairs = (FoulkesPair(inner, outer) for outer in outers)
-    return tuple(sorted((p for p in pairs if not in_depth_radical(p)), key=lambda p: p.depth))
+    """The basis pairs outside the radical (all singletons; outer with no
+    singleton block): the cached basis's own pair objects, in basis order."""
+    return tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
 
 
 def block_filling(mu: Partition) -> SetPartition:

@@ -234,7 +234,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
     """The refining pairs on {1..size} as one run per inner partition: the
     inner partition and every outer partition it refines.  Inners come in lex
     order; a run's outers are depth-major and sorted within a depth, and an
-    inner with k blocks has S(k, k - d) outers at depth d (``_stirling2``).
+    inner with k blocks has S(k, k - d) outers at depth d (``_stirling_rows``).
 
     Each outer partition is a growth string over the inner blocks (a merge
     string), read back at every point; that string is already canonical, so
@@ -289,11 +289,14 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    """Set-partitions of {1..n} into exactly k blocks."""
-    if n == 0 or k == 0:
-        return int(n == k)
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+def _stirling_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of the Stirling triangle, row s holding S(s, k) for k = 0..s,
+    each filled from the one before: S(s, k) = k S(s - 1, k) + S(s - 1, k - 1)."""
+    rows = [(1,)]
+    for s in range(1, n + 1):
+        prev = rows[-1] + (0,)
+        rows.append((0,) + tuple(k * prev[k] + prev[k - 1] for k in range(1, s + 1)))
+    return tuple(rows)
 
 
 def pair_counts_by_depth(size: int) -> tuple[int, ...]:
@@ -305,7 +308,7 @@ def pair_counts_by_depth(size: int) -> tuple[int, ...]:
     """
     if size < 1:
         raise MalformedPartitionError("ground size must be positive")
+    rows = _stirling_rows(size)
     return tuple(
-        sum(_stirling2(size, k) * _stirling2(k, k - d) for k in range(d + 1, size + 1))
-        for d in range(size)
+        sum(rows[size][k] * rows[k][k - d] for k in range(d + 1, size + 1)) for d in range(size)
     )

@@ -47,6 +47,13 @@ def _check_cap(quantity: str, value: int, matrix: bool = False) -> None:
         raise ResourceCapError(f"tensor {quantity} {value} exceeds {name} = {cap}")
 
 
+def _factor_dimension(m: int, n: int) -> int:
+    """mn, the dimension of C^(mn); m < 1 or n < 1 is refused."""
+    if m < 1 or n < 1:
+        raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
+    return m * n
+
+
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
     return c % m + 1, c // m + 1
 
@@ -77,7 +84,7 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     order; the southern-only blocks add the same column offsets to every row.
     """
     r = d.size
-    mn = m * n
+    mn = _factor_dimension(m, n)
     _check_cap("dimension", mn**r, matrix=True)
     _check_cap("support", mn**d.partition.block_count)
     heads, tails = [(0, 0)], [0]
@@ -117,7 +124,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     when the ambient dimension is far larger.
     """
     r = pair.size
-    mn = m * n
+    mn = _factor_dimension(m, n)
     support = m**pair.inner.block_count * n**pair.outer.block_count
     _check_cap("support", support)
     flats = [0]
@@ -134,7 +141,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
 
 def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     """0/1 vector supported on ``block_constant_support``."""
-    _check_cap("dimension", (m * n) ** pair.size)
+    _check_cap("dimension", _factor_dimension(m, n) ** pair.size)
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
@@ -192,9 +199,10 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     pairwise intersections of the supports: one row per pair, not one
     column per support index.
     """
+    mn = _factor_dimension(m, n)
     if r <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses before enumerating
         gram = sum(pair_counts_by_depth(r)) ** 2  # refuses r < 1 before the dimension is read
-        _check_cap("dimension", (m * n) ** r)
+        _check_cap("dimension", mn**r)
         _check_cap("Gram matrix size", gram)
     pairs = foulkes_pairs(r)
     supports = [set(block_constant_support(p, m, n)) for p in pairs]
@@ -258,7 +266,7 @@ def _wreath_digit_maps(m: int, n: int) -> list[tuple[int, ...]]:
 
 def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Orbits of the wreath subgroup on the flat tensor basis (by BFS)."""
-    mn = m * n
+    mn = _factor_dimension(m, n)
     dim = mn**r
     _check_cap("dimension", dim)
     gen_digit_maps = _wreath_digit_maps(m, n)
@@ -285,7 +293,7 @@ def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
 
 def value_type_fibers(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Partition of the flat tensor basis by value-type."""
-    mn = m * n
+    mn = _factor_dimension(m, n)
     _check_cap("dimension", mn**r)
     fibers: dict[FoulkesPair, set[int]] = {}
     for flat in range(mn**r):

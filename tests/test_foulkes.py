@@ -420,9 +420,19 @@ class TestDepthRadical:
         assert len(depth_quotient_basis(4)) == 4
 
     def test_quotient_basis_matches_filtered_pairs(self):
+        # the reference builds the pairs afresh: only the singleton inner can
+        # qualify, so each outer is paired with it, and a stable sort by depth
+        # keeps the outers' lex order within each depth
         for r in range(1, 8):
-            expected = tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
-            assert depth_quotient_basis(r) == expected
+            inner = SetPartition.singletons(r)
+            pairs = (FoulkesPair(inner, outer) for outer in set_partitions(r))
+            expected = sorted((p for p in pairs if not in_depth_radical(p)), key=lambda p: p.depth)
+            assert depth_quotient_basis(r) == tuple(expected)
+
+    def test_quotient_basis_holds_the_basis_objects(self):
+        for r in range(1, 7):
+            basis, index = foulkes_pairs(r), foulkes._basis_index(r)
+            assert all(basis[index[p]] is p for p in depth_quotient_basis(r))
 
     def test_closed_form_quotient_count(self):
         for r in range(1, 8):

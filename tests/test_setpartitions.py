@@ -326,6 +326,21 @@ class TestFoulkesPoset:
         with pytest.raises(MalformedPartitionError):
             pair_counts_by_depth(0)
 
+    def test_depth_counts_fill_the_stirling_triangle_without_recursion(self):
+        n = 600
+        row = [1]  # the Bell triangle: each row starts with the last entry of the one before
+        for _ in range(n - 1):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+        try:
+            counts = pair_counts_by_depth(n)  # deeper than the default recursion limit
+        finally:
+            setpartitions._stirling_rows.cache_clear()
+        # depth 0 pairs each partition with itself; depth n - 1 is singletons ; one block
+        assert len(counts) == n and counts[0] == row[-1] and counts[-1] == 1
+
     def test_non_refining_rejected(self):
         with pytest.raises(MalformedPartitionError):
             FoulkesPair(one_block(3), SetPartition.singletons(3))
@@ -455,7 +470,8 @@ class TestFoulkesPoset:
     def test_truncated_pair_count_matches_the_pairs_each_bound_keeps(self):
         for r in range(1, 7):
             pairs = foulkes_pairs(r)
-            for m, n in itertools.product(range(1, r + 2), repeat=2):
+            # up to 4 at every rank: tensor.rank-boundary reads 1 <= m, n <= 4 at r <= 3
+            for m, n in itertools.product(range(1, max(r + 2, 5)), repeat=2):
                 kept = sum(p.in_truncation(m, n) for p in pairs)
                 assert verify._truncated_pair_count(r, m, n) == kept, (r, m, n)
             # past r no bound binds
@@ -479,7 +495,7 @@ class TestFoulkesPoset:
             for inner, outers in runs:
                 k = inner.block_count
                 assert [k - outer.block_count for outer in outers] == [
-                    d for d in range(k) for _ in range(setpartitions._stirling2(k, k - d))
+                    d for d in range(k) for _ in range(setpartitions._stirling_rows(k)[k][k - d])
                 ]
             # the outers are the enumerated partition objects, the inners themselves
             enumerated = {id(sp) for sp in inners}

@@ -279,6 +279,25 @@ def dense_image_rank(r, m, n):
     return integer_matrix_rank([[v.get(c, 0) for c in columns] for v in vectors])
 
 
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (foulkes_image_rank, (2, 0, 3)),
+        (foulkes_image_rank, (2, -1, 3)),
+        (foulkes_image_rank, (1, -2, -2)),
+        (tensor_basis_orbits, (2, -1, 2)),
+        (value_type_fibers, (2, 0, 2)),
+        (diagram_tensor_matrix, (generators(2)["s1"], -1, 3)),
+        (block_constant_support, (pair([[1], [2]], [[1, 2]], 2), 2, 0)),
+        (block_constant_vector, (pair([[1], [2]], [[1, 2]], 2), -400, -400)),
+    ],
+)
+def test_tensor_factors_must_be_positive(function, args):
+    m, n = args[-2:]
+    with pytest.raises(MalformedPartitionError, match=f"m={m}, n={n}: both must be positive"):
+        function(*args)
+
+
 class TestOracleReferences:
     def test_gram_rank_equals_dense_elimination(self):
         for r, m, n in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4)):
@@ -299,6 +318,16 @@ class TestOracleReferences:
             with pytest.raises(ResourceCapError, match=message):
                 foulkes_image_rank(r, m, n)
         assert built == []
+
+    def test_rank_boundary_reads_the_closed_truncated_count(self, monkeypatch):
+        exact = verify._truncated_pair_count
+
+        def one_too_many(r, m, n):
+            return exact(r, m, n) + ((r, m, n) == (2, 1, 2))
+
+        monkeypatch.setattr(verify, "_truncated_pair_count", one_too_many)
+        with pytest.raises(verify.CheckFailure, match="rank != truncated poset at r=2, m=1, n=2"):
+            verify.check_rank_boundary(False)
 
     def test_action_oracle_catches_a_wrong_exponent(self, monkeypatch):
         exact = foulkes.act_on_set_partition
