@@ -274,7 +274,7 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     constructor's check.  The depth-major order keeps each filtration layer
     contiguous and matches the conventional basis layout for the small
     worked cases.  Ranks above ``PAIR_BASIS_CAP`` are refused before
-    enumerating; ``pair_runs`` streams, so it is not capped.
+    enumerating; ``pair_runs`` streams, up to ``set_partitions``' cap.
     """
     if size > PAIR_BASIS_CAP:
         raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")

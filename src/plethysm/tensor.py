@@ -5,7 +5,8 @@ significant digit first.  Digit c encodes the pair (i, j) with
 c = (j-1)*m + (i-1), matching the subscript/superscript bookkeeping used for
 value-types.  Vectors and 0/1 diagram matrices are sparse dicts of Python
 integers; ranks are computed by fraction-free elimination so injectivity
-never hinges on a float.  Caps bound the dimension, supports and Gram matrix.
+never hinges on a float.  VECTOR_CAP bounds what a function enumerates:
+supports, the Gram matrix and the whole bases that the walkers visit.
 The action oracle builds nothing of the module: it is handed the built action
 matrices and each letter's diagram matrix, and follows the pairs' columns
 through them.
@@ -13,7 +14,7 @@ through them.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import chain, repeat
 from math import gcd
 from operator import index
@@ -33,18 +34,15 @@ if TYPE_CHECKING:
     from .foulkes import ActionMatrix
 
 VECTOR_CAP = 10**5
-MATRIX_CAP = 4096
 
 Vector = dict[int, int]  # flat index -> nonzero coefficient
 RowMap = dict[int, list[int]]  # row -> columns holding a 1
 
 
-def _check_cap(quantity: str, value: int, matrix: bool = False) -> None:
-    """Refuse a tensor dimension or enumerated support above VECTOR_CAP
-    (MATRIX_CAP for the rows of a diagram matrix)."""
-    name, cap = ("MATRIX_CAP", MATRIX_CAP) if matrix else ("VECTOR_CAP", VECTOR_CAP)
-    if value > cap:
-        raise ResourceCapError(f"tensor {quantity} {value} exceeds {name} = {cap}")
+def _check_cap(quantity: str, value: int) -> None:
+    """Refuse an enumerated support, Gram matrix or walked basis above VECTOR_CAP."""
+    if value > VECTOR_CAP:
+        raise ResourceCapError(f"tensor {quantity} {value} exceeds VECTOR_CAP = {VECTOR_CAP}")
 
 
 def _factor_dimension(m: int, n: int) -> int:
@@ -52,6 +50,16 @@ def _factor_dimension(m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
     return m * n
+
+
+def _tensor_dimension(r: int, m: int, n: int) -> int:
+    """(mn)**r, refused above VECTOR_CAP; m, n < 1 and then r < 1 are
+    refused before it is read."""
+    mn = _factor_dimension(m, n)
+    if r < 1:
+        raise MalformedPartitionError("ground size must be positive")
+    _check_cap("dimension", mn**r)
+    return mn**r
 
 
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
@@ -85,7 +93,6 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     """
     r = d.size
     mn = _factor_dimension(m, n)
-    _check_cap("dimension", mn**r, matrix=True)
     _check_cap("support", mn**d.partition.block_count)
     heads, tails = [(0, 0)], [0]
     for block in d.partition.blocks:
@@ -97,15 +104,6 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
             offsets = [v * sw for v in range(mn)]
             tails = [col + o for col in tails for o in offsets]
     return {row: [col + t for t in tails] for row, col in heads}
-
-
-def apply(vector: Vector, matrix: RowMap) -> Vector:
-    """Row vector times 0/1 matrix, both sparse."""
-    out: Vector = defaultdict(int)
-    for row, coeff in vector.items():
-        for col in matrix.get(row, ()):
-            out[col] += coeff
-    return {col: v for col, v in out.items() if v}
 
 
 def value_type(pairs: Sequence[tuple[int, int]]) -> FoulkesPair:
@@ -141,7 +139,6 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
 
 def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     """0/1 vector supported on ``block_constant_support``."""
-    _check_cap("dimension", _factor_dimension(m, n) ** pair.size)
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
@@ -199,11 +196,10 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     pairwise intersections of the supports: one row per pair, not one
     column per support index.
     """
-    mn = _factor_dimension(m, n)
+    _factor_dimension(m, n)
     if r <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses before enumerating
-        gram = sum(pair_counts_by_depth(r)) ** 2  # refuses r < 1 before the dimension is read
-        _check_cap("dimension", mn**r)
-        _check_cap("Gram matrix size", gram)
+        _tensor_dimension(r, m, n)  # the all-singletons pair's support
+        _check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2)
     pairs = foulkes_pairs(r)
     supports = [set(block_constant_support(p, m, n)) for p in pairs]
     return integer_matrix_rank([[len(a & b) for b in supports] for a in supports])
@@ -266,9 +262,8 @@ def _wreath_digit_maps(m: int, n: int) -> list[tuple[int, ...]]:
 
 def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Orbits of the wreath subgroup on the flat tensor basis (by BFS)."""
-    mn = _factor_dimension(m, n)
-    dim = mn**r
-    _check_cap("dimension", dim)
+    dim = _tensor_dimension(r, m, n)
+    mn = m * n
     gen_digit_maps = _wreath_digit_maps(m, n)
     seen = [False] * dim
     orbits = set()
@@ -293,10 +288,10 @@ def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
 
 def value_type_fibers(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Partition of the flat tensor basis by value-type."""
-    mn = _factor_dimension(m, n)
-    _check_cap("dimension", mn**r)
+    dim = _tensor_dimension(r, m, n)
+    mn = m * n
     fibers: dict[FoulkesPair, set[int]] = {}
-    for flat in range(mn**r):
+    for flat in range(dim):
         pairs = [digit_to_pair(c, m) for c in index_digits(flat, mn, r)]
         fibers.setdefault(value_type(pairs), set()).add(flat)
     return {frozenset(v) for v in fibers.values()}

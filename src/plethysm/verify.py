@@ -668,13 +668,14 @@ def check_tensor_homomorphism(full: bool) -> str:
 def check_bimodule_spot(full: bool) -> str:
     m = n = 2
     r = 2
-    p1 = tensor.diagram_tensor_matrix(p_diagram(r, 1), m, n)
-    p2 = tensor.diagram_tensor_matrix(p_diagram(r, 2), m, n)
+    # p1 p2 acts as (mn)**t M_z (tensor.multiplicativity); the scalar keeps the rank
+    _, product = multiply_diagrams(p_diagram(r, 1), p_diagram(r, 2))
+    matrix = tensor.diagram_tensor_matrix(product, m, n)
     images = [
-        tensor.apply(tensor.apply(tensor.block_constant_vector(p, m, n), p1), p2)
+        tensor.support_image(tensor.block_constant_vector(p, m, n), matrix)
         for p in foulkes_pairs(r)
     ]
-    dense = [[v.get(c, 0) for c in range((m * n) ** r)] for v in images]
+    dense = [[v[c] for c in range((m * n) ** r)] for v in images]
     rank = tensor.integer_matrix_rank(dense)
     oracle = characters.homogeneous_plethysm(2, 2, (4,))
     if rank != oracle or oracle != 1:

@@ -17,9 +17,7 @@ from plethysm.diagrams import (
 from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs, set_partitions
 from plethysm.tensor import (
-    MATRIX_CAP,
     VECTOR_CAP,
-    apply,
     block_constant_support,
     block_constant_vector,
     diagram_tensor_matrix,
@@ -27,6 +25,7 @@ from plethysm.tensor import (
     foulkes_image_rank,
     index_digits,
     integer_matrix_rank,
+    support_image,
     tensor_basis_orbits,
     value_type,
     value_type_fibers,
@@ -80,27 +79,27 @@ class TestDiagramMatrix:
         for x, y in itertools.product(diagrams, repeat=2):
             t, z = multiply_diagrams(x, y)
             for row in range((m * n) ** 2):
-                e = {row: 1}
-                lhs = apply(apply(e, mats[x]), mats[y])
-                assert lhs == {c: (m * n) ** t * v for c, v in apply(e, mats[z]).items()}
+                lhs = support_image(support_image([row], mats[x]).elements(), mats[y])
+                assert lhs == dict.fromkeys(mats[z].get(row, ()), (m * n) ** t)
 
-    def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            diagram_tensor_matrix(identity_diagram(4), 3, 3)
+    def test_dimension_is_not_capped(self):
+        # 9**4 rows and columns; the support, one entry per block value, is 9**4 too
+        mat = diagram_tensor_matrix(identity_diagram(4), 3, 3)
+        assert sum(map(len, mat.values())) == 9**4
+        assert mat == {i: [i] for i in range(9**4)}
 
     def test_support_cap(self):
-        # six singleton blocks: 4096 rows fit MATRIX_CAP, but the support
-        # would hold 16**6 entries; the cap fires before any is built
+        # six singleton blocks: 4096 rows, but the support would hold 16**6
+        # entries; the cap fires before any is built
         d = PartitionDiagram(3, SetPartition.singletons(6))
-        assert 16**3 <= MATRIX_CAP
         with pytest.raises(ResourceCapError, match=f"support {16**6} exceeds VECTOR_CAP"):
             diagram_tensor_matrix(d, 4, 4)
 
-    def test_dimension_cap_names_matrix_cap(self):
-        # 5**6 rows exceed MATRIX_CAP although the support 5**3 is small
-        d = PartitionDiagram(6, one_block(12))
-        with pytest.raises(ResourceCapError, match=f"dimension {5**6} exceeds MATRIX_CAP"):
-            diagram_tensor_matrix(d, 5, 1)
+    def test_small_support_in_a_large_dimension_answers(self):
+        # 5**6 rows, but one block: the support holds 5 entries, on the diagonal
+        mat = diagram_tensor_matrix(PartitionDiagram(6, one_block(12)), 5, 1)
+        assert sum(map(len, mat.values())) == 5
+        assert mat == {v * (5**6 - 1) // 4: [v * (5**6 - 1) // 4] for v in range(5)}
 
 
 class TestValueType:
@@ -222,8 +221,6 @@ class TestActionCompatibility:
     def test_single_letters(self):
         for r in (1, 2, 3):
             for m, n in ((2, 2), (3, 3), (2, 4)):
-                if (m * n) ** r > 4096:
-                    continue
                 for name in generators(r):
                     assert word_consistent(r, m, n, [name])
 
@@ -296,6 +293,16 @@ def test_tensor_factors_must_be_positive(function, args):
     m, n = args[-2:]
     with pytest.raises(MalformedPartitionError, match=f"m={m}, n={n}: both must be positive"):
         function(*args)
+
+
+@pytest.mark.parametrize(
+    "function, r",
+    list(itertools.product((tensor_basis_orbits, value_type_fibers, foulkes_image_rank), (-1, 0))),
+)
+def test_tensor_ground_size_must_be_positive(function, r):
+    # (mn)**r would be a float at r = -1 and a one-point basis at r = 0
+    with pytest.raises(MalformedPartitionError, match="ground size must be positive"):
+        function(r, 2, 2)
 
 
 class TestOracleReferences:
@@ -385,11 +392,30 @@ class TestOrbits:
                 assert {frozenset(g[c] for c in f) for f in factors} == factors
 
 
+def times(vector, matrix):
+    # weighted row vector times 0/1 matrix, both sparse
+    out = Counter()
+    for row, coeff in vector.items():
+        for col in matrix.get(row, ()):
+            out[col] += coeff
+    return out
+
+
 class TestBimoduleSpotCheck:
     def test_trivial_multiplicity(self):
         m = n = 2
         p1 = diagram_tensor_matrix(p_diagram(2, 1), m, n)
         p2 = diagram_tensor_matrix(p_diagram(2, 2), m, n)
-        images = [apply(apply(block_constant_vector(p, m, n), p1), p2) for p in foulkes_pairs(2)]
-        rows = [[v.get(c, 0) for c in range((m * n) ** 2)] for v in images]
+        images = [times(times(block_constant_vector(p, m, n), p1), p2) for p in foulkes_pairs(2)]
+        rows = [[v[c] for c in range((m * n) ** 2)] for v in images]
         assert integer_matrix_rank(rows) == homogeneous_plethysm(2, 2, (4,)) == 1
+
+    def test_check_catches_a_wrong_product_matrix(self, monkeypatch):
+        # the identity in place of p1 p2 keeps the three pair vectors independent
+        exact = verify.multiply_diagrams
+        monkeypatch.setattr(
+            verify, "multiply_diagrams", lambda x, y: (exact(x, y)[0], identity_diagram(x.size))
+        )
+        check = dict(verify.CHECKS)["tensor.bimodule-spot-check"]
+        with pytest.raises(verify.CheckFailure, match="trivial multiplicity 3 != oracle 1"):
+            check(False)
