@@ -2,8 +2,8 @@
 
 Integer partitions are plain tuples of weakly decreasing positive ints; the
 empty partition is ``()``.  Irreducible characters come from the border-strip
-recursion on beta-sets.  Every character is an integer class function, a dict
-from cycle type to value; ``multiplicity`` pairs one with an irreducible
+recursion on bead bitmasks.  Every character is an integer class function, a
+dict from cycle type to value; ``multiplicity`` pairs one with an irreducible
 character, and every multiplicity in the package goes through it.  One
 Newton recursion builds every permutation character on set-partitions: the
 plethystic exponential for block sizes in a range.  Sizes 2..r give the
@@ -22,7 +22,7 @@ import itertools
 import operator
 import os
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
@@ -73,13 +73,29 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def check_int(value, what: str) -> int:
+    """An integer read through ``operator.index`` (a bool is its int); a float is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MalformedPartitionError(f"{what} {value!r} is not an integer") from None
+
+
+def check_factors(m, n) -> tuple[int, int]:
+    """The rectangle's sides m and n, which must both be positive integers."""
+    m, n = check_int(m, "m"), check_int(n, "n")
+    if m < 1 or n < 1:
+        raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
+    return m, n
+
+
 def check_partition(parts: Sequence[int]) -> Partition:
-    """The parts as a tuple of ints; a non-integral part is refused, not truncated."""
+    """The parts as a tuple of ints; a non-integral part or a string is refused."""
     try:
         lam = tuple(map(operator.index, parts))
     except TypeError:
         raise MalformedPartitionError(f"not a partition: {parts}") from None
-    if any(p < 1 for p in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if isinstance(parts, str) or (lam and lam[-1] < 1) or any(map(operator.lt, lam, lam[1:])):
         raise MalformedPartitionError(f"not a partition: {parts}")
     return lam
 
@@ -115,8 +131,6 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 def partitions_no_ones(n: int) -> tuple[Partition, ...]:
     """Partitions of n with every part at least 2 (the empty one for n=0)."""
-    if n < 0:
-        return ()
     return tuple(lam for lam in partitions(n) if not lam or lam[-1] >= 2)
 
 
@@ -154,46 +168,42 @@ def cycle_representative(rho: Partition) -> tuple[int, ...]:
     return tuple(s + (i + 1) % k + 1 for s, k in zip(starts, rho) for i in range(k))
 
 
-@lru_cache(maxsize=None)
 def character_value(lam: Partition, rho: Partition) -> int:
-    """Irreducible character of the symmetric group by border-strip removal."""
+    """Irreducible character chi^lam at cycle type rho (Murnaghan–Nakayama),
+    checked on every call: the cache beneath sees only checked partitions."""
+    lam, rho = check_partition(lam), check_partition(rho)
     if sum(lam) != sum(rho):
         raise SizeMismatchError(f"|{lam}| != |{rho}|")
-    if not lam:
+    ell = len(lam)  # part i is a bead at lam[i] + ell - 1 - i; the last part sits above 0
+    return _border_strips(sum(1 << (part + ell - 1 - i) for i, part in enumerate(lam)), rho)
+
+
+@lru_cache(maxsize=None)
+def _border_strips(beads: int, rho: Partition) -> int:
+    """chi at rho of the partition whose beta-set is the bitmask ``beads``, no
+    bead at 0.  A k-strip moves a bead from b to an empty b - k, signed by the
+    parity of the beads strictly between; beads at 0, 1, ... are zero parts."""
+    if not rho:
         return 1
     k, rest = rho[0], rho[1:]
-    ell = len(lam)
-    beta = [lam[i] + ell - 1 - i for i in range(ell)]
-    beta_set = set(beta)
+    movable = beads & ~(beads << k) & -(1 << k)  # a bead at b >= k and none at b - k
     total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        crossings = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(c - (ell - 1 - i) for i, c in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        total += (-1) ** crossings * character_value(new_lam, rest)
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        hole = bead >> k
+        moved = beads ^ bead ^ hole
+        value = _border_strips(moved >> (moved ^ (moved + 1)).bit_length() - 1, rest)
+        total += -value if (beads & (bead - hole)).bit_count() & 1 else value
     return total
 
 
 def dimension(lam: Partition) -> int:
-    """Hook-length count of standard tableaux."""
-    if not lam:
-        return 1
-    cols = [0] * lam[0]
-    for row in lam:
-        for j in range(row):
-            cols[j] += 1
-    out = factorial(sum(lam))
-    for i, row in enumerate(lam):
-        for j in range(row):
-            out //= row - j + cols[j] - i - 1
-    return out
+    """Standard tableaux by the hook-length formula, written on the beta-set
+    b_i = lam_i + len(lam) - 1 - i: |lam|! prod_{i<j} (b_i - b_j) / prod_i b_i!."""
+    beta = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    gaps = prod(a - b for a, b in itertools.combinations(beta, 2))
+    return factorial(sum(lam)) * gaps // prod(map(factorial, beta))
 
 
 def shape_count(mu: Partition) -> int:
@@ -325,8 +335,7 @@ def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
     h_n[h_m] is the characteristic of the shape-(m^n) module, so this is the
     generalized plethysm multiplicity of that rectangle, up to the oracle cap.
     """
-    if m < 1 or n < 1:
-        raise MalformedPartitionError("m and n must be positive")
+    m, n = check_factors(m, n)
     if m * n > ORACLE_CAP:
         raise ResourceCapError(f"mn={m * n} exceeds oracle cap {ORACLE_CAP} (ORACLE_CAP)")
     alpha = check_partition(alpha)

@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .characters import (
     ORACLE_CAP,
     Partition,
+    check_factors,
+    check_int,
     check_partition,
     dimension,
     homogeneous_plethysm,
@@ -47,8 +49,7 @@ def stable_plethysm(lam: Partition) -> int:
 
 def coefficient_regime(m: int, n: int, lam: Partition) -> str:
     """Which computation covers p_{(m^n), lam_[mn]}; raises when neither does."""
-    if m < 1 or n < 1:
-        raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
+    m, n = check_factors(m, n)
     lam = check_partition(lam)
     size = sum(lam)
     try:
@@ -69,11 +70,9 @@ def coefficient_regime(m: int, n: int, lam: Partition) -> str:
 
 def plethysm_coefficient(m: int, n: int, lam: Partition) -> int:
     """p_{(m^n), lam_[mn]} by the stable formula or the oracle, whichever applies."""
-    regime = coefficient_regime(m, n, lam)
-    lam = check_partition(lam)
-    if regime == STABLE_REGIME:
+    if coefficient_regime(m, n, lam) == STABLE_REGIME:
         return stable_plethysm(lam)
-    return homogeneous_plethysm(m, n, pad_partition(lam, m * n))
+    return homogeneous_plethysm(m, n, pad_partition(check_partition(lam), m * n))
 
 
 class StableTable(NamedTuple):
@@ -84,16 +83,14 @@ class StableTable(NamedTuple):
 
 
 def stable_table(r: int) -> StableTable:
+    r = check_int(r, "r")
     if r < 0:
         raise MalformedPartitionError(f"r={r} is negative")
     limit = max_ground_size()
     if r > limit:
         raise ResourceCapError(f"r={r} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
     rows = tuple((lam, stable_plethysm(lam)) for lam in partitions(r))
-    table = StableTable(r, rows)
     weighted = sum(v * dimension(lam) for lam, v in rows)
-    if weighted != singleton_free_count(r):
-        raise InternalConsistencyError(
-            f"dimension check failed at r={r}: {weighted}"
-        )  # pragma: no cover - structural guarantee
-    return table
+    if weighted != singleton_free_count(r):  # pragma: no cover - structural guarantee
+        raise InternalConsistencyError(f"dimension check failed at r={r}: {weighted}")
+    return StableTable(r, rows)

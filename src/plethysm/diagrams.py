@@ -166,9 +166,16 @@ def _stack(
     return len(parent) - unions - len(relabel), labels
 
 
+def check_diagram(d) -> PartitionDiagram:
+    """A diagram argument given from outside; anything else is refused."""
+    if not isinstance(d, PartitionDiagram):
+        raise MalformedPartitionError(f"not a partition diagram: {d!r}")
+    return d
+
+
 def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, PartitionDiagram]:
     """Stack x above y; return (closed middle components, resulting diagram)."""
-    if x.size != y.size:
+    if check_diagram(x).size != check_diagram(y).size:
         raise SizeMismatchError(f"strand counts differ: {x.size} vs {y.size}")
     upper, lower = x.partition, y.partition
     closed, labels = _stack(

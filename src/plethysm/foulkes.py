@@ -20,10 +20,11 @@ from functools import lru_cache
 
 from .characters import Partition, partitions_no_ones, shape_count, singleton_free_count
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
-from .diagrams import PartitionDiagram, act_on_set_partition
+from .diagrams import PartitionDiagram, act_on_set_partition, check_diagram
 from .setpartitions import (
     FoulkesPair,
     SetPartition,
+    check_ground_size,
     foulkes_pairs,
     pair_counts_by_depth,
 )
@@ -74,8 +75,10 @@ def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
     identity, looked up by its (inner, outer) tuple; the basis holds only
     refining pairs, so a hit needs no refinement check and a miss is a fault.
     """
+    r = check_ground_size(r)
     if r > MODULE_CAP:
         raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
+    check_diagram(d)  # a diagram on other than r strands is refused by its first action
     basis = foulkes_pairs(r)
     index = _basis_index(r)
     # the depth-0 pairs (p, p) come first, one per partition: the basis's own objects
@@ -154,8 +157,7 @@ def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     Orbit sizes are counted, not enumerated: the orbit of the shape-mu outer
     partition is every set-partition of shape mu (``shape_count``).
     """
-    if r < 1:
-        raise MalformedPartitionError("ground size must be positive")
+    r = check_ground_size(r)
     orbits = []
     for mu in partitions_no_ones(r):
         rep = FoulkesPair(SetPartition.singletons(r), block_filling(mu))

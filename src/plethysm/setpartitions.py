@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, groupby, repeat
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .characters import max_ground_size
+from .characters import check_int, max_ground_size
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
@@ -43,14 +43,6 @@ from .errors import (
 # foulkes_pairs(9) holds 1,606,137 pairs (2.7 s, 148 MB peak, cold); r = 10
 # would hold 16,733,779 (A000258), so the cached basis stops at 9
 PAIR_BASIS_CAP = 9
-
-
-def _point(x) -> int:
-    """A ground-set point given from outside, as an int."""
-    try:
-        return index(x)
-    except TypeError:
-        raise MalformedPartitionError(f"point {x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class SetPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":
         """Canonicalize a collection of disjoint blocks covering {1..size}."""
         seen: dict[int, int] = {}
-        block_list = [sorted(map(_point, b)) for b in blocks]
+        block_list = [sorted(check_int(x, "point") for x in b) for b in blocks]
         for bi, block in enumerate(block_list):
             if not block:
                 raise MalformedPartitionError("empty block")
@@ -148,6 +140,14 @@ class SetPartition:
         return self._text  # formatted once: pairs print their shared partitions many times
 
 
+def check_ground_size(size) -> int:
+    """A ground-set size given from outside, which must be a positive integer."""
+    size = check_int(size, "ground size")
+    if size < 1:
+        raise MalformedPartitionError("ground size must be positive")
+    return size
+
+
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All restricted growth strings of length n in lexicographic order."""
     if n == 0:
@@ -171,8 +171,7 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 def set_partitions(size: int) -> Iterator[SetPartition]:
     """All set-partitions of {1..size}, canonical, in growth-string lex order."""
-    if size < 1:
-        raise MalformedPartitionError("ground size must be positive")
+    size = check_ground_size(size)
     limit = max_ground_size()
     if size > limit:
         raise ResourceCapError(f"r={size} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
@@ -240,8 +239,11 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
     string), read back at every point; that string is already canonical, so
     it is looked up among the partitions enumerated for the inners, and every
     run holding that outer shares one validated object.  An outer built this
-    way is refined by its inner, so no pair is built or checked here.
+    way is refined by its inner, so no pair is built or checked here.  Ranks
+    above ``PAIR_BASIS_CAP`` are refused before any enumeration.
     """
+    if check_ground_size(size) > PAIR_BASIS_CAP:
+        raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
     partitions = {sp.labels: sp for sp in set_partitions(size)}
     # merges[k]: the merge strings over k blocks, depth-major, then in lex order
     merges: list[list[tuple[int, ...]]] = [[]]
@@ -263,7 +265,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
         ) from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer).
 
@@ -274,8 +276,9 @@ def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     constructor's check.  The depth-major order keeps each filtration layer
     contiguous and matches the conventional basis layout for the small
     worked cases.  Ranks above ``PAIR_BASIS_CAP`` are refused before
-    enumerating; ``pair_runs`` streams, up to ``set_partitions``' cap.
+    enumerating.  The cache is typed, so 2.0 misses a cached 2 and is refused.
     """
+    size = check_ground_size(size)
     if size > PAIR_BASIS_CAP:
         raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
@@ -306,8 +309,7 @@ def pair_counts_by_depth(size: int) -> tuple[int, ...]:
     blocks give S(size, k) * S(k, k - d) pairs of depth d; the total over all
     depths is OEIS A000258.
     """
-    if size < 1:
-        raise MalformedPartitionError("ground size must be positive")
+    size = check_ground_size(size)
     rows = _stirling_rows(size)
     return tuple(
         sum(rows[size][k] * rows[k][k - d] for k in range(d + 1, size + 1)) for d in range(size)

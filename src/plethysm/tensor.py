@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from math import gcd
-from operator import index
+from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .characters import check_factors, check_int
 from .diagrams import PartitionDiagram
-from .errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
+from .errors import ResourceCapError, SizeMismatchError
 from .setpartitions import (
     PAIR_BASIS_CAP,
     FoulkesPair,
     SetPartition,
+    check_ground_size,
     foulkes_pairs,
     pair_counts_by_depth,
 )
@@ -45,21 +46,11 @@ def _check_cap(quantity: str, value: int) -> None:
         raise ResourceCapError(f"tensor {quantity} {value} exceeds VECTOR_CAP = {VECTOR_CAP}")
 
 
-def _factor_dimension(m: int, n: int) -> int:
-    """mn, the dimension of C^(mn); m < 1 or n < 1 is refused."""
-    if m < 1 or n < 1:
-        raise MalformedPartitionError(f"m={m}, n={n}: both must be positive")
-    return m * n
-
-
 def _tensor_dimension(r: int, m: int, n: int) -> int:
-    """(mn)**r, refused above VECTOR_CAP; m, n < 1 and then r < 1 are
-    refused before it is read."""
-    mn = _factor_dimension(m, n)
-    if r < 1:
-        raise MalformedPartitionError("ground size must be positive")
-    _check_cap("dimension", mn**r)
-    return mn**r
+    """(mn)**r, refused above VECTOR_CAP once m, n and then r are checked."""
+    dim = prod(check_factors(m, n)) ** check_ground_size(r)
+    _check_cap("dimension", dim)
+    return dim
 
 
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
@@ -92,7 +83,7 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     order; the southern-only blocks add the same column offsets to every row.
     """
     r = d.size
-    mn = _factor_dimension(m, n)
+    mn = prod(check_factors(m, n))
     _check_cap("support", mn**d.partition.block_count)
     heads, tails = [(0, 0)], [0]
     for block in d.partition.blocks:
@@ -122,7 +113,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     when the ambient dimension is far larger.
     """
     r = pair.size
-    mn = _factor_dimension(m, n)
+    mn = prod(check_factors(m, n))
     support = m**pair.inner.block_count * n**pair.outer.block_count
     _check_cap("support", support)
     flats = [0]
@@ -142,19 +133,12 @@ def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
     return dict.fromkeys(block_constant_support(pair, m, n), 1)
 
 
-def _integer_entry(value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise MalformedPartitionError(f"matrix entry {value!r} is not an integer") from None
-
-
 def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix, by exact elimination.
 
     An entry that is not an integer is refused, not truncated, and so is a
     row whose length differs from the first row's."""
-    work = [list(map(_integer_entry, row)) for row in rows]
+    work = [[check_int(value, "matrix entry") for value in row] for row in rows]
     ncols = len(work[0]) if work else 0
     for row in work:
         if len(row) != ncols:
@@ -187,17 +171,18 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
 def foulkes_image_rank(r: int, m: int, n: int) -> int:
     """Rank of the map sending every refining pair to its tensor vector.
 
-    Equals the full pair count exactly when m, n >= r.  For smaller
-    parameters the observed value is the size of the truncated poset; that
-    identity is checked empirically here, not quoted from anywhere.
+    It is the number of pairs that the truncation (m, n) keeps, so the full
+    pair count exactly when m, n >= r.  A pair's vector is the sum of the
+    wreath-orbit sums of the kept value types that coarsen it, a change of
+    basis that is unitriangular on the kept pairs (``tensor.rank-boundary``).
 
     Over the rationals a 0/1 matrix V has the rank of its Gram matrix V V^T
     (V V^T x = 0 gives |V^T x|^2 = 0), whose entries are the sizes of the
     pairwise intersections of the supports: one row per pair, not one
     column per support index.
     """
-    _factor_dimension(m, n)
-    if r <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses before enumerating
+    m, n = check_factors(m, n)
+    if check_ground_size(r) <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses first
         _tensor_dimension(r, m, n)  # the all-singletons pair's support
         _check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2)
     pairs = foulkes_pairs(r)

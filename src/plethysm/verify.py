@@ -394,13 +394,10 @@ def check_character_orthogonality(full: bool) -> str:
     top = 8 if full else 6
     for r in range(1, top + 1):
         classes = list(characters.partitions(r))
+        sizes = list(map(characters.class_size, classes))
+        rows = {lam: [characters.character_value(lam, rho) for rho in classes] for lam in classes}
         for lam, mu in itertools.combinations_with_replacement(classes, 2):
-            inner = sum(
-                characters.class_size(rho)
-                * characters.character_value(lam, rho)
-                * characters.character_value(mu, rho)
-                for rho in classes
-            )
+            inner = sum(map(math.prod, zip(sizes, rows[lam], rows[mu])))
             if inner != (factorial(r) if lam == mu else 0):
                 raise CheckFailure(f"orthogonality fails for {lam}, {mu}")
     return f"first orthogonality relation holds for r<={top}"

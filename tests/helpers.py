@@ -11,7 +11,7 @@ from math import comb
 from plethysm import characters, verify
 from plethysm.characters import multiplicity, partitions
 from plethysm.diagrams import PartitionDiagram, generators
-from plethysm.errors import MalformedPartitionError
+from plethysm.errors import MalformedPartitionError, SizeMismatchError
 from plethysm.foulkes import action_matrix
 from plethysm.setpartitions import SetPartition, foulkes_pairs
 from plethysm.tensor import (
@@ -142,3 +142,33 @@ def value_type_orbit_vector(pair, m, n):
         for flat in range(mn**r)
         if value_type([digit_to_pair(c, m) for c in index_digits(flat, mn, r)]) == pair
     }
+
+
+@lru_cache(maxsize=None)
+def beta_list_character(lam, rho):
+    """The reference for ``characters.character_value``: the border-strip
+    recursion on beta-sets held as lists, as the package computed it before
+    it moved to bead bitmasks.  Each strip removal rebuilds and re-sorts the
+    beta-list and strips the zero parts it leaves."""
+    if sum(lam) != sum(rho):
+        raise SizeMismatchError(f"|{lam}| != |{rho}|")
+    if not lam:
+        return 1
+    k, rest = rho[0], rho[1:]
+    ell = len(lam)
+    beta = [lam[i] + ell - 1 - i for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        crossings = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((c for c in beta if c != b), reverse=True)
+        new_beta.append(nb)
+        new_beta.sort(reverse=True)
+        new_lam = tuple(c - (ell - 1 - i) for i, c in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        total += (-1) ** crossings * beta_list_character(new_lam, rest)
+    return total

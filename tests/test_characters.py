@@ -34,7 +34,7 @@ from plethysm.errors import (
 )
 from plethysm.setpartitions import SetPartition, set_partitions
 
-from helpers import permuted, singleton_free_by_shapes
+from helpers import beta_list_character, permuted, singleton_free_by_shapes
 
 
 def syt_count(lam):
@@ -187,6 +187,14 @@ class TestCharacterValues:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             character_value((2,), (1, 1, 1))
+
+    def test_bead_kernel_matches_the_beta_list_reference(self):
+        # orthogonality alone cannot see a relabelling of the irreducibles
+        for r in range(11):
+            classes = list(partitions(r))
+            for lam in classes:
+                values = [character_value(lam, rho) for rho in classes]
+                assert values == [beta_list_character(lam, rho) for rho in classes], lam
 
 
 class TestShapeEnumeration:

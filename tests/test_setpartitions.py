@@ -283,6 +283,16 @@ class TestFoulkesPoset:
             plethysm.foulkes_image_rank(10, 1, 1)
         assert runs == []
 
+    @pytest.mark.parametrize("r", [10, 11])
+    def test_streamed_runs_are_capped_before_enumerating(self, monkeypatch, r):
+        # pair_runs(11) used to build all 678,570 partitions (5 s, 336 MB) first
+        enumerated = []
+        monkeypatch.setattr(setpartitions, "set_partitions", enumerated.append)
+        monkeypatch.setattr(setpartitions, "_growth_strings", enumerated.append)
+        with pytest.raises(ResourceCapError, match=f"r={r} exceeds PAIR_BASIS_CAP = 9"):
+            next(setpartitions.pair_runs(r))
+        assert enumerated == []
+
     def test_double_count(self):
         # independent count: sum over outer partitions of the Bell product
         for r in range(1, 8):
