@@ -359,6 +359,7 @@ def partitions_in_box_count(k: int, rows: int, cols: int) -> int:
 
 def cayley_sylvester(m: int, n: int, r: int) -> int:
     """Two-row plethysm coefficient as a difference of box-partition counts."""
+    m, n, r = check_int(m, "m"), check_int(n, "n"), check_int(r, "r")
     if r > m * n:
         raise MalformedPartitionError(f"r={r} exceeds mn={m * n}")
     return partitions_in_box_count(r, m, n) - partitions_in_box_count(r - 1, m, n)

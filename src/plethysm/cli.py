@@ -120,7 +120,8 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _module_payload(r: int, info: str):
+def _module_output(r: int, info: str):
+    """One ``module --info`` reading: its payload, text lines, CSV rows and JSON writer."""
     from . import foulkes
     from .diagrams import generators
     from .setpartitions import foulkes_pairs, pair_counts_by_depth
@@ -128,15 +129,18 @@ def _module_payload(r: int, info: str):
     if info == "dims":
         total = sum(pair_counts_by_depth(r))
         quotient = singleton_free_count(r)
-        return {"pairs": total, "depth_radical": total - quotient, "depth_quotient": quotient}
+        payload = {"pairs": total, "depth_radical": total - quotient, "depth_quotient": quotient}
+        values = list(payload.values())
+        return payload, [" / ".join(map(str, values))], [list(payload), values], _json_text
     if info == "matrices":
-        basis = [str(p) for p in foulkes_pairs(r)]
+        basis = [str(p) for p in foulkes_pairs(r)]  # refuses r < 1 before generators(r) can
         matrices = {  # JSON writes each dumped tuple as a list
             name: foulkes.action_matrix(d, r).coordinate_dump() for name, d in generators(r).items()
         }
-        return {"basis": basis, "matrices": matrices}
+        payload = {"basis": basis, "matrices": matrices}
+        return payload, _matrices_text(payload), _matrices_csv(matrices), _matrices_json
     if info == "dq":
-        return [
+        rows = [
             {
                 "shape": format_partition(orbit.shape),
                 "representative": str(orbit.representative),
@@ -144,11 +148,13 @@ def _module_payload(r: int, info: str):
             }
             for orbit in foulkes.orbit_decomposition(r)
         ]
-    if info == "filtration":
-        return [
-            {"depth": k, "dimension": size} for k, size in enumerate(pair_counts_by_depth(r))
-        ]
-    raise MalformedPartitionError(f"unknown info {info!r}")
+        text = ("{}: {} (orbit size {})".format(*row.values()) for row in rows)
+        csv_rows = [["shape", "representative", "orbit_size"], *map(dict.values, rows)]
+        return rows, text, csv_rows, _json_text
+    counts = list(enumerate(pair_counts_by_depth(r)))  # filtration
+    rows = [{"depth": k, "dimension": size} for k, size in counts]
+    text = (f"depth {k}: {size}" for k, size in counts)
+    return rows, text, [["depth", "dimension"], *counts], _json_text
 
 
 def _cmd_module(args) -> int:
@@ -156,27 +162,8 @@ def _cmd_module(args) -> int:
 
     if args.r > foulkes.MODULE_CAP:
         raise ResourceCapError(f"r={args.r} exceeds MODULE_CAP = {foulkes.MODULE_CAP}")
-    payload = _module_payload(args.r, args.info)
+    payload, text, csv_rows, json_text = _module_output(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
-    json_text = _json_text
-    if args.info == "dims":
-        text = [f"{payload['pairs']} / {payload['depth_radical']} / {payload['depth_quotient']}"]
-        csv_rows = [["pairs", "depth_radical", "depth_quotient"],
-                    [payload["pairs"], payload["depth_radical"], payload["depth_quotient"]]]
-    elif args.info == "matrices":
-        text, csv_rows = _matrices_text(payload), _matrices_csv(payload["matrices"])
-        json_text = _matrices_json
-    elif args.info == "dq":
-        text = [
-            f"{row['shape']}: {row['representative']} (orbit size {row['orbit_size']})"
-            for row in payload
-        ]
-        csv_rows = [["shape", "representative", "orbit_size"]] + [
-            [row["shape"], row["representative"], row["orbit_size"]] for row in payload
-        ]
-    else:
-        text = [f"depth {row['depth']}: {row['dimension']}" for row in payload]
-        csv_rows = [["depth", "dimension"]] + [[row["depth"], row["dimension"]] for row in payload]
     _emit(record, args.format, text, csv_rows, json_text)
     return EXIT_OK
 

@@ -17,8 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Mapping
 
-from .characters import Partition, partitions_no_ones, shape_count, singleton_free_count
+from .characters import (
+    Partition, check_int, max_ground_size, partitions_no_ones, shape_count, singleton_free_count
+)
 from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
 from .diagrams import PartitionDiagram, act_on_set_partition, check_diagram
 from .setpartitions import (
@@ -58,6 +61,18 @@ class ActionMatrix:
             for j, entry in enumerate(self.entries)
             if entry is not None
         )
+
+
+def follow_word(matrices: Mapping[str, ActionMatrix], word: Iterable[str],
+                column: int) -> tuple[int, int, int]:
+    """The image (row, t1, t2) of basis pair ``column`` under the right action
+    of a word: its letters act in order, each moving the column to the row of
+    its image in that letter's matrix and adding the letter's exponents."""
+    row, t1, t2 = column, 0, 0
+    for name in word:
+        row, s1, s2 = matrices[name].entries[row]
+        t1, t2 = t1 + s1, t2 + s2
+    return row, t1, t2
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +125,7 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     are shifted to its start.
     """
     r = matrix.basis[0].size
+    k = check_int(k, "layer index")
     if not 0 <= k < r:
         raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
     counts = pair_counts_by_depth(r)
@@ -155,9 +171,13 @@ def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     """Depth-quotient basis split into orbits, one per no-ones partition of r.
 
     Orbit sizes are counted, not enumerated: the orbit of the shape-mu outer
-    partition is every set-partition of shape mu (``shape_count``).
+    partition is every set-partition of shape mu (``shape_count``).  The
+    partitions of r are walked, so r is held to the enumeration cap.
     """
     r = check_ground_size(r)
+    limit = max_ground_size()
+    if r > limit:
+        raise ResourceCapError(f"r={r} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
     orbits = []
     for mu in partitions_no_ones(r):
         rep = FoulkesPair(SetPartition.singletons(r), block_filling(mu))

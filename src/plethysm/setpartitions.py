@@ -17,11 +17,11 @@ than they are built.
 A refining pair is the tuple (inner, outer).  Its public constructor checks
 refinement; ``pair_runs`` enumerates outers that are refined by construction,
 one run per inner partition holding all of its outers, depth-major, and
-``foulkes_pairs`` cuts each run into its depth layers and caches the pairs,
-built without that check, in depth order.  Verify's
-``setpartitions.pair-count`` streams the runs and re-checks each run on its
-outers' label columns, so each pair is still checked once, and the largest
-rank it counts is never cached.
+``foulkes_pairs`` reads one cache, ``_pair_basis``, which cuts each run into
+its depth layers and keeps the pairs, built without that check, in depth order.
+Verify's ``setpartitions.pair-count`` streams the runs and re-checks each run
+on its outers' label columns, so each pair is still checked once, and the
+largest rank it counts is never cached.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":
         """Canonicalize a collection of disjoint blocks covering {1..size}."""
+        size = check_int(size, "ground size")
         seen: dict[int, int] = {}
         block_list = [sorted(check_int(x, "point") for x in b) for b in blocks]
         for bi, block in enumerate(block_list):
@@ -265,22 +266,25 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
         ) from None
 
 
-@lru_cache(maxsize=None, typed=True)
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
-    """All refining pairs on {1..size}, sorted by (depth, inner, outer).
-
-    Each run of ``pair_runs`` is cut into its depth layers where its outers'
-    block count changes, each pair going to the layer of its own depth, and
-    the runs fill the layers in inner order, so each layer fills up sorted.
-    The pairs are refining by construction and are built without the
-    constructor's check.  The depth-major order keeps each filtration layer
-    contiguous and matches the conventional basis layout for the small
-    worked cases.  Ranks above ``PAIR_BASIS_CAP`` are refused before
-    enumerating.  The cache is typed, so 2.0 misses a cached 2 and is refused.
-    """
+    """All refining pairs on {1..size}, sorted by (depth, inner, outer)."""
     size = check_ground_size(size)
     if size > PAIR_BASIS_CAP:
         raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
+    return _pair_basis(size)
+
+
+@lru_cache(maxsize=None)
+def _pair_basis(size: int) -> tuple[FoulkesPair, ...]:
+    """The pairs of ``foulkes_pairs`` for a checked size.  Each run of
+    ``pair_runs`` is cut into its depth layers where its outers' block count
+    changes, each pair going to the layer of its own depth, and the runs fill
+    the layers in inner order, so each layer fills up sorted.
+    The pairs are refining by construction and are built without the
+    constructor's check.  The depth-major order keeps each filtration layer
+    contiguous and matches the conventional basis layout for the small
+    worked cases.
+    """
     layers: list[list[FoulkesPair]] = [[] for _ in range(size)]
     unchecked_pair = partial(tuple.__new__, FoulkesPair)
     block_count = attrgetter("block_count")

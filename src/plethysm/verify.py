@@ -282,15 +282,8 @@ def check_action_homomorphism(full: bool) -> str:
             for name in word[1:]:
                 t, product = multiply_diagrams(product, letters[name])
                 closed += t
-            # the right action follows each column through the word's letters in order
-            walked = []
-            for j in range(len(matrices[word[0]].entries)):
-                row, t1, t2 = j, 0, 0
-                for name in word:
-                    row, s1, s2 = matrices[name].entries[row]
-                    t1, t2 = t1 + s1, t2 + s2
-                walked.append((row, t1, t2))
             direct = foulkes.action_matrix(product, r).entries
+            walked = [foulkes.follow_word(matrices, word, j) for j in range(len(direct))]
             if walked != [(i, t1 + closed, t2 + closed) for i, t1, t2 in direct]:
                 raise CheckFailure(f"word {word} disagrees at r={r}")
             words += 1
@@ -542,12 +535,8 @@ def _quotient_character(r: int) -> dict[Partition, int]:
     character = {}
     for rho in characters.partitions(r):
         starts = itertools.accumulate((1,) + rho)
-        rows = columns
-        for a, k in zip(starts, rho):
-            for i in range(a, a + k - 1):
-                entries = matrices[f"s{i}"].entries
-                rows = [entries[row][0] for row in rows]
-        character[rho] = sum(row == j for row, j in zip(rows, columns))
+        word = [f"s{i}" for a, k in zip(starts, rho) for i in range(a, a + k - 1)]
+        character[rho] = sum(foulkes.follow_word(matrices, word, j)[0] == j for j in columns)
     return character
 
 

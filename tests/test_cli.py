@@ -394,6 +394,21 @@ PINNED_DIGESTS = {
         "text": "d16bb2e6b0cca328b1b6a4cef8a7e695d316f111173de2b8dcdb709e00af8cce",
         "csv": "fafe32afae36b172b723bc81851dbe0c759cf93f38892043ddf2378593c5c78e",
     },
+    ("module", "--r", "7", "--info", "dims"): {
+        "json": "88f25414639e8a9dce3f7d2a1d9a601a3d197b44589136be990c7c834c1efb11",
+        "text": "bd916332490fc5b79183141697b33be33d487038b2d9762c14fc831df6f9bbf1",
+        "csv": "2e3373f67ed375ec891c1f3b83e6add3c17e3335af17ca3cc755250e14d92454",
+    },
+    ("module", "--r", "7", "--info", "dq"): {
+        "json": "1a0ebbd15ab164339c478e7f56f01d8959a08ae7a3bf9714699bb27363b4deaa",
+        "text": "11a528837e5a0915947be9b64a55ba6fd1f368b5806f4a941e055f867db7b2ad",
+        "csv": "db8f321433bd40721b076c098af2b372930ec11e1e0cca44e0a65697c807a9ee",
+    },
+    ("module", "--r", "7", "--info", "filtration"): {
+        "json": "ddcd2405fb6bc80bd364bfb7dc6ced266f8aa8d76705c7534450db7b50ce5bc1",
+        "text": "a937fd674b1b1d099dcb77a005ca5f2addff2e445f8a1d7c9355b0a22d8e23e3",
+        "csv": "b0337ef3125b634806e7c3d729274a6c7fd4a163387f6488de12c6aa72d37941",
+    },
 }
 
 
@@ -412,7 +427,7 @@ def test_matrices_writer_matches_the_json_encoder():
         record = {
             "command": "module",
             "query": {"r": r, "info": "matrices"},
-            "result": cli._module_payload(r, "matrices"),
+            "result": cli._module_output(r, "matrices")[0],
         }
         assert "".join(cli._matrices_json(record)) == json.dumps(record, sort_keys=True, indent=2)
     # empty lists and maps, and strings that need escaping

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plethysm
-from plethysm.characters import partitions
+from plethysm.characters import cayley_sylvester, partitions
 from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import MalformedPartitionError, PlethysmError
+from plethysm.foulkes import action_matrix, layer_matrix
 from plethysm.setpartitions import SetPartition
 
 not_integers = st.one_of(
@@ -22,6 +23,7 @@ not_integers = st.one_of(
     st.text(max_size=3),
     st.none(),
     st.tuples(st.integers(0, 3)),
+    st.lists(st.integers(0, 3)),  # unhashable, so a cache in front of the check raises TypeError
 )
 not_positive = st.one_of(not_integers, st.integers(max_value=0))
 negative = st.one_of(not_integers, st.integers(max_value=-1))
@@ -125,6 +127,7 @@ def test_the_contract_covers_every_root_export():
 @example(("character_value", ((2, 1), (2, 1.0))))
 @example(("stable_table", (2.0,)))
 @example(("foulkes_pairs", (2.0,)))
+@example(("foulkes_pairs", ([2],)))
 @example(("orbit_decomposition", (2.0,)))
 @example(("foulkes_image_rank", (2, 2.0, 2)))
 def test_every_root_export_refuses_malformed_input(call):
@@ -148,3 +151,14 @@ def test_a_bool_reads_as_its_int():
     assert type(plethysm.stable_table(True).r) is int
     assert plethysm.stable_plethysm((2, True)) == plethysm.stable_plethysm((2, 1))
     assert plethysm.plethysm_coefficient(True, 3, (1,)) == plethysm.plethysm_coefficient(1, 3, (1,))
+
+
+def test_helpers_below_the_exports_read_integers_through_check_int():
+    matrix = action_matrix(generators(2)["s1"], 2)
+    for call in (
+        lambda: layer_matrix(matrix, 0.5),
+        lambda: cayley_sylvester(2, 2, 1.5),
+        lambda: SetPartition.from_blocks([[1], [2]], 2.0),
+    ):
+        with pytest.raises(MalformedPartitionError, match="is not an integer"):
+            call()

@@ -20,6 +20,7 @@ from plethysm.foulkes import (
     block_filling,
     depth_quotient_basis,
     depth_radical_basis,
+    follow_word,
     in_depth_radical,
     layer_matrix,
     orbit_decomposition,
@@ -197,6 +198,18 @@ class TestActionMatrix:
             (1, 2, "1*d1^1*d2^0"),
         ]
         assert matrix.entries == ((1, 0, 0), (1, 1, 1), (1, 1, 0))
+
+    def test_follow_word_acts_on_the_right(self):
+        # rank 2: p1 sends every column to row 1 and p12 every column to row 0,
+        # so a word's last letter names the row, and exponents add up on the way
+        matrices = {name: action_matrix(d, 2) for name, d in generators(2).items()}
+
+        def walked(word):
+            return [follow_word(matrices, word, j) for j in range(3)]
+
+        assert walked([]) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert walked(["p1", "p12"]) == [(0, 0, 0), (0, 1, 1), (0, 1, 0)]
+        assert walked(["p12", "p1"]) == [(1, 0, 0)] * 3
 
     def test_stacks_each_partition_once(self, monkeypatch):
         stacked = []
@@ -492,6 +505,16 @@ class TestOrbits:
                 for p in depth_quotient_basis(r)
             )
             assert {o.shape: o.size for o in orbit_decomposition(r)} == shapes
+
+    def test_walk_is_held_to_the_enumeration_cap(self, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "3")
+        assert [o.shape for o in orbit_decomposition(3)] == [(3,)]
+        walked = []
+        monkeypatch.setattr(foulkes, "partitions_no_ones", walked.append)
+        message = re.escape("r=4 exceeds enumeration cap 3 (PLETHYSM_MAX_R)")
+        with pytest.raises(ResourceCapError, match=message):
+            orbit_decomposition(4)
+        assert walked == []
 
     def test_block_filling(self):
         assert str(block_filling((3, 2))) == "{1,2,3|4,5}"

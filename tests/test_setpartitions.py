@@ -384,7 +384,7 @@ class TestFoulkesPoset:
 
         # both verify's stream and the cached enumeration read the runs; the
         # caches built on the enumeration are emptied before and after
-        caches = (foulkes_pairs, foulkes._basis_index)
+        caches = (setpartitions._pair_basis, foulkes._basis_index)
         monkeypatch.setattr(setpartitions, "pair_runs", one_non_refining)
         for cache in caches:
             cache.cache_clear()
@@ -513,7 +513,7 @@ class TestFoulkesPoset:
             # and the cached pairs share one object per partition in the same way
             pairs = foulkes_pairs(r)
             assert {id(p[1]) for p in pairs} <= {id(p[0]) for p in pairs}
-        foulkes_pairs.cache_clear()  # r = 8 is not kept for the other tests
+        setpartitions._pair_basis.cache_clear()  # r = 8 is not kept for the other tests
 
     def test_pickle_round_trip(self):
         for p in foulkes_pairs(3):
