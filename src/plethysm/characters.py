@@ -89,6 +89,13 @@ def check_factors(m, n) -> tuple[int, int]:
     return m, n
 
 
+def check_cap(what: str, value: int, cap: int, name: str) -> int:
+    """The value, or the one refusal of every resource cap, naming the value and the cap."""
+    if value > cap:
+        raise ResourceCapError(f"{what}={value} exceeds {name} = {cap}")
+    return value
+
+
 def check_partition(parts: Sequence[int]) -> Partition:
     """The parts as a tuple of ints; a non-integral part or a string is refused."""
     try:
@@ -336,8 +343,7 @@ def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
     generalized plethysm multiplicity of that rectangle, up to the oracle cap.
     """
     m, n = check_factors(m, n)
-    if m * n > ORACLE_CAP:
-        raise ResourceCapError(f"mn={m * n} exceeds oracle cap {ORACLE_CAP} (ORACLE_CAP)")
+    check_cap("mn", m * n, ORACLE_CAP, "ORACLE_CAP")
     alpha = check_partition(alpha)
     if sum(alpha) != m * n:
         raise SizeMismatchError(f"|alpha|={sum(alpha)} but mn={m * n}")
@@ -359,7 +365,9 @@ def partitions_in_box_count(k: int, rows: int, cols: int) -> int:
 
 def cayley_sylvester(m: int, n: int, r: int) -> int:
     """Two-row plethysm coefficient as a difference of box-partition counts."""
-    m, n, r = check_int(m, "m"), check_int(n, "n"), check_int(r, "r")
+    (m, n), r = check_factors(m, n), check_int(r, "r")
+    if r < 0:
+        raise MalformedPartitionError(f"r={r} is negative")
     if r > m * n:
         raise MalformedPartitionError(f"r={r} exceeds mn={m * n}")
     return partitions_in_box_count(r, m, n) - partitions_in_box_count(r - 1, m, n)

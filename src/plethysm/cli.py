@@ -19,7 +19,9 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import coefficients
-from .characters import format_partition, parse_int, parse_partition, singleton_free_count
+from .characters import (
+    check_cap, format_partition, parse_int, parse_partition, singleton_free_count
+)
 from .errors import (
     MalformedPartitionError,
     PlethysmError,
@@ -160,8 +162,7 @@ def _module_output(r: int, info: str):
 def _cmd_module(args) -> int:
     from . import foulkes
 
-    if args.r > foulkes.MODULE_CAP:
-        raise ResourceCapError(f"r={args.r} exceeds MODULE_CAP = {foulkes.MODULE_CAP}")
+    check_cap("r", args.r, foulkes.MODULE_CAP, "MODULE_CAP")
     payload, text, csv_rows, json_text = _module_output(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
     _emit(record, args.format, text, csv_rows, json_text)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .characters import (
     ORACLE_CAP,
     Partition,
+    check_cap,
     check_factors,
     check_int,
     check_partition,
@@ -30,7 +31,6 @@ from .characters import (
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
-    ResourceCapError,
     UnsupportedRegimeError,
 )
 
@@ -41,9 +41,7 @@ ORACLE_REGIME = "oracle"
 def stable_plethysm(lam: Partition) -> int:
     """The common value of p_{(m^n), lam_[mn]} for all m, n >= |lam|."""
     lam = check_partition(lam)
-    limit = max_ground_size()
-    if sum(lam) > limit:
-        raise ResourceCapError(f"|lam|={sum(lam)} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
+    check_cap("|lam|", sum(lam), max_ground_size(), "PLETHYSM_MAX_R")
     return multiplicity(singleton_free_character(sum(lam)), lam)
 
 
@@ -86,9 +84,7 @@ def stable_table(r: int) -> StableTable:
     r = check_int(r, "r")
     if r < 0:
         raise MalformedPartitionError(f"r={r} is negative")
-    limit = max_ground_size()
-    if r > limit:
-        raise ResourceCapError(f"r={r} exceeds stable cap {limit} (PLETHYSM_MAX_R)")
+    check_cap("r", r, max_ground_size(), "PLETHYSM_MAX_R")
     rows = tuple((lam, stable_plethysm(lam)) for lam in partitions(r))
     weighted = sum(v * dimension(lam) for lam, v in rows)
     if weighted != singleton_free_count(r):  # pragma: no cover - structural guarantee

@@ -20,9 +20,10 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .characters import (
-    Partition, check_int, max_ground_size, partitions_no_ones, shape_count, singleton_free_count
+    Partition, check_cap, check_int, max_ground_size, partitions_no_ones, shape_count,
+    singleton_free_count,
 )
-from .errors import InternalConsistencyError, MalformedPartitionError, ResourceCapError
+from .errors import InternalConsistencyError, MalformedPartitionError
 from .diagrams import PartitionDiagram, act_on_set_partition, check_diagram
 from .setpartitions import (
     FoulkesPair,
@@ -90,9 +91,7 @@ def action_matrix(d: PartitionDiagram, r: int) -> ActionMatrix:
     identity, looked up by its (inner, outer) tuple; the basis holds only
     refining pairs, so a hit needs no refinement check and a miss is a fault.
     """
-    r = check_ground_size(r)
-    if r > MODULE_CAP:
-        raise ResourceCapError(f"r={r} exceeds MODULE_CAP = {MODULE_CAP}")
+    r = check_cap("r", check_ground_size(r), MODULE_CAP, "MODULE_CAP")
     check_diagram(d)  # a diagram on other than r strands is refused by its first action
     basis = foulkes_pairs(r)
     index = _basis_index(r)
@@ -174,10 +173,7 @@ def orbit_decomposition(r: int) -> tuple[DepthOrbit, ...]:
     partition is every set-partition of shape mu (``shape_count``).  The
     partitions of r are walked, so r is held to the enumeration cap.
     """
-    r = check_ground_size(r)
-    limit = max_ground_size()
-    if r > limit:
-        raise ResourceCapError(f"r={r} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
+    r = check_cap("r", check_ground_size(r), max_ground_size(), "PLETHYSM_MAX_R")
     orbits = []
     for mu in partitions_no_ones(r):
         rep = FoulkesPair(SetPartition.singletons(r), block_filling(mu))

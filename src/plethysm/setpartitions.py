@@ -32,11 +32,10 @@ from itertools import chain, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .characters import check_int, max_ground_size
+from .characters import check_cap, check_int, max_ground_size
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
-    ResourceCapError,
     SizeMismatchError,
 )
 
@@ -76,6 +75,8 @@ class SetPartition:
     def from_blocks(cls, blocks: Iterable[Iterable[int]], size: int) -> "SetPartition":
         """Canonicalize a collection of disjoint blocks covering {1..size}."""
         size = check_int(size, "ground size")
+        if size < 0:
+            raise MalformedPartitionError(f"ground size {size} is negative")
         seen: dict[int, int] = {}
         block_list = [sorted(check_int(x, "point") for x in b) for b in blocks]
         for bi, block in enumerate(block_list):
@@ -172,10 +173,7 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 def set_partitions(size: int) -> Iterator[SetPartition]:
     """All set-partitions of {1..size}, canonical, in growth-string lex order."""
-    size = check_ground_size(size)
-    limit = max_ground_size()
-    if size > limit:
-        raise ResourceCapError(f"r={size} exceeds enumeration cap {limit} (PLETHYSM_MAX_R)")
+    size = check_cap("r", check_ground_size(size), max_ground_size(), "PLETHYSM_MAX_R")
     for labels in _growth_strings(size):
         yield SetPartition(size, labels)
 
@@ -243,8 +241,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
     way is refined by its inner, so no pair is built or checked here.  Ranks
     above ``PAIR_BASIS_CAP`` are refused before any enumeration.
     """
-    if check_ground_size(size) > PAIR_BASIS_CAP:
-        raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
+    check_cap("r", check_ground_size(size), PAIR_BASIS_CAP, "PAIR_BASIS_CAP")
     partitions = {sp.labels: sp for sp in set_partitions(size)}
     # merges[k]: the merge strings over k blocks, depth-major, then in lex order
     merges: list[list[tuple[int, ...]]] = [[]]
@@ -268,10 +265,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[SetPartition]]]:
 
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer)."""
-    size = check_ground_size(size)
-    if size > PAIR_BASIS_CAP:
-        raise ResourceCapError(f"r={size} exceeds PAIR_BASIS_CAP = {PAIR_BASIS_CAP}")
-    return _pair_basis(size)
+    return _pair_basis(check_cap("r", check_ground_size(size), PAIR_BASIS_CAP, "PAIR_BASIS_CAP"))
 
 
 @lru_cache(maxsize=None)

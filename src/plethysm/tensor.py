@@ -19,9 +19,9 @@ from itertools import chain, repeat
 from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .characters import check_factors, check_int
+from .characters import check_cap, check_factors, check_int
 from .diagrams import PartitionDiagram
-from .errors import ResourceCapError, SizeMismatchError
+from .errors import SizeMismatchError
 from .setpartitions import (
     PAIR_BASIS_CAP,
     FoulkesPair,
@@ -40,17 +40,10 @@ Vector = dict[int, int]  # flat index -> nonzero coefficient
 RowMap = dict[int, list[int]]  # row -> columns holding a 1
 
 
-def _check_cap(quantity: str, value: int) -> None:
-    """Refuse an enumerated support, Gram matrix or walked basis above VECTOR_CAP."""
-    if value > VECTOR_CAP:
-        raise ResourceCapError(f"tensor {quantity} {value} exceeds VECTOR_CAP = {VECTOR_CAP}")
-
-
 def _tensor_dimension(r: int, m: int, n: int) -> int:
     """(mn)**r, refused above VECTOR_CAP once m, n and then r are checked."""
     dim = prod(check_factors(m, n)) ** check_ground_size(r)
-    _check_cap("dimension", dim)
-    return dim
+    return check_cap("tensor dimension", dim, VECTOR_CAP, "VECTOR_CAP")
 
 
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
@@ -84,7 +77,7 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     """
     r = d.size
     mn = prod(check_factors(m, n))
-    _check_cap("support", mn**d.partition.block_count)
+    check_cap("tensor support", mn**d.partition.block_count, VECTOR_CAP, "VECTOR_CAP")
     heads, tails = [(0, 0)], [0]
     for block in d.partition.blocks:
         sw = sum(mn ** (2 * r - p) for p in block if p > r)
@@ -115,7 +108,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     r = pair.size
     mn = prod(check_factors(m, n))
     support = m**pair.inner.block_count * n**pair.outer.block_count
-    _check_cap("support", support)
+    check_cap("tensor support", support, VECTOR_CAP, "VECTOR_CAP")
     flats = [0]
     for block in pair.inner.blocks:
         w = sum(mn ** (r - p) for p in block)
@@ -182,9 +175,9 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     column per support index.
     """
     m, n = check_factors(m, n)
-    if check_ground_size(r) <= PAIR_BASIS_CAP:  # above it, foulkes_pairs refuses first
-        _tensor_dimension(r, m, n)  # the all-singletons pair's support
-        _check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2)
+    check_cap("r", check_ground_size(r), PAIR_BASIS_CAP, "PAIR_BASIS_CAP")
+    _tensor_dimension(r, m, n)  # the all-singletons pair's support
+    check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2, VECTOR_CAP, "VECTOR_CAP")
     pairs = foulkes_pairs(r)
     supports = [set(block_constant_support(p, m, n)) for p in pairs]
     return integer_matrix_rank([[len(a & b) for b in supports] for a in supports])

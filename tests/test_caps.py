@@ -1,0 +1,113 @@
+"""Every resource cap refuses through ``characters.check_cap``, in one wording.
+
+Each cap site is one row: the call that crosses its cap and the exact
+message, ``{what}={value} exceeds {name} = {cap}``.  The rows that the CLI
+reaches also give the command, which exits 3 with that message on stderr.
+"""
+
+import argparse
+import ast
+from pathlib import Path
+
+import pytest
+
+from plethysm import cli
+from plethysm.characters import homogeneous_plethysm
+from plethysm.coefficients import stable_plethysm, stable_table
+from plethysm.diagrams import PartitionDiagram, generators
+from plethysm.errors import ResourceCapError
+from plethysm.foulkes import action_matrix, orbit_decomposition
+from plethysm.setpartitions import (
+    FoulkesPair,
+    SetPartition,
+    foulkes_pairs,
+    pair_runs,
+    set_partitions,
+)
+from plethysm.tensor import block_constant_support, diagram_tensor_matrix, foulkes_image_rank
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plethysm"
+
+# (call, message, CLI arguments or None); the default PLETHYSM_MAX_R of 12
+CAP_SITES = {
+    "homogeneous_plethysm": (
+        lambda: homogeneous_plethysm(5, 4, (20,)), "mn=20 exceeds ORACLE_CAP = 16", None
+    ),
+    "stable_plethysm": (
+        lambda: stable_plethysm((13,)),
+        "|lam|=13 exceeds PLETHYSM_MAX_R = 12",
+        ["stable", "--lambda", "13"],
+    ),
+    "stable_table": (
+        lambda: stable_table(13), "r=13 exceeds PLETHYSM_MAX_R = 12", ["table", "--r", "13"]
+    ),
+    "set_partitions": (
+        lambda: next(set_partitions(13)), "r=13 exceeds PLETHYSM_MAX_R = 12", None
+    ),
+    "orbit_decomposition": (
+        lambda: orbit_decomposition(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None
+    ),
+    "pair_runs": (lambda: next(pair_runs(10)), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
+    "foulkes_pairs": (lambda: foulkes_pairs(10), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
+    "action_matrix": (
+        lambda: action_matrix(generators(8)["p1"], 8), "r=8 exceeds MODULE_CAP = 7", None
+    ),
+    "cli._cmd_module": (
+        lambda: cli._cmd_module(argparse.Namespace(r=8, info="dims", format="text")),
+        "r=8 exceeds MODULE_CAP = 7",
+        ["module", "--r", "8", "--info", "dims"],
+    ),
+    "diagram_tensor_matrix support": (
+        lambda: diagram_tensor_matrix(PartitionDiagram(3, SetPartition.singletons(6)), 4, 4),
+        f"tensor support={16**6} exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+    "block_constant_support support": (
+        lambda: block_constant_support(FoulkesPair(*[SetPartition.singletons(5)] * 2), 4, 4),
+        f"tensor support={4**10} exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+    "foulkes_image_rank pair basis": (
+        lambda: foulkes_image_rank(10, 1, 1), "r=10 exceeds PAIR_BASIS_CAP = 9", None
+    ),
+    "foulkes_image_rank dimension": (
+        lambda: foulkes_image_rank(5, 4, 4),
+        f"tensor dimension={16**5} exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+    "foulkes_image_rank Gram matrix": (
+        lambda: foulkes_image_rank(5, 1, 1),
+        f"Gram matrix size={358**2} exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message, argv", CAP_SITES.values(), ids=CAP_SITES)
+def test_each_cap_refuses_in_the_one_wording(call, message, argv, capsys, monkeypatch):
+    monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+    with pytest.raises(ResourceCapError) as refused:
+        call()
+    assert str(refused.value) == message
+    if argv is not None:
+        assert cli.main(argv) == cli.EXIT_CAP == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def cap_raises():
+    """Each ``raise ResourceCapError`` in the package, as "module.function"."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):  # breadth first, so a nested def overwrites its parent
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceCapError":
+                    yield f"{path.stem}.{scope.get(node, '<module>')}"
+
+
+def test_only_check_cap_raises_a_cap_error():
+    assert list(cap_raises()) == ["characters.check_cap"]

@@ -291,14 +291,14 @@ class TestVerify:
         monkeypatch.setenv("PLETHYSM_MAX_R", "3")
         code, out, err = run(capsys, "verify", "--suite", "fast")
         assert code == 3 and out == ""
-        assert "exceeds enumeration cap 3" in err
+        assert "r=4 exceeds PLETHYSM_MAX_R = 3" in err
 
     def test_cap_below_the_streamed_pairs_exits_with_cap_code(self, capsys, monkeypatch):
         # the full suite's pair-count check streams r = 8 without caching it
         monkeypatch.setenv("PLETHYSM_MAX_R", "7")
         code, out, err = run(capsys, "verify", "--suite", "full")
         assert code == 3 and out == ""
-        assert "r=8 exceeds enumeration cap 7" in err
+        assert "r=8 exceeds PLETHYSM_MAX_R = 7" in err
 
     def test_crashing_check_does_not_stop_the_suite(self, capsys, monkeypatch):
         def crash(full):

@@ -162,3 +162,11 @@ def test_helpers_below_the_exports_read_integers_through_check_int():
     ):
         with pytest.raises(MalformedPartitionError, match="is not an integer"):
             call()
+    # the sides are read as check_factors reads them, and a negative rank is refused
+    for args, message in (
+        ((2, 2, -1), r"r=-1 is negative"),
+        ((0, 0, 0), r"m=0, n=0: both must be positive"),
+        ((-1, 2, 1), r"m=-1, n=2: both must be positive"),
+    ):
+        with pytest.raises(MalformedPartitionError, match=message):
+            cayley_sylvester(*args)

@@ -511,7 +511,7 @@ class TestOrbits:
         assert [o.shape for o in orbit_decomposition(3)] == [(3,)]
         walked = []
         monkeypatch.setattr(foulkes, "partitions_no_ones", walked.append)
-        message = re.escape("r=4 exceeds enumeration cap 3 (PLETHYSM_MAX_R)")
+        message = "r=4 exceeds PLETHYSM_MAX_R = 3"
         with pytest.raises(ResourceCapError, match=message):
             orbit_decomposition(4)
         assert walked == []

@@ -86,6 +86,12 @@ class TestCanonicalize:
         with pytest.raises(MalformedPartitionError):
             SetPartition.from_blocks([[1, 2]], 3)
 
+    @pytest.mark.parametrize("blocks", [[], [[1]]])
+    def test_negative_size_is_named(self, blocks):
+        with pytest.raises(MalformedPartitionError, match="ground size -1 is negative"):
+            SetPartition.from_blocks(blocks, -1)
+        assert SetPartition.from_blocks([], 0) == SetPartition(0, ())
+
     @pytest.mark.parametrize(
         "blocks, point",
         [([[1, 1.5]], "1.5"), ([[1], [2.0]], "2.0"), ([["1", 2]], "'1'")],
@@ -255,7 +261,7 @@ class TestEnumeration:
 
     def test_cap_message_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("PLETHYSM_MAX_R", "2")
-        message = r"r=3 exceeds enumeration cap 2 \(PLETHYSM_MAX_R\)"
+        message = "r=3 exceeds PLETHYSM_MAX_R = 2"
         with pytest.raises(ResourceCapError, match=message):
             list(set_partitions(3))
 

@@ -92,7 +92,7 @@ class TestDiagramMatrix:
         # six singleton blocks: 4096 rows, but the support would hold 16**6
         # entries; the cap fires before any is built
         d = PartitionDiagram(3, SetPartition.singletons(6))
-        with pytest.raises(ResourceCapError, match=f"support {16**6} exceeds VECTOR_CAP"):
+        with pytest.raises(ResourceCapError, match=f"tensor support={16**6} exceeds VECTOR_CAP = 100000"):
             diagram_tensor_matrix(d, 4, 4)
 
     def test_small_support_in_a_large_dimension_answers(self):
@@ -312,7 +312,7 @@ class TestOracleReferences:
             assert foulkes_image_rank(r, m, n) == dense_image_rank(r, m, n), (r, m, n)
 
     def test_rank_refuses_a_large_dimension(self):
-        with pytest.raises(ResourceCapError, match=f"dimension {16**5} exceeds VECTOR_CAP"):
+        with pytest.raises(ResourceCapError, match=f"tensor dimension={16**5} exceeds VECTOR_CAP = 100000"):
             foulkes_image_rank(5, 4, 4)
 
     def test_rank_refuses_a_large_gram_matrix_before_enumerating(self, monkeypatch):
@@ -321,7 +321,7 @@ class TestOracleReferences:
         monkeypatch.setattr(tensor, "foulkes_pairs", built.append)
         for r, m, n, pairs in ((5, 1, 1, 358), (6, 2, 3, 2471)):
             assert (m * n) ** r <= VECTOR_CAP
-            message = f"Gram matrix size {pairs**2} exceeds VECTOR_CAP"
+            message = f"Gram matrix size={pairs**2} exceeds VECTOR_CAP = 100000"
             with pytest.raises(ResourceCapError, match=message):
                 foulkes_image_rank(r, m, n)
         assert built == []
