@@ -39,6 +39,10 @@ Partition = tuple[int, ...]
 
 ORACLE_CAP = 16
 DEFAULT_MAX_GROUND_SIZE = 12
+# 640 digits is the least limit Python lets int-to-str conversion have, so
+# every integer that the readers accept can be printed in a message
+MAX_DIGITS = 640
+_DIGIT_BOUND = 10**MAX_DIGITS
 
 
 def max_ground_size() -> int:
@@ -73,12 +77,25 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def check_int(value, what: str) -> int:
-    """An integer read through ``operator.index`` (a bool is its int); a float is refused."""
+def shown(value, form=repr) -> str:
+    """The value as ``form`` writes it in a message, unless it holds an
+    integer too long to print."""
     try:
-        return operator.index(value)
+        return form(value)
+    except ValueError:
+        return "<a value holding an integer too long to print>"
+
+
+def check_int(value, what: str) -> int:
+    """An integer read through ``operator.index`` (a bool is its int); a float
+    is refused, and so is an integer of more than MAX_DIGITS digits."""
+    try:
+        value = operator.index(value)
     except TypeError:
-        raise MalformedPartitionError(f"{what} {value!r} is not an integer") from None
+        raise MalformedPartitionError(f"{what} {shown(value)} is not an integer") from None
+    if abs(value) >= _DIGIT_BOUND:
+        raise MalformedPartitionError(f"{what} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def check_factors(m, n) -> tuple[int, int]:
@@ -90,18 +107,23 @@ def check_factors(m, n) -> tuple[int, int]:
 
 
 def check_cap(what: str, value: int, cap: int, name: str) -> int:
-    """The value, or the one refusal of every resource cap, naming the value and the cap."""
+    """The value, or the one refusal of every resource cap, naming the value
+    and the cap; a value too long to print is named by its length."""
     if value > cap:
-        raise ResourceCapError(f"{what}={value} exceeds {name} = {cap}")
+        size = f" of more than {MAX_DIGITS} digits" if value >= _DIGIT_BOUND else f"={value}"
+        raise ResourceCapError(f"{what}{size} exceeds {name} = {cap}")
     return value
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    """The parts as a tuple of ints; a non-integral part or a string is refused."""
+    """The parts as a tuple of ints; a non-integral part or a string is
+    refused, and so is a part of more than MAX_DIGITS digits."""
     try:
         lam = tuple(map(operator.index, parts))
     except TypeError:
-        raise MalformedPartitionError(f"not a partition: {parts}") from None
+        raise MalformedPartitionError(f"not a partition: {shown(parts, str)}") from None
+    if any(abs(part) >= _DIGIT_BOUND for part in lam):
+        raise MalformedPartitionError(f"not a partition: a part has more than {MAX_DIGITS} digits")
     if isinstance(parts, str) or (lam and lam[-1] < 1) or any(map(operator.lt, lam, lam[1:])):
         raise MalformedPartitionError(f"not a partition: {parts}")
     return lam
@@ -325,6 +347,7 @@ def stab_permutation_character(mu: Partition, rho: Partition) -> int:
     mu, rho = check_partition(mu), check_partition(rho)
     if sum(mu) != sum(rho):
         raise SizeMismatchError(f"|{mu}| != |{rho}|")
+    check_cap("|mu|", sum(mu), ORACLE_CAP, "ORACLE_CAP")
     return _shape_characteristic(mu).get(rho, 0)
 
 
@@ -333,6 +356,7 @@ def generalized_plethysm(mu: Partition, lam: Partition) -> int:
     mu, lam = check_partition(mu), check_partition(lam)
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{mu}| != |{lam}|")
+    check_cap("|mu|", sum(mu), ORACLE_CAP, "ORACLE_CAP")
     return multiplicity(_shape_characteristic(mu), lam)
 
 

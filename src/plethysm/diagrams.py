@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .characters import shown
 from .errors import MalformedPartitionError, SizeMismatchError
 from .setpartitions import SetPartition
 
@@ -169,7 +170,7 @@ def _stack(
 def check_diagram(d) -> PartitionDiagram:
     """A diagram argument given from outside; anything else is refused."""
     if not isinstance(d, PartitionDiagram):
-        raise MalformedPartitionError(f"not a partition diagram: {d!r}")
+        raise MalformedPartitionError(f"not a partition diagram: {shown(d)}")
     return d
 
 

@@ -1,25 +1,27 @@
 """Exact Schur-Weyl checks on small tensor powers of C^(mn).
 
 Basis vectors of the r-th tensor power are flat integers in base mn, most
-significant digit first.  Digit c encodes the pair (i, j) with
+significant digit first, so ``itertools.product(range(mn), repeat=r)`` lists
+the basis words in flat order.  Digit c encodes the pair (i, j) with
 c = (j-1)*m + (i-1), matching the subscript/superscript bookkeeping used for
-value-types.  Vectors and 0/1 diagram matrices are sparse dicts of Python
-integers; ranks are computed by fraction-free elimination so injectivity
-never hinges on a float.  VECTOR_CAP bounds what a function enumerates:
-supports, the Gram matrix and the whole bases that the walkers visit.
-The action oracle builds nothing of the module: it is handed the built action
-matrices and each letter's diagram matrix, and follows the pairs' columns
-through them.
+value-types.  Supports and diagram matrices are read off one blockwise
+enumerator of the flat indices that take one free value per block.  Vectors
+and 0/1 diagram matrices are sparse dicts of Python integers; ranks are
+computed by fraction-free elimination so injectivity never hinges on a float.
+VECTOR_CAP bounds what a function enumerates: supports, the Gram matrix and
+the whole bases that the walkers visit.  The action oracle builds nothing of
+the module: it is handed the built action matrices and each letter's diagram
+matrix, and follows the pairs' columns through them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .characters import check_cap, check_factors, check_int
+from .characters import MAX_DIGITS, check_cap, check_factors, check_int
 from .diagrams import PartitionDiagram
 from .errors import SizeMismatchError
 from .setpartitions import (
@@ -41,8 +43,12 @@ RowMap = dict[int, list[int]]  # row -> columns holding a 1
 
 
 def _tensor_dimension(r: int, m: int, n: int) -> int:
-    """(mn)**r, refused above VECTOR_CAP once m, n and then r are checked."""
-    dim = prod(check_factors(m, n)) ** check_ground_size(r)
+    """(mn)**r, refused above VECTOR_CAP once m, n and then r are checked.  A
+    power too long to print is refused unbuilt, as the bound 10**MAX_DIGITS:
+    it passes the bound once 2**(r * (bit length of mn - 1)) does."""
+    mn, r = prod(check_factors(m, n)), check_ground_size(r)
+    bound = 10**MAX_DIGITS
+    dim = bound if r * (mn.bit_length() - 1) >= bound.bit_length() else mn**r
     return check_cap("tensor dimension", dim, VECTOR_CAP, "VECTOR_CAP")
 
 
@@ -50,19 +56,15 @@ def digit_to_pair(c: int, m: int) -> tuple[int, int]:
     return c % m + 1, c // m + 1
 
 
-def flat_index(digits: Sequence[int], mn: int) -> int:
-    out = 0
-    for c in digits:
-        out = out * mn + c
-    return out
-
-
-def index_digits(flat: int, mn: int, r: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(r):
-        digits.append(flat % mn)
-        flat //= mn
-    return tuple(reversed(digits))
+def _block_constant_flats(blocks: Iterable[tuple[int, int]]) -> list[int]:
+    """Every flat index that takes one free value per block: the sums of
+    value * weight over the blocks, given as (weight, number of values), with
+    the last block varying fastest."""
+    flats = [0]
+    for weight, values in blocks:
+        offsets = [v * weight for v in range(values)]
+        flats = [f + o for f in flats for o in offsets]
+    return flats
 
 
 def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
@@ -71,23 +73,20 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     Entry (row I, column J) is 1 exactly when the indices are constant on
     every block of the diagram (rows feed the northern points, columns the
     southern ones).  One free value per block, so the support is enumerated
-    blockwise instead of scanning the full square matrix.  A row fixes the
-    values of the blocks meeting the northern row, which come first in block
-    order; the southern-only blocks add the same column offsets to every row.
+    blockwise as flat indices of the word IJ instead of scanning the full
+    square matrix.  The blocks meeting the northern row come first in block
+    order, so each row's columns come out together.
     """
     r = d.size
     mn = prod(check_factors(m, n))
     check_cap("tensor support", mn**d.partition.block_count, VECTOR_CAP, "VECTOR_CAP")
-    heads, tails = [(0, 0)], [0]
-    for block in d.partition.blocks:
-        sw = sum(mn ** (2 * r - p) for p in block if p > r)
-        if block[0] <= r:
-            nw = sum(mn ** (r - p) for p in block if p <= r)
-            heads = [(row + v * nw, col + v * sw) for row, col in heads for v in range(mn)]
-        else:
-            offsets = [v * sw for v in range(mn)]
-            tails = [col + o for col in tails for o in offsets]
-    return {row: [col + t for t in tails] for row, col in heads}
+    blocks = [(sum(mn ** (2 * r - p) for p in block), mn) for block in d.partition.blocks]
+    size = mn**r
+    matrix: RowMap = {}
+    for flat in _block_constant_flats(blocks):
+        row, col = divmod(flat, size)
+        matrix.setdefault(row, []).append(col)
+    return matrix
 
 
 def value_type(pairs: Sequence[tuple[int, int]]) -> FoulkesPair:
@@ -109,16 +108,9 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     mn = prod(check_factors(m, n))
     support = m**pair.inner.block_count * n**pair.outer.block_count
     check_cap("tensor support", support, VECTOR_CAP, "VECTOR_CAP")
-    flats = [0]
-    for block in pair.inner.blocks:
-        w = sum(mn ** (r - p) for p in block)
-        offsets = [v * w for v in range(m)]
-        flats = [f + o for f in flats for o in offsets]
-    for block in pair.outer.blocks:
-        w = m * sum(mn ** (r - p) for p in block)
-        offsets = [v * w for v in range(n)]
-        flats = [f + o for f in flats for o in offsets]
-    return flats
+    inner = [(sum(mn ** (r - p) for p in block), m) for block in pair.inner.blocks]
+    outer = [(m * sum(mn ** (r - p) for p in block), n) for block in pair.outer.blocks]
+    return _block_constant_flats(inner + outer)
 
 
 def block_constant_vector(pair: FoulkesPair, m: int, n: int) -> Vector:
@@ -151,9 +143,7 @@ def integer_matrix_rank(rows: Iterable[Sequence[int]]) -> int:
             if not vi:
                 continue
             row = [pv * a - vi * b for a, b in zip(work[i], work[rank])]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
+            g = gcd(*row)
             work[i] = [v // g for v in row] if g > 1 else row
         rank += 1
         if rank == len(work):
@@ -240,36 +230,33 @@ def _wreath_digit_maps(m: int, n: int) -> list[tuple[int, ...]]:
 
 def tensor_basis_orbits(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Orbits of the wreath subgroup on the flat tensor basis (by BFS)."""
-    dim = _tensor_dimension(r, m, n)
-    mn = m * n
+    _tensor_dimension(r, m, n)
+    index = {word: flat for flat, word in enumerate(product(range(m * n), repeat=r))}
     gen_digit_maps = _wreath_digit_maps(m, n)
-    seen = [False] * dim
+    seen: set[tuple[int, ...]] = set()
     orbits = set()
-    for start in range(dim):
-        if seen[start]:
+    for start in index:
+        if start in seen:
             continue
         orbit = {start}
         queue = [start]
-        seen[start] = True
         while queue:
-            cur = queue.pop()
-            digits = index_digits(cur, mn, r)
+            word = queue.pop()
             for dmap in gen_digit_maps:
-                nxt = flat_index([dmap[c] for c in digits], mn)
-                if not seen[nxt]:
-                    seen[nxt] = True
+                nxt = tuple(dmap[c] for c in word)
+                if nxt not in orbit:
                     orbit.add(nxt)
                     queue.append(nxt)
-        orbits.add(frozenset(orbit))
+        seen |= orbit
+        orbits.add(frozenset(map(index.get, orbit)))
     return orbits
 
 
 def value_type_fibers(r: int, m: int, n: int) -> set[frozenset[int]]:
     """Partition of the flat tensor basis by value-type."""
-    dim = _tensor_dimension(r, m, n)
-    mn = m * n
+    _tensor_dimension(r, m, n)
     fibers: dict[FoulkesPair, set[int]] = {}
-    for flat in range(dim):
-        pairs = [digit_to_pair(c, m) for c in index_digits(flat, mn, r)]
+    for flat, word in enumerate(product(range(m * n), repeat=r)):
+        pairs = [digit_to_pair(c, m) for c in word]
         fibers.setdefault(value_type(pairs), set()).add(flat)
     return {frozenset(v) for v in fibers.values()}

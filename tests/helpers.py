@@ -4,6 +4,7 @@ They are written on the package's public types, so the library keeps only
 what the CLI and ``verify`` call.
 """
 
+import itertools
 import re
 from functools import lru_cache
 from math import comb
@@ -18,7 +19,6 @@ from plethysm.tensor import (
     block_constant_support,
     diagram_tensor_matrix,
     digit_to_pair,
-    index_digits,
     tensor_action_consistent,
     value_type,
 )
@@ -135,12 +135,11 @@ def word_consistent(r, m, n, word):
 
 def value_type_orbit_vector(pair, m, n):
     """Sum of the basis vectors of (C^(mn))^(tensor r) whose value-type is exactly ``pair``."""
-    r = pair.size
-    mn = m * n
+    words = itertools.product(range(m * n), repeat=pair.size)
     return {
         flat: 1
-        for flat in range(mn**r)
-        if value_type([digit_to_pair(c, m) for c in index_digits(flat, mn, r)]) == pair
+        for flat, word in enumerate(words)
+        if value_type([digit_to_pair(c, m) for c in word]) == pair
     }
 
 

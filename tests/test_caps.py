@@ -1,8 +1,10 @@
 """Every resource cap refuses through ``characters.check_cap``, in one wording.
 
 Each cap site is one row: the call that crosses its cap and the exact
-message, ``{what}={value} exceeds {name} = {cap}``.  The rows that the CLI
-reaches also give the command, which exits 3 with that message on stderr.
+message, ``{what}={value} exceeds {name} = {cap}``, where a value of more
+than ``MAX_DIGITS`` digits reads ``{what} of more than 640 digits``.  The rows
+that the CLI reaches also give the command, which exits 3 with that message
+on stderr.
 """
 
 import argparse
@@ -12,7 +14,11 @@ from pathlib import Path
 import pytest
 
 from plethysm import cli
-from plethysm.characters import homogeneous_plethysm
+from plethysm.characters import (
+    generalized_plethysm,
+    homogeneous_plethysm,
+    stab_permutation_character,
+)
 from plethysm.coefficients import stable_plethysm, stable_table
 from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import ResourceCapError
@@ -24,7 +30,12 @@ from plethysm.setpartitions import (
     pair_runs,
     set_partitions,
 )
-from plethysm.tensor import block_constant_support, diagram_tensor_matrix, foulkes_image_rank
+from plethysm.tensor import (
+    block_constant_support,
+    diagram_tensor_matrix,
+    foulkes_image_rank,
+    tensor_basis_orbits,
+)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plethysm"
 
@@ -32,6 +43,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plethysm"
 CAP_SITES = {
     "homogeneous_plethysm": (
         lambda: homogeneous_plethysm(5, 4, (20,)), "mn=20 exceeds ORACLE_CAP = 16", None
+    ),
+    "generalized_plethysm": (
+        lambda: generalized_plethysm((17,), (17,)), "|mu|=17 exceeds ORACLE_CAP = 16", None
+    ),
+    "stab_permutation_character": (
+        lambda: stab_permutation_character((17,), (17,)), "|mu|=17 exceeds ORACLE_CAP = 16", None
     ),
     "stable_plethysm": (
         lambda: stable_plethysm((13,)),
@@ -65,6 +82,17 @@ CAP_SITES = {
     "block_constant_support support": (
         lambda: block_constant_support(FoulkesPair(*[SetPartition.singletons(5)] * 2), 4, 4),
         f"tensor support={4**10} exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+    # 6**10000 and 4**(10**9) are refused unbuilt, as too long to print
+    "tensor_basis_orbits dimension": (
+        lambda: tensor_basis_orbits(10**4, 2, 3),
+        "tensor dimension of more than 640 digits exceeds VECTOR_CAP = 100000",
+        None,
+    ),
+    "tensor_basis_orbits dimension, r = 10**9": (
+        lambda: tensor_basis_orbits(10**9, 2, 2),
+        "tensor dimension of more than 640 digits exceeds VECTOR_CAP = 100000",
         None,
     ),
     "foulkes_image_rank pair basis": (

@@ -2,9 +2,10 @@
 
 Every integer argument is read through ``operator.index``, so a bool is its
 int and a float or a string is refused; every partition argument through
-``characters.check_partition``.  Malformed input, and operands of different
-sizes, raise a ``PlethysmError`` subclass: never a return value and never
-another exception type.
+``characters.check_partition``.  Both readers refuse an integer of more than
+``MAX_DIGITS`` digits, so every message can print what it names.  Malformed
+input, and operands of different sizes, raise a ``PlethysmError`` subclass:
+never a return value and never another exception type.
 """
 
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plethysm
-from plethysm.characters import cayley_sylvester, partitions
+from plethysm.characters import MAX_DIGITS, cayley_sylvester, partitions
+from plethysm.coefficients import coefficient_regime
 from plethysm.diagrams import PartitionDiagram, generators
-from plethysm.errors import MalformedPartitionError, PlethysmError
+from plethysm.errors import MalformedPartitionError, PlethysmError, ResourceCapError
 from plethysm.foulkes import action_matrix, layer_matrix
-from plethysm.setpartitions import SetPartition
+from plethysm.setpartitions import SetPartition, set_partitions
+from plethysm.tensor import tensor_basis_orbits
 
 not_integers = st.one_of(
     st.floats(),
@@ -25,8 +28,9 @@ not_integers = st.one_of(
     st.tuples(st.integers(0, 3)),
     st.lists(st.integers(0, 3)),  # unhashable, so a cache in front of the check raises TypeError
 )
-not_positive = st.one_of(not_integers, st.integers(max_value=0))
-negative = st.one_of(not_integers, st.integers(max_value=-1))
+too_long = st.sampled_from([10**5000, -(10**5000)])  # past Python's 4300-digit str limit
+not_positive = st.one_of(not_integers, st.integers(max_value=0), too_long)
+negative = st.one_of(not_integers, st.integers(max_value=-1), too_long)
 small_positive = st.integers(1, 3)
 
 small_partitions = st.sampled_from([lam for r in range(5) for lam in partitions(r)])
@@ -38,8 +42,10 @@ not_partitions = st.one_of(
     st.lists(st.one_of(st.integers(1, 3), st.floats()), min_size=1)
     .filter(lambda p: any(isinstance(x, float) for x in p))
     .map(tuple),  # (2, 1.0)
+    st.just((10**5000,)),
     st.floats(),
     st.integers(),
+    too_long,
     st.text(max_size=3),
     st.none(),
 )
@@ -65,7 +71,9 @@ def _diagram(r):
 
 
 small_diagrams = st.integers(1, 3).map(_diagram)
-not_diagrams = st.one_of(not_integers, st.integers(), st.just(SetPartition.singletons(2)))
+not_diagrams = st.one_of(
+    not_integers, st.integers(), too_long, st.just(SetPartition.singletons(2))
+)
 unequal_diagrams = st.tuples(small_diagrams, small_diagrams).filter(
     lambda xy: xy[0].size != xy[1].size
 )
@@ -130,6 +138,9 @@ def test_the_contract_covers_every_root_export():
 @example(("foulkes_pairs", ([2],)))
 @example(("orbit_decomposition", (2.0,)))
 @example(("foulkes_image_rank", (2, 2.0, 2)))
+@example(("character_value", ((10**5000,), (10**5000,))))
+@example(("stable_table", (10**5000,)))
+@example(("multiply_diagrams", (10**5000, 10**5000)))
 def test_every_root_export_refuses_malformed_input(call):
     name, args = call
     with pytest.raises(PlethysmError):
@@ -170,3 +181,49 @@ def test_helpers_below_the_exports_read_integers_through_check_int():
     ):
         with pytest.raises(MalformedPartitionError, match=message):
             cayley_sylvester(*args)
+
+
+BIG = 10**5000  # too long for str() under Python's default limit of 4300 digits
+TOO_LONG = {
+    "stable_table(big)": lambda: plethysm.stable_table(BIG),
+    "stable_table(-big)": lambda: plethysm.stable_table(-BIG),
+    "stable_plethysm": lambda: plethysm.stable_plethysm((BIG,)),
+    "homogeneous_plethysm": lambda: plethysm.homogeneous_plethysm(BIG, 2, (1,)),
+    "plethysm_coefficient": lambda: plethysm.plethysm_coefficient(-BIG, 2, (1,)),
+    "coefficient_regime": lambda: coefficient_regime(2, 2, (BIG,)),
+    "character_value": lambda: plethysm.character_value((BIG,), (BIG,)),
+    "generalized_plethysm": lambda: plethysm.generalized_plethysm(BIG, (1,)),
+    "foulkes_pairs": lambda: plethysm.foulkes_pairs(BIG),
+    "foulkes_pairs([big])": lambda: plethysm.foulkes_pairs([BIG]),
+    "orbit_decomposition": lambda: plethysm.orbit_decomposition(BIG),
+    "set_partitions": lambda: next(set_partitions(BIG)),
+    "action_matrix": lambda: plethysm.action_matrix(generators(1)["p1"], BIG),
+    "multiply_diagrams": lambda: plethysm.multiply_diagrams(BIG, [BIG]),
+    "foulkes_image_rank(2, big, 2)": lambda: plethysm.foulkes_image_rank(2, BIG, 2),
+    "foulkes_image_rank(big, 2, 2)": lambda: plethysm.foulkes_image_rank(BIG, 2, 2),
+    "from_blocks": lambda: SetPartition.from_blocks([], -BIG),
+    "cayley_sylvester(2, 2, big)": lambda: cayley_sylvester(2, 2, BIG),
+    "cayley_sylvester(2, 2, -big)": lambda: cayley_sylvester(2, 2, -BIG),
+    "layer_matrix": lambda: layer_matrix(action_matrix(generators(2)["s1"], 2), BIG),
+    "tensor_basis_orbits": lambda: tensor_basis_orbits(10**4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("call", TOO_LONG.values(), ids=TOO_LONG)
+def test_an_integer_too_long_to_print_is_refused_in_a_message_that_prints(call):
+    with pytest.raises(PlethysmError) as refused:
+        call()
+    assert len(str(refused.value)) < 100
+
+
+def test_the_digit_bound_is_inclusive():
+    # 640 digits, the least int-to-str limit Python accepts, are read and printed
+    most = 10**MAX_DIGITS - 1
+    with pytest.raises(ResourceCapError, match=f"^r={most} exceeds PLETHYSM_MAX_R"):
+        plethysm.stable_table(most)
+    with pytest.raises(ResourceCapError, match=f"^[|]lam[|]={most} exceeds PLETHYSM_MAX_R"):
+        plethysm.stable_plethysm((most,))
+    with pytest.raises(MalformedPartitionError, match="^r has more than 640 digits$"):
+        plethysm.stable_table(-most - 1)
+    with pytest.raises(MalformedPartitionError, match="^not a partition: a part has more than 640"):
+        plethysm.stable_plethysm((most + 1,))

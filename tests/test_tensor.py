@@ -23,7 +23,6 @@ from plethysm.tensor import (
     diagram_tensor_matrix,
     digit_to_pair,
     foulkes_image_rank,
-    index_digits,
     integer_matrix_rank,
     support_image,
     tensor_basis_orbits,
@@ -64,11 +63,9 @@ class TestDiagramMatrix:
 
     def test_entries_enforce_block_constancy(self):
         mat = diagram_tensor_matrix(p12_diagram(2), 2, 2)
-        mn = 4
-        for row in range(16):
-            for col in range(16):
-                i = index_digits(row, mn, 2)
-                j = index_digits(col, mn, 2)
+        words = list(itertools.product(range(4), repeat=2))
+        for row, i in enumerate(words):
+            for col, j in enumerate(words):
                 expected = int(i[0] == i[1] == j[0] == j[1])
                 assert int(col in mat.get(row, ())) == expected
 
@@ -102,6 +99,42 @@ class TestDiagramMatrix:
         assert mat == {v * (5**6 - 1) // 4: [v * (5**6 - 1) // 4] for v in range(5)}
 
 
+def constant_on(sp, values):
+    """Do the values (one per point, in order) take one value on each block of ``sp``?"""
+    return all(len({values[p - 1] for p in block}) == 1 for block in sp.blocks)
+
+
+@pytest.mark.parametrize("r, m, n", itertools.product((1, 2), repeat=3))
+def test_diagram_matrix_is_a_scan_of_the_full_square(r, m, n):
+    # every diagram of rank r: entry (I, J) is 1 exactly when the word IJ is
+    # constant on every block; rows and columns come out in flat order
+    words = list(itertools.product(range(m * n), repeat=r))
+    for sp in set_partitions(2 * r):
+        scan = {}
+        for row, i in enumerate(words):
+            for col, j in enumerate(words):
+                if constant_on(sp, i + j):
+                    scan.setdefault(row, []).append(col)
+        assert list(diagram_tensor_matrix(PartitionDiagram(r, sp), m, n).items()) == list(
+            scan.items()
+        ), (r, m, n, sp)
+
+
+@pytest.mark.parametrize("r, m, n", itertools.product((1, 2, 3), repeat=3))
+def test_support_is_a_filter_of_every_word(r, m, n):
+    # subscripts constant on the inner blocks and superscripts on the outer
+    # ones; sorted lists, so a flat index listed twice would show
+    words = list(enumerate(itertools.product(range(m * n), repeat=r)))
+    for p in foulkes_pairs(r):
+        kept = [
+            flat
+            for flat, word in words
+            if constant_on(p.inner, [c % m for c in word])
+            and constant_on(p.outer, [c // m for c in word])
+        ]
+        assert sorted(block_constant_support(p, m, n)) == kept, (r, m, n, p)
+
+
 class TestValueType:
     def test_seven_position_example(self):
         pairs = [(2, 1), (1, 1), (1, 1), (3, 2), (2, 3), (3, 2), (3, 3)]
@@ -120,10 +153,8 @@ class TestValueType:
 
     def test_fibers_lie_in_truncation(self):
         m, n, r = 2, 2, 3
-        mn = m * n
-        for flat in range(mn**r):
-            digits = index_digits(flat, mn, r)
-            vt = value_type([digit_to_pair(c, m) for c in digits])
+        for word in itertools.product(range(m * n), repeat=r):
+            vt = value_type([digit_to_pair(c, m) for c in word])
             assert vt.in_truncation(m, n)
 
 
