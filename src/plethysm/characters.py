@@ -38,6 +38,10 @@ if TYPE_CHECKING:
 Partition = tuple[int, ...]
 
 ORACLE_CAP = 16
+# the border-strip recursion at rho = (1^n) visits every partition inside lam;
+# the heaviest found at |lam| = 50, (13,9,6,5,4,3,2,2,2,1,1,1,1), takes 0.24 s
+# and 38 MB cold, and each 5 more boxes double that
+CHARACTER_CAP = 50
 DEFAULT_MAX_GROUND_SIZE = 12
 # 640 digits is the least limit Python lets int-to-str conversion have, so
 # every integer that the readers accept can be printed in a message
@@ -59,13 +63,13 @@ def max_ground_size() -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def singleton_free_count(n: int) -> int:
     """Set-partitions of {1..n} with no singleton block (OEIS A000296)."""
-    if n == 0:
-        return 1
-    # the block holding n has j >= 1 further elements
-    return sum(comb(n - 1, j) * singleton_free_count(n - 1 - j) for j in range(1, n))
+    counts = [1]
+    for s in range(1, n + 1):
+        # the block holding s has j >= 1 further elements
+        counts.append(sum(comb(s - 1, j) * counts[s - 1 - j] for j in range(1, s)))
+    return counts[n] if n >= 0 else 0
 
 
 def parse_int(text: str) -> int:
@@ -199,10 +203,12 @@ def cycle_representative(rho: Partition) -> tuple[int, ...]:
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """Irreducible character chi^lam at cycle type rho (Murnaghan–Nakayama),
-    checked on every call: the cache beneath sees only checked partitions."""
+    checked on every call: the cache beneath sees only checked partitions of
+    at most CHARACTER_CAP."""
     lam, rho = check_partition(lam), check_partition(rho)
     if sum(lam) != sum(rho):
         raise SizeMismatchError(f"|{lam}| != |{rho}|")
+    check_cap("|lam|", sum(lam), CHARACTER_CAP, "CHARACTER_CAP")
     ell = len(lam)  # part i is a bead at lam[i] + ell - 1 - i; the last part sits above 0
     return _border_strips(sum(1 << (part + ell - 1 - i) for i, part in enumerate(lam)), rho)
 
@@ -374,17 +380,16 @@ def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
     return generalized_plethysm((m,) * n, alpha)
 
 
-@lru_cache(maxsize=None)
-def partitions_in_box_count(k: int, rows: int, cols: int) -> int:
-    """Number of partitions of k fitting in a rows x cols rectangle."""
-    if k == 0:
-        return 1
-    if k < 0 or rows <= 0 or cols <= 0:
-        return 0
-    # fewer than `rows` parts, or exactly `rows` parts with one column stripped
-    return partitions_in_box_count(k, rows - 1, cols) + partitions_in_box_count(
-        k - rows, rows, cols - 1
-    )
+def box_partition_counts(rows: int, cols: int, top: int) -> list[int]:
+    """Partitions of k = 0..top fitting in a rows x cols rectangle: the Gaussian
+    binomial prod_{i<=rows} (1 - q^(cols+i)) / (1 - q^i), truncated at degree top."""
+    counts = [1] + [0] * top
+    for i in range(1, rows + 1):
+        for k in range(top, cols + i - 1, -1):  # times 1 - q^(cols+i)
+            counts[k] -= counts[k - cols - i]
+        for k in range(i, top + 1):  # over 1 - q^i
+            counts[k] += counts[k - i]
+    return counts
 
 
 def cayley_sylvester(m: int, n: int, r: int) -> int:
@@ -394,4 +399,6 @@ def cayley_sylvester(m: int, n: int, r: int) -> int:
         raise MalformedPartitionError(f"r={r} is negative")
     if r > m * n:
         raise MalformedPartitionError(f"r={r} exceeds mn={m * n}")
-    return partitions_in_box_count(r, m, n) - partitions_in_box_count(r - 1, m, n)
+    # a partition of at most r has at most r parts, each at most r
+    below, at = ([0] + box_partition_counts(min(m, r), min(n, r), r))[-2:]
+    return at - below

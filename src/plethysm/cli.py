@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import coefficients
 from .characters import (
-    check_cap, format_partition, parse_int, parse_partition, singleton_free_count
+    check_cap, format_partition, max_ground_size, parse_int, parse_partition,
+    singleton_free_count,
 )
 from .errors import (
     MalformedPartitionError,
@@ -162,7 +163,11 @@ def _module_output(r: int, info: str):
 def _cmd_module(args) -> int:
     from . import foulkes
 
-    check_cap("r", args.r, foulkes.MODULE_CAP, "MODULE_CAP")
+    # the matrices are built pair by pair; the other infos are counted or walk partitions
+    if args.info == "matrices":
+        check_cap("r", args.r, foulkes.MODULE_CAP, "MODULE_CAP")
+    else:
+        check_cap("r", args.r, max_ground_size(), "PLETHYSM_MAX_R")
     payload, text, csv_rows, json_text = _module_output(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
     _emit(record, args.format, text, csv_rows, json_text)

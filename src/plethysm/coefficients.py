@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .characters import (
+    CHARACTER_CAP,
     ORACLE_CAP,
     Partition,
     check_cap,
@@ -42,6 +43,7 @@ def stable_plethysm(lam: Partition) -> int:
     """The common value of p_{(m^n), lam_[mn]} for all m, n >= |lam|."""
     lam = check_partition(lam)
     check_cap("|lam|", sum(lam), max_ground_size(), "PLETHYSM_MAX_R")
+    check_cap("|lam|", sum(lam), CHARACTER_CAP, "CHARACTER_CAP")  # before its character is built
     return multiplicity(singleton_free_character(sum(lam)), lam)
 
 

@@ -88,9 +88,12 @@ class SetPartition:
                 if x in seen:
                     raise MalformedPartitionError(f"element {x} occurs in two blocks")
                 seen[x] = bi
-        if len(seen) != size:
-            missing = sorted(set(range(1, size + 1)) - seen.keys())
-            raise MalformedPartitionError(f"elements missing from partition: {missing}")
+        missing = size - len(seen)  # every element seen lies in 1..size
+        if missing:  # so 1..len(seen) + 1 holds a missing one
+            first = next(x for x in range(1, len(seen) + 2) if x not in seen)
+            raise MalformedPartitionError(
+                f"elements missing from partition: {missing} of 1..{size}, the first {first}"
+            )
         return cls.from_keys(seen[x] for x in range(1, size + 1))
 
     @classmethod
@@ -289,7 +292,6 @@ def _pair_basis(size: int) -> tuple[FoulkesPair, ...]:
     return tuple(chain.from_iterable(layers))
 
 
-@lru_cache(maxsize=None)
 def _stirling_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of the Stirling triangle, row s holding S(s, k) for k = 0..s,
     each filled from the one before: S(s, k) = k S(s - 1, k) + S(s - 1, k - 1)."""

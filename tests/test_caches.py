@@ -1,0 +1,120 @@
+"""Every process-wide memo in the package, declared with the cap that bounds it.
+
+An ``lru_cache(maxsize=None)`` keeps each result for the life of the process,
+so the package keeps one only where a result is read again, on keys that a
+cap bounds.  ``CACHES`` is the inventory: each memo with the cap that bounds
+its keys and a ceiling on its size after ``MIX``, one fresh process running a
+stated mix of commands and closed-form counts.  A memo found in the package
+and missing here, or declared here and gone, fails the first test.
+"""
+
+import ast
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import plethysm
+from plethysm.characters import ORACLE_CAP, partitions
+from plethysm.foulkes import MODULE_CAP
+from plethysm.setpartitions import PAIR_BASIS_CAP
+
+PACKAGE = Path(plethysm.__file__).resolve().parent
+
+# the cycle types of at most ORACLE_CAP points: every class function's keys
+# under the default caps, since ORACLE_CAP is above PLETHYSM_MAX_R
+CYCLE_TYPES = sum(1 for size in range(ORACLE_CAP + 1) for _ in partitions(size))
+
+# "module.function": (the cap that bounds its keys, its size after MIX at most);
+# a ceiling is what the cap allows where that is small, else the size that MIX
+# left when measured (11,803, 77 and 96 entries) rounded up
+CACHES = {
+    "characters.cycle_type_centralizer": (
+        "cycle types of at most max(PLETHYSM_MAX_R, ORACLE_CAP) points", CYCLE_TYPES
+    ),
+    "characters._border_strips": ("bead sets and cycle types of at most CHARACTER_CAP", 12_000),
+    "characters._power_sum_of_h": ("k*a at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 50),
+    "characters._plethystic_exp": ("degree at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 80),
+    "characters._shape_characteristic": ("shapes of at most ORACLE_CAP points", 100),
+    "diagrams.generators": ("rank at most MODULE_CAP, from the CLI and verify", MODULE_CAP),
+    "foulkes.monomial_text": ("exponents at most MODULE_CAP", (MODULE_CAP + 1) ** 2),
+    "foulkes._basis_index": ("rank at most MODULE_CAP", MODULE_CAP),
+    "setpartitions._pair_basis": ("rank at most PAIR_BASIS_CAP", PAIR_BASIS_CAP),
+    "verify._generator_matrices": ("rank at most MODULE_CAP, verify's own ranks", MODULE_CAP),
+}
+
+# run with the caches' names as arguments; prints each one's size
+MIX = """
+import contextlib, importlib, io, json, sys
+from plethysm import cli
+for argv in (
+    ["table", "--r", "12"],
+    ["stable", "--lambda", "6,3,2"],
+    ["coeff", "--m", "4", "--n", "4", "--lambda", "5,3"],
+    ["module", "--r", "7", "--info", "matrices", "--format", "csv"],
+    ["module", "--r", "7", "--info", "dq"],
+    ["verify", "--suite", "full"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+from plethysm.characters import cayley_sylvester
+from plethysm.setpartitions import pair_counts_by_depth
+cayley_sylvester(40, 40, 800)
+pair_counts_by_depth(300)
+sizes = {}
+for name in sys.argv[1:]:
+    module, _, function = name.rpartition(".")
+    cache = getattr(importlib.import_module("plethysm." + module), function)
+    sizes[name] = cache.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def found_caches():
+    """Every memo that a package module defines at its top level."""
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"plethysm.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                yield f"{info.name}.{name}"
+
+
+def decorated_caches():
+    """Each function the source decorates with lru_cache or cache, wherever it
+    is defined, as "module.function"."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    if name in ("lru_cache", "cache"):
+                        yield f"{path.stem}.{node.name}"
+
+
+def test_every_cache_is_declared_with_its_cap():
+    assert sorted(found_caches()) == sorted(CACHES)
+    # a memo defined in a class or a function escapes the walk over module
+    # namespaces, but not the count of decorators
+    assert sorted(decorated_caches()) == sorted(CACHES)
+    assert all(cap and ceiling > 0 for cap, ceiling in CACHES.values())
+
+
+def test_cache_sizes_after_the_mix_stay_under_their_ceilings():
+    done = subprocess.run(
+        [sys.executable, "-c", MIX, *CACHES],
+        capture_output=True,
+        text=True,
+        env={
+            **{k: v for k, v in os.environ.items() if not k.startswith("PLETHYSM_")},
+            "PYTHONPATH": str(PACKAGE.parent),
+        },
+        timeout=120,
+        check=True,
+    )
+    sizes = json.loads(done.stdout)
+    over = {name: size for name, size in sizes.items() if size > CACHES[name][1]}
+    assert not over, over

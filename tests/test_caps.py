@@ -15,6 +15,7 @@ import pytest
 
 from plethysm import cli
 from plethysm.characters import (
+    character_value,
     generalized_plethysm,
     homogeneous_plethysm,
     stab_permutation_character,
@@ -50,6 +51,14 @@ CAP_SITES = {
     "stab_permutation_character": (
         lambda: stab_permutation_character((17,), (17,)), "|mu|=17 exceeds ORACLE_CAP = 16", None
     ),
+    "character_value": (
+        lambda: character_value((51,), (1,) * 51), "|lam|=51 exceeds CHARACTER_CAP = 50", None
+    ),
+    "character_value, a part too large for its bead bitmask": (
+        lambda: character_value((10**5,), (10**5,)),
+        "|lam|=100000 exceeds CHARACTER_CAP = 50",
+        None,
+    ),
     "stable_plethysm": (
         lambda: stable_plethysm((13,)),
         "|lam|=13 exceeds PLETHYSM_MAX_R = 12",
@@ -70,9 +79,14 @@ CAP_SITES = {
         lambda: action_matrix(generators(8)["p1"], 8), "r=8 exceeds MODULE_CAP = 7", None
     ),
     "cli._cmd_module": (
-        lambda: cli._cmd_module(argparse.Namespace(r=8, info="dims", format="text")),
+        lambda: cli._cmd_module(argparse.Namespace(r=8, info="matrices", format="text")),
         "r=8 exceeds MODULE_CAP = 7",
-        ["module", "--r", "8", "--info", "dims"],
+        ["module", "--r", "8", "--info", "matrices"],
+    ),
+    "cli._cmd_module, counted infos": (
+        lambda: cli._cmd_module(argparse.Namespace(r=13, info="dims", format="text")),
+        "r=13 exceeds PLETHYSM_MAX_R = 12",
+        ["module", "--r", "13", "--info", "dims"],
     ),
     "diagram_tensor_matrix support": (
         lambda: diagram_tensor_matrix(PartitionDiagram(3, SetPartition.singletons(6)), 4, 4),

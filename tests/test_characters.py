@@ -5,6 +5,7 @@ import pytest
 
 from plethysm import characters, setpartitions, verify
 from plethysm.characters import (
+    CHARACTER_CAP,
     cayley_sylvester,
     character_value,
     check_partition,
@@ -17,8 +18,8 @@ from plethysm.characters import (
     multiplicity,
     pad_partition,
     parse_partition,
+    box_partition_counts,
     partitions,
-    partitions_in_box_count,
     partitions_no_ones,
     set_partitions_of_shape,
     shape_count,
@@ -187,6 +188,14 @@ class TestCharacterValues:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             character_value((2,), (1, 1, 1))
+
+    def test_size_is_capped_before_the_bead_bitmask(self):
+        # uncapped, 1 << 10**600 raised OverflowError and 10**5 one-cycles RecursionError
+        for lam, rho in (((10**600,), (10**600,)), ((10**5,), (1,) * 10**5), ((51,), (51,))):
+            with pytest.raises(ResourceCapError, match="exceeds CHARACTER_CAP = 50$"):
+                character_value(lam, rho)
+        assert character_value((CHARACTER_CAP,), (1,) * CHARACTER_CAP) == 1
+        assert CHARACTER_CAP >= characters.ORACLE_CAP  # the oracle pairs at |lam| = mn
 
     def test_bead_kernel_matches_the_beta_list_reference(self):
         # orthogonality alone cannot see a relabelling of the irreducibles
@@ -463,13 +472,26 @@ class TestCayleySylvester:
     def test_box_counts_against_filtering(self):
         for rows in range(1, 6):
             for cols in range(1, 6):
+                counts = box_partition_counts(rows, cols, rows * cols)
                 for k in range(0, rows * cols + 1):
                     brute = sum(
                         1
                         for lam in partitions(k)
                         if len(lam) <= rows and (not lam or lam[0] <= cols)
                     )
-                    assert partitions_in_box_count(k, rows, cols) == brute
+                    assert counts[k] == brute
+
+    def test_box_clipped_at_r_gives_the_full_box_difference(self):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                counts = [0] + box_partition_counts(m, n, m * n)
+                assert [cayley_sylvester(m, n, r) for r in range(m * n + 1)] == [
+                    b - a for a, b in zip(counts, counts[1:])
+                ]
+        # a memoized recursion kept 15.3 M box counts, 1.8 GB, for this one value
+        assert cayley_sylvester(100, 100, 5000) > 0
+        # Hermite reciprocity: h_n[h_m] and h_m[h_n] agree, from different boxes
+        assert cayley_sylvester(30, 70, 700) == cayley_sylvester(70, 30, 700)
 
     def test_out_of_range(self):
         with pytest.raises(MalformedPartitionError):

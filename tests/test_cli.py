@@ -223,9 +223,27 @@ class TestModule:
         assert sum(row["orbit_size"] for row in orbits["result"]) == 162
 
     def test_cap_exit_code(self, capsys):
-        code, out, err = run(capsys, "module", "--r", "8", "--info", "dims")
+        code, out, err = run(capsys, "module", "--r", "8", "--info", "matrices")
         assert code == 3 and out == ""
         assert "r=8 exceeds MODULE_CAP = 7" in err
+
+    def test_matrices_are_refused_before_any_enumeration(self, capsys, monkeypatch):
+        def enumerate_pairs(r):
+            raise AssertionError(f"foulkes_pairs({r}) was built")
+
+        monkeypatch.setattr("plethysm.setpartitions.foulkes_pairs", enumerate_pairs)
+        assert run(capsys, "module", "--r", "8", "--info", "matrices")[0] == 3
+
+    def test_counted_infos_answer_up_to_the_enumeration_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        # A000258(8) refining pairs, A000296(8) of them in the depth quotient
+        assert run(capsys, "module", "--r", "8", "--info", "dims") == (
+            0, "167894 / 167179 / 715\n", ""
+        )
+        for info in ("dims", "filtration", "dq"):
+            assert run(capsys, "module", "--r", "12", "--info", info)[0] == 0
+            code, out, err = run(capsys, "module", "--r", "13", "--info", info)
+            assert (code, out, err) == (3, "", "error: r=13 exceeds PLETHYSM_MAX_R = 12\n")
 
 
 class TestStrictIntegers:

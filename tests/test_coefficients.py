@@ -67,6 +67,14 @@ class TestStableValues:
         with pytest.raises(ResourceCapError, match=message):
             stable_plethysm((13,))
 
+    def test_a_raised_enumeration_cap_stops_at_the_character_cap(self, monkeypatch):
+        # refused before the singleton-free character of degree 51 is built,
+        # which ran for more than 20 s
+        monkeypatch.setenv("PLETHYSM_MAX_R", "60")
+        for call in (lambda: stable_plethysm((51,)), lambda: stable_table(51)):
+            with pytest.raises(ResourceCapError, match=r"^\|lam\|=51 exceeds CHARACTER_CAP = 50$"):
+                call()
+
     def test_accepts_sequences(self):
         assert stable_plethysm([2, 2]) == 1
 

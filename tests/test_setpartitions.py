@@ -86,6 +86,17 @@ class TestCanonicalize:
         with pytest.raises(MalformedPartitionError):
             SetPartition.from_blocks([[1, 2]], 3)
 
+    def test_missing_elements_are_counted_not_listed(self):
+        # listing them cost 0.55 s and 116 MB at size 10**6
+        cases = (([[1, 2]], 3, 1, 3), ([[2], [4]], 5, 3, 1), ([], 10**9, 10**9, 1))
+        for blocks, size, count, first in cases:
+            with pytest.raises(MalformedPartitionError) as refused:
+                SetPartition.from_blocks(blocks, size)
+            assert str(refused.value) == (
+                f"elements missing from partition: {count} of 1..{size}, the first {first}"
+            )
+        assert SetPartition.from_blocks([], 0) == SetPartition(0, ())
+
     @pytest.mark.parametrize("blocks", [[], [[1]]])
     def test_negative_size_is_named(self, blocks):
         with pytest.raises(MalformedPartitionError, match="ground size -1 is negative"):
@@ -350,10 +361,7 @@ class TestFoulkesPoset:
             for x in row:
                 nxt.append(nxt[-1] + x)
             row = nxt
-        try:
-            counts = pair_counts_by_depth(n)  # deeper than the default recursion limit
-        finally:
-            setpartitions._stirling_rows.cache_clear()
+        counts = pair_counts_by_depth(n)  # deeper than the default recursion limit
         # depth 0 pairs each partition with itself; depth n - 1 is singletons ; one block
         assert len(counts) == n and counts[0] == row[-1] and counts[-1] == 1
 
