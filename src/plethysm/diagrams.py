@@ -8,18 +8,17 @@ diagram, where ``closed`` counts the middle components that touch neither
 outer row, so ``multiply_diagrams`` returns that count and the diagram.
 The generators of a rank, p1, p12 and s_i, are one table, ``generators(r)``.
 
-Stacking works on label strings: ``_stack`` takes two growth strings with
-their block counts and returns ints and a growth string, no objects.  The
-glued points identify blocks of the two strings, and ``_glue``, a union-find
-over block labels (not points), merges them; it reads only the upper string's
-glued labels and block count, the lower string's glued labels and the number
-of lower nodes, and leaves every other lower block its own root.  ``_stack``
-then relabels the free points' roots in one pass.  Closed components are the
-block labels minus the unions minus the free blocks, so no final scan is
-needed.  The product and the one-row action are both this one operation, and
-each wraps its result in a validated ``SetPartition``; verify's exhaustive
-product table calls ``_glue`` once per upper diagram and lower northern
-string, and reads each propagating count from the roots.
+Stacking works on label strings: ``_stack`` reads two partitions' growth
+strings and block counts.  The glued points identify blocks of the two strings,
+and ``_glue``, a union-find over block labels (not points), merges them; it
+reads only the upper string's glued labels and block count, the lower
+string's glued labels and the number of lower nodes, and leaves every other
+lower block its own root.  ``SetPartition.from_keys`` numbers the free
+points' roots into the induced partition, and the closed components are the
+block labels minus the unions minus its blocks, so no final scan is needed.
+The product and the one-row action are both this one operation; verify's
+exhaustive product table calls ``_glue`` once per upper diagram and lower
+northern string, and reads each propagating count from the roots.
 """
 
 from __future__ import annotations
@@ -142,27 +141,20 @@ def _glue(
     return parent, unions
 
 
-def _stack(
-    upper: tuple[int, ...],
-    upper_blocks: int,
-    lower: tuple[int, ...],
-    lower_blocks: int,
-    glued: int,
-) -> tuple[int, tuple[int, ...]]:
+def _stack(upper: SetPartition, lower: SetPartition, glued: int) -> tuple[int, SetPartition]:
     """Glue the last ``glued`` points of ``upper`` to the first ``glued`` of ``lower``.
 
-    Both are growth strings with the given block counts.  Returns (components
-    touching no free point, growth string induced on the free points: upper's
-    unglued points, then lower's).
+    Returns (components touching no free point, partition induced on the free
+    points: upper's unglued points, then lower's).
     """
-    cut = len(upper) - glued
-    parent, unions = _glue(upper[cut:], upper_blocks, lower[:glued], lower_blocks)
-    roots = list(map(parent.__getitem__, upper[:cut]))
-    roots += map(parent[upper_blocks:].__getitem__, lower[glued:])
-    relabel: dict[int, int] = {}  # roots numbered by first appearance: the growth string
-    labels = tuple([relabel.setdefault(root, len(relabel)) for root in roots])
+    top, bottom, shift = upper.labels, lower.labels, upper.block_count
+    cut = len(top) - glued
+    parent, unions = _glue(top[cut:], shift, bottom[:glued], lower.block_count)
+    roots = list(map(parent.__getitem__, top[:cut]))
+    roots += map(parent[shift:].__getitem__, bottom[glued:])
+    induced = SetPartition.from_keys(roots)
     # each union merges two components; those left touch a free point or are closed
-    return len(parent) - unions - len(relabel), labels
+    return len(parent) - unions - induced.block_count, induced
 
 
 def check_diagram(d) -> PartitionDiagram:
@@ -176,11 +168,8 @@ def multiply_diagrams(x: PartitionDiagram, y: PartitionDiagram) -> tuple[int, Pa
     """Stack x above y; return (closed middle components, resulting diagram)."""
     if check_diagram(x).size != check_diagram(y).size:
         raise SizeMismatchError(f"strand counts differ: {x.size} vs {y.size}")
-    upper, lower = x.partition, y.partition
-    closed, labels = _stack(
-        upper.labels, upper.block_count, lower.labels, lower.block_count, x.size
-    )
-    return closed, PartitionDiagram(x.size, SetPartition(2 * x.size, labels))
+    closed, induced = _stack(x.partition, y.partition, x.size)
+    return closed, PartitionDiagram(x.size, induced)
 
 
 def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, SetPartition]:
@@ -191,6 +180,4 @@ def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, Se
     """
     if sp.size != d.size:
         raise SizeMismatchError(f"sizes differ: {sp.size} vs {d.size}")
-    lower = d.partition
-    closed, labels = _stack(sp.labels, sp.block_count, lower.labels, lower.block_count, sp.size)
-    return closed, SetPartition(sp.size, labels)
+    return _stack(sp, d.partition, sp.size)

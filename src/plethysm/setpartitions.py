@@ -3,9 +3,12 @@
 A set-partition is stored as a restricted growth string: ``labels[k]`` is the
 block index of element ``k+1``, blocks numbered in order of first appearance.
 That numbering coincides with ordering blocks by increasing minima, so the
-string is a canonical form and hashing/equality are O(r).  Internal code
-builds partitions with ``SetPartition.from_keys`` (one relabel pass);
-``from_blocks`` validates block lists from outside and then delegates to it.
+string is a canonical form and hashing/equality are O(r).  ``_growth_strings``
+enumerates them, extending each shorter string by every label up to one past
+its largest.  ``SetPartition.from_keys`` is the one relabelling of a partition
+computed from others (a stacked image, an embedded diagram, a block filling),
+in one pass; ``from_blocks`` validates block lists from outside and then
+delegates to it.
 The one scan that validates a label string also stores its block count, and
 the per-pair invariants read label pairs instead of building block lists.
 Refinement is one cached read per partition: a labelling is constant on
@@ -103,7 +106,7 @@ class SetPartition:
         numbering, so this one pass builds the growth string directly.
         """
         relabel: dict[Hashable, int] = {}
-        labels = tuple(relabel.setdefault(key, len(relabel)) for key in keys)
+        labels = tuple([relabel.setdefault(key, len(relabel)) for key in keys])
         return cls(len(labels), labels)
 
     @classmethod
@@ -153,24 +156,21 @@ def check_ground_size(size) -> int:
 
 
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of length n in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    m = [-1] + [0] * (n - 1)  # m[i] = max(a[:i])
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i > 0 and a[i] == m[i] + 1:
-            i -= 1
-        if i == 0:
+    """All restricted growth strings of length n in lexicographic order: the
+    strings of length n - 1 in that order, each extended by every label from
+    0 to one past its largest."""
+
+    def grow(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # the strings of length k, each with its block count
+        if k == 0:
+            yield (), 0
             return
-        a[i] += 1
-        top = max(m[i], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            m[j] = top
+        for prefix, count in grow(k - 1):
+            for label in range(count):
+                yield prefix + (label,), count
+            yield prefix + (count,), count + 1
+
+    return (labels for labels, _ in grow(n))
 
 
 def set_partitions(size: int) -> Iterator[SetPartition]:

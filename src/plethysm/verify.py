@@ -52,13 +52,12 @@ def _random_diagram(rng: random.Random, r: int) -> PartitionDiagram:
     return PartitionDiagram(r, SetPartition(2 * r, tuple(labels)))
 
 
-def _embed_shifted(d: PartitionDiagram, r: int) -> PartitionDiagram:
-    """Reinterpret a rank r-1 diagram inside rank r with strand 1 cut."""
-    small = d.size
-    blocks = [[1], [r + 1]]
-    for block in d.partition.blocks:
-        blocks.append([p + 1 if p <= small else p + r - small + 1 for p in block])
-    return PartitionDiagram.from_blocks(blocks, r)
+def _embed_shifted(d: PartitionDiagram) -> PartitionDiagram:
+    """Reinterpret a diagram inside the next rank up with strand 1 cut: the
+    cut ends 1 and 1' are singletons keyed apart from every label."""
+    labels, small = d.partition.labels, d.size
+    keys = (-1, *labels[:small], -2, *labels[small:])
+    return PartitionDiagram(small + 1, SetPartition.from_keys(keys))
 
 
 # ---------------------------------------------------------------- set partitions
@@ -245,8 +244,8 @@ def check_subalgebra_truncation(full: bool) -> str:
         small = [PartitionDiagram(r - 1, sp) for sp in set_partitions(2 * (r - 1))]
         for a, b in itertools.product(small, repeat=2):
             t_small, c = multiply_diagrams(a, b)
-            t_big, z = multiply_diagrams(_embed_shifted(a, r), _embed_shifted(b, r))
-            if t_big != t_small + 1 or z != _embed_shifted(c, r):
+            t_big, z = multiply_diagrams(_embed_shifted(a), _embed_shifted(b))
+            if t_big != t_small + 1 or z != _embed_shifted(c):
                 raise CheckFailure(f"truncation mismatch at r={r}: {a} * {b}")
     return "cut-strand subalgebra reproduces the next rank down (r=2,3)"
 

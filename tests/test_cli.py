@@ -318,6 +318,21 @@ class TestVerify:
         assert code == 3 and out == ""
         assert "r=8 exceeds PLETHYSM_MAX_R = 7" in err
 
+    @pytest.mark.parametrize(
+        "suite, least, refused",
+        [
+            ("fast", 6, "r=6 exceeds PLETHYSM_MAX_R = 5"),
+            ("full", 10, "|lam|=10 exceeds PLETHYSM_MAX_R = 9"),
+        ],
+    )
+    def test_least_cap_each_suite_accepts(self, capsys, monkeypatch, suite, least, refused):
+        # the README states these least caps; one below them exits 3
+        monkeypatch.setenv("PLETHYSM_MAX_R", str(least - 1))
+        assert run(capsys, "verify", "--suite", suite) == (3, "", f"error: {refused}\n")
+        monkeypatch.setenv("PLETHYSM_MAX_R", str(least))
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0 and "FAIL" not in out
+
     def test_crashing_check_does_not_stop_the_suite(self, capsys, monkeypatch):
         def crash(full):
             raise InternalConsistencyError("kernel broke")

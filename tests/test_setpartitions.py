@@ -250,7 +250,44 @@ class TestRefines:
         assert pair.inner.refines(pair.outer)
 
 
+def is_growth_string(labels):
+    """Each label is at most one past the largest before it, the first 0."""
+    top = -1
+    for label in labels:
+        if not 0 <= label <= top + 1:
+            return False
+        top = max(top, label)
+    return True
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(11))
+    def test_growth_strings_are_bell_many_in_increasing_order(self, n):
+        strings = list(setpartitions._growth_strings(n))
+        assert len(strings) == bell_number(n)
+        assert all(map(is_growth_string, strings))
+        assert all(a < b for a, b in zip(strings, strings[1:]))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_growth_strings_filter_every_word(self, n):
+        words = itertools.product(range(n), repeat=n)
+        assert list(setpartitions._growth_strings(n)) == list(filter(is_growth_string, words))
+
+    @pytest.mark.parametrize("r", [1, 4, 7])
+    def test_one_enumerator_call_per_set_partitions(self, monkeypatch, r):
+        # the enumerator must not re-enter its module-level name, so a patch
+        # over it (as verify's fixed-count test makes) sees each call once
+        calls = []
+        exact = setpartitions._growth_strings
+
+        def counted(n):
+            calls.append(n)
+            return exact(n)
+
+        monkeypatch.setattr(setpartitions, "_growth_strings", counted)
+        assert len(list(set_partitions(r))) == bell_number(r)
+        assert calls == [r]
+
     def test_counts_match_bell(self):
         for r in range(1, 9):
             assert bell_number(r) == brute_bell(r)
