@@ -23,7 +23,7 @@ from .characters import (
     dimension,
     homogeneous_plethysm,
     max_ground_size,
-    multiplicity,
+    multiplicities,
     pad_partition,
     partitions,
     singleton_free_character,
@@ -44,7 +44,7 @@ def stable_plethysm(lam: Partition) -> int:
     lam = check_partition(lam)
     check_cap("|lam|", sum(lam), max_ground_size(), "PLETHYSM_MAX_R")
     check_cap("|lam|", sum(lam), CHARACTER_CAP, "CHARACTER_CAP")  # before its character is built
-    return multiplicity(singleton_free_character(sum(lam)), lam)
+    return multiplicities(singleton_free_character(sum(lam)), (lam,))[0]
 
 
 def coefficient_regime(m: int, n: int, lam: Partition) -> str:
@@ -87,7 +87,9 @@ def stable_table(r: int) -> StableTable:
     if r < 0:
         raise MalformedPartitionError(f"r={r} is negative")
     check_cap("r", r, max_ground_size(), "PLETHYSM_MAX_R")
-    rows = tuple((lam, stable_plethysm(lam)) for lam in partitions(r))
+    check_cap("|lam|", r, CHARACTER_CAP, "CHARACTER_CAP")  # before its character is built
+    labels = tuple(partitions(r))
+    rows = tuple(zip(labels, multiplicities(singleton_free_character(r), labels)))
     weighted = sum(v * dimension(lam) for lam, v in rows)
     if weighted != singleton_free_count(r):  # pragma: no cover - structural guarantee
         raise InternalConsistencyError(f"dimension check failed at r={r}: {weighted}")

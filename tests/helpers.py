@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 
 from plethysm import characters, verify
-from plethysm.characters import multiplicity, partitions
+from plethysm.characters import multiplicities, partitions
 from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import MalformedPartitionError, SizeMismatchError
 from plethysm.foulkes import action_matrix
@@ -59,7 +59,8 @@ def module_multiplicities(r):
     out = {(): 1}
     for k in range(1, r + 1):
         fixed = verify._quotient_character(k)
-        out.update((lam, multiplicity(fixed, lam)) for lam in partitions(k))
+        labels = tuple(partitions(k))
+        out.update(zip(labels, multiplicities(fixed, labels)))
     return out
 
 

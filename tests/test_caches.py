@@ -30,12 +30,11 @@ CYCLE_TYPES = sum(1 for size in range(ORACLE_CAP + 1) for _ in partitions(size))
 
 # "module.function": (the cap that bounds its keys, its size after MIX at most);
 # a ceiling is what the cap allows where that is small, else the size that MIX
-# left when measured (11,803, 77 and 96 entries) rounded up
+# left when measured (77 and 96 entries) rounded up
 CACHES = {
     "characters.cycle_type_centralizer": (
         "cycle types of at most max(PLETHYSM_MAX_R, ORACLE_CAP) points", CYCLE_TYPES
     ),
-    "characters._border_strips": ("bead sets and cycle types of at most CHARACTER_CAP", 12_000),
     "characters._power_sum_of_h": ("k*a at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 50),
     "characters._plethystic_exp": ("degree at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 80),
     "characters._shape_characteristic": ("shapes of at most ORACLE_CAP points", 100),

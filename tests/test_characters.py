@@ -2,6 +2,8 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethysm import characters, setpartitions, verify
 from plethysm.characters import (
@@ -15,7 +17,7 @@ from plethysm.characters import (
     format_partition,
     generalized_plethysm,
     homogeneous_plethysm,
-    multiplicity,
+    multiplicities,
     pad_partition,
     parse_partition,
     box_partition_counts,
@@ -332,13 +334,33 @@ class TestMultiplicity:
             for mu in partitions(r):
                 chi = {rho: character_value(mu, rho) for rho in partitions(r)}
                 for lam in partitions(r):
-                    assert multiplicity(chi, lam) == int(lam == mu)
+                    assert multiplicities(chi, (lam,)) == [int(lam == mu)]
 
     def test_non_character_is_a_fault(self):
         with pytest.raises(InternalConsistencyError):
-            multiplicity({(1, 1): 1}, (2,))  # pairs to 1/2
+            multiplicities({(1, 1): 1}, ((2,),))  # pairs to 1/2
         with pytest.raises(InternalConsistencyError):
-            multiplicity({(1, 1): -2}, (2,))  # pairs to -1
+            multiplicities({(1, 1): -2}, ((2,),))  # pairs to -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_sum_of_irreducibles_pairs_to_its_coefficients(self, data):
+        # the character sum_mu c_mu chi^mu, read from the beta-list reference
+        labels = list(partitions(data.draw(st.integers(0, 7), label="r")))
+        c = data.draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)))
+        chi = {
+            rho: sum(k * beta_list_character(mu, rho) for k, mu in zip(c, labels))
+            for rho in labels
+        }
+        assert multiplicities(chi, labels) == c
+
+    def test_a_label_of_another_size_is_refused(self):
+        # a trie walk alone would pair the smaller label to 0
+        chi = singleton_free_character(4)
+        for labels in (((2, 1),), ((4,), (5,)), ((),)):
+            with pytest.raises(SizeMismatchError, match=r"^\|\(.*\)\| != \|\(2, 2\)\|$"):
+                multiplicities(chi, labels)
+        assert multiplicities({}, ((1,),)) == [0]  # the singleton-free character of S_1
 
 
 class TestSingletonFreeCharacter:

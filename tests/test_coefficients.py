@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from plethysm import characters, coefficients, foulkes, verify
@@ -24,7 +26,7 @@ from plethysm.errors import (
 )
 from plethysm.foulkes import depth_quotient_basis
 
-from helpers import module_multiplicities
+from helpers import beta_list_character, module_multiplicities
 
 RANK8_VALUES = {
     (8,): 7,
@@ -154,6 +156,20 @@ class TestStableTable:
 
     def test_rank0(self):
         assert stable_table(0).rows == (((), 1),)
+
+    def test_matches_the_beta_list_pairing(self, monkeypatch):
+        # one walk pairs every label; the reference pairs each (lam, rho) apart
+        monkeypatch.setenv("PLETHYSM_MAX_R", "14")
+        for r in range(15):
+            chi = characters.singleton_free_character(r)
+            rows = stable_table(r).rows
+            assert [lam for lam, _ in rows] == list(partitions(r))
+            for lam, value in rows:
+                total = sum(
+                    characters.class_size(rho) * count * beta_list_character(lam, rho)
+                    for rho, count in chi.items()
+                )
+                assert total == value * factorial(r), (r, lam)
 
     def test_cap_message_names_the_variable(self, monkeypatch):
         monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
