@@ -45,6 +45,12 @@ from .errors import (
 # would hold 16,733,779 (A000258), so the cached basis stops at 9
 PAIR_BASIS_CAP = 9
 
+# _growth_strings nests one generator frame per point, so whatever
+# PLETHYSM_MAX_R says, set_partitions stays well below the interpreter's
+# recursion limit of 1000; Bell(100) is about 4.8e115, so no such enumeration
+# could finish, and its first partition comes in well under a millisecond
+ENUMERATION_CAP = 100
+
 
 @dataclass(frozen=True)
 class SetPartition:
@@ -176,6 +182,7 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 def set_partitions(size: int) -> Iterator[SetPartition]:
     """All set-partitions of {1..size}, canonical, in growth-string lex order."""
     size = check_cap("r", check_ground_size(size), max_ground_size(), "PLETHYSM_MAX_R")
+    check_cap("r", size, ENUMERATION_CAP, "ENUMERATION_CAP")
     for labels in _growth_strings(size):
         yield SetPartition(size, labels)
 

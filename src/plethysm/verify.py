@@ -110,9 +110,9 @@ def check_pair_count(full: bool) -> str:
     A run is re-checked at once on its outers' label columns: each point's
     column must equal the column of the first point of its inner block.  The
     cached ``foulkes_pairs`` is counted too, at the ranks whose pairs the later
-    checks build anyway."""
+    checks build anyway, at most 5: no check builds the rank-6 basis."""
     top = 8 if full else 4
-    cached_top = 6 if full else 4
+    cached_top = 5 if full else 4
     labels_of = attrgetter("labels")
     for r in range(1, top + 1):
         expected = _truncated_pair_count(r, r, r)
@@ -255,8 +255,8 @@ def check_subalgebra_truncation(full: bool) -> str:
 
 @lru_cache(maxsize=None)
 def _generator_matrices(r: int) -> dict[str, foulkes.ActionMatrix]:
-    """Each rank-r generator's action matrix by name, built once per rank for
-    the module and tensor checks; the filtration layers are read from it too."""
+    """Each rank-r generator's action matrix by name, built once per rank up to
+    5 for the foulkes and tensor checks; the filtration layers are read from it."""
     return {name: foulkes.action_matrix(d, r) for name, d in generators(r).items()}
 
 
@@ -515,26 +515,25 @@ def check_oracle_stabilization(full: bool) -> str:
 
 
 def _quotient_character(r: int) -> dict[Partition, int]:
-    """For each cycle type rho of S_r: the depth-quotient pairs fixed by one
-    permutation of type rho, read from the module's own s_i matrices.  Each
-    cycle of ``cycle_representative(rho)`` runs over consecutive positions
-    a..b, and the word s_a ... s_{b-1} is one cycle on them; a quotient
-    column counts when the words of all cycles bring it back to itself."""
-    matrices = _generator_matrices(r)
-    index = foulkes._basis_index(r)
-    columns = [index[p] for p in foulkes.depth_quotient_basis(r)]
+    """For each cycle type rho of S_r: the depth-quotient pairs, those of the
+    all-singleton inner partition that ``foulkes.in_depth_radical`` leaves out,
+    fixed by the diagram of ``cycle_representative(rho)``.  A permutation keeps
+    the inner partition, so a pair counts when the one-row action fixes its outer."""
+    inner = SetPartition.singletons(r)
+    pairs = (setpartitions.FoulkesPair(inner, sp) for sp in set_partitions(r))
+    outers = [p.outer for p in pairs if not foulkes.in_depth_radical(p)]
     character = {}
     for rho in characters.partitions(r):
-        starts = itertools.accumulate((1,) + rho)
-        word = [f"s{i}" for a, k in zip(starts, rho) for i in range(a, a + k - 1)]
-        character[rho] = sum(foulkes.follow_word(matrices, word, j)[0] == j for j in columns)
+        strands = enumerate(characters.cycle_representative(rho), start=1)
+        d = PartitionDiagram.from_blocks(([k, r + image] for k, image in strands), r)
+        character[rho] = sum(diagrams.act_on_set_partition(sp, d)[1] == sp for sp in outers)
     return character
 
 
 def check_module_vs_stable(full: bool) -> str:
     """Each stable value is the multiplicity of its label in the depth
     quotient, the permutation module that S_r acts on; its character is
-    read from the module's own s_i matrices."""
+    read on the quotient basis alone, where each permutation diagram acts."""
     top = 6 if full else 4
     for r in range(1, top + 1):
         rows = coefficients.stable_table(r).rows

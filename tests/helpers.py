@@ -54,8 +54,8 @@ def permuted(sp, perm):
 
 def module_multiplicities(r):
     """Composition multiplicities of the rank-r module for every label of size
-    <= r, from the character that verify reads off each rank's s_i matrices
-    on the depth quotient; the rank-0 quotient is the empty pair alone."""
+    <= r, from the character that verify reads on each rank's depth-quotient
+    basis; the rank-0 quotient is the empty pair alone."""
     out = {(): 1}
     for k in range(1, r + 1):
         fixed = verify._quotient_character(k)

@@ -28,6 +28,9 @@ PACKAGE = Path(plethysm.__file__).resolve().parent
 # under the default caps, since ORACLE_CAP is above PLETHYSM_MAX_R
 CYCLE_TYPES = sum(1 for size in range(ORACLE_CAP + 1) for _ in partitions(size))
 
+# the largest rank whose pair basis, index or matrices a verify check builds
+VERIFY_TOP_RANK = 5
+
 # "module.function": (the cap that bounds its keys, its size after MIX at most);
 # a ceiling is what the cap allows where that is small, else the size that MIX
 # left when measured (77 and 96 entries) rounded up
@@ -41,7 +44,7 @@ CACHES = {
     "foulkes.monomial_text": ("exponents at most MODULE_CAP", (MODULE_CAP + 1) ** 2),
     "foulkes._basis_index": ("rank at most MODULE_CAP", MODULE_CAP),
     "setpartitions._pair_basis": ("rank at most PAIR_BASIS_CAP", PAIR_BASIS_CAP),
-    "verify._generator_matrices": ("rank at most MODULE_CAP, verify's own ranks", MODULE_CAP),
+    "verify._generator_matrices": ("rank at most 5, verify's top module rank", VERIFY_TOP_RANK),
 }
 
 # run with the caches' names as arguments; prints each one's size
@@ -101,9 +104,11 @@ def test_every_cache_is_declared_with_its_cap():
     assert all(cap and ceiling > 0 for cap, ceiling in CACHES.values())
 
 
-def test_cache_sizes_after_the_mix_stay_under_their_ceilings():
+def run_fresh(script, names):
+    """The JSON that script prints, run in a fresh process with the caches'
+    names as arguments, at the default caps."""
     done = subprocess.run(
-        [sys.executable, "-c", MIX, *CACHES],
+        [sys.executable, "-c", script, *names],
         capture_output=True,
         text=True,
         env={
@@ -113,6 +118,36 @@ def test_cache_sizes_after_the_mix_stay_under_their_ceilings():
         timeout=120,
         check=True,
     )
-    sizes = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_cache_sizes_after_the_mix_stay_under_their_ceilings():
+    sizes = run_fresh(MIX, CACHES)
     over = {name: size for name, size in sizes.items() if size > CACHES[name][1]}
     assert not over, over
+
+
+# run with the caches' names as arguments; prints each one's ranks 1..k as k,
+# or None if it holds a key outside 1..k
+TOP_RANKS_AFTER_VERIFY = """
+import importlib, json, sys
+from plethysm import verify
+assert all(result.ok for result in verify.run_suite("full"))
+tops = {}
+for name in sys.argv[1:]:
+    module, _, function = name.rpartition(".")
+    cache = getattr(importlib.import_module("plethysm." + module), function)
+    before = cache.cache_info()
+    for r in range(1, before.currsize + 1):
+        cache(r)
+    # keyed by rank alone, it holds ranks 1..k exactly when reading them misses none
+    tops[name] = before.currsize if cache.cache_info().misses == before.misses else None
+print(json.dumps(tops))
+"""
+
+
+def test_verify_builds_no_module_rank_above_its_top():
+    """No verify check builds a rank-6 pair basis, pair index or set of
+    generator matrices: the depth quotient's character is read on its own basis."""
+    names = ["setpartitions._pair_basis", "foulkes._basis_index", "verify._generator_matrices"]
+    assert run_fresh(TOP_RANKS_AFTER_VERIFY, names) == dict.fromkeys(names, VERIFY_TOP_RANK)

@@ -9,6 +9,7 @@ on stderr.
 
 import argparse
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import ResourceCapError
 from plethysm.foulkes import action_matrix, orbit_decomposition
 from plethysm.setpartitions import (
+    ENUMERATION_CAP,
     FoulkesPair,
     SetPartition,
     foulkes_pairs,
@@ -135,6 +137,18 @@ def test_each_cap_refuses_in_the_one_wording(call, message, argv, capsys, monkey
     if argv is not None:
         assert cli.main(argv) == cli.EXIT_CAP == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_raised_cap_stops_enumeration_at_its_ceiling(monkeypatch):
+    # the growth strings nest one generator frame per point, so the ceiling
+    # refuses before the recursion limit does, however far PLETHYSM_MAX_R goes
+    monkeypatch.setenv("PLETHYSM_MAX_R", "2000")
+    assert ENUMERATION_CAP * 4 <= sys.getrecursionlimit()
+    first = next(set_partitions(ENUMERATION_CAP))
+    assert first == SetPartition(ENUMERATION_CAP, (0,) * ENUMERATION_CAP)
+    with pytest.raises(ResourceCapError) as refused:
+        next(set_partitions(1000))
+    assert str(refused.value) == f"r=1000 exceeds ENUMERATION_CAP = {ENUMERATION_CAP}"
 
 
 def cap_raises():

@@ -365,7 +365,7 @@ class TestMultiplicity:
 
 class TestSingletonFreeCharacter:
     def test_matches_the_modules_own_action_on_the_depth_quotient(self):
-        for r in range(7):
+        for r in range(9):
             chi = singleton_free_character(r)
             # verify's reader starts at rank 1; the rank-0 quotient is the empty pair
             fixed = verify._quotient_character(r) if r else {(): 1}

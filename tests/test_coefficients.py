@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from plethysm import characters, coefficients, foulkes, verify
+from plethysm import characters, coefficients, diagrams, foulkes, verify
 from plethysm.characters import (
     cayley_sylvester,
     homogeneous_plethysm,
@@ -19,12 +19,12 @@ from plethysm.coefficients import (
     stable_table,
 )
 from plethysm.errors import (
-    InternalConsistencyError,
     MalformedPartitionError,
     ResourceCapError,
     UnsupportedRegimeError,
 )
 from plethysm.foulkes import depth_quotient_basis
+from plethysm.setpartitions import SetPartition
 
 from helpers import beta_list_character, module_multiplicities
 
@@ -218,30 +218,20 @@ class TestStableTable:
             real.cache_clear()  # degrees cached while the wrong one was planted
 
     def test_module_check_catches_a_dropped_quotient_pair(self, monkeypatch):
-        # the last rank-4 quotient pair is the one whose outer is one block;
-        # the three (2,2) pairs left still form an orbit, so the count is a
-        # character and only its pairing with (4) is off
-        real = foulkes.depth_quotient_basis
-
-        def dropped(r):
-            basis = real(r)
-            return basis[:-1] if r == 4 else basis
-
-        monkeypatch.setattr(foulkes, "depth_quotient_basis", dropped)
+        # the rank-4 quotient pair whose outer is one block is dropped into the
+        # radical; the three (2,2) pairs left still form an orbit, so the count
+        # is a character and only its pairing with (4) is off
+        real = foulkes.in_depth_radical
+        one_block = SetPartition(4, (0, 0, 0, 0))
+        monkeypatch.setattr(foulkes, "in_depth_radical", lambda p: p.outer == one_block or real(p))
         with pytest.raises(verify.CheckFailure, match=r"r=4, lam=\(4,\)"):
             verify.check_module_vs_stable(False)
 
-    def test_module_check_reads_the_s_i_matrices(self):
-        # a planted s1 that fixes every quotient column changes the character
-        # the check reads; the autouse fixture drops the planted matrix after
-        matrices = verify._generator_matrices(4)
-        index = foulkes._basis_index(4)
-        quotient = {index[p] for p in foulkes.depth_quotient_basis(4)}
-        entries = matrices["s1"].entries
-        planted = tuple((j, 0, 0) if j in quotient else e for j, e in enumerate(entries))
-        matrices["s1"] = foulkes.ActionMatrix(matrices["s1"].basis, planted)
-        assert planted != entries
-        with pytest.raises((verify.CheckFailure, InternalConsistencyError)):
+    def test_module_check_reads_the_one_row_action(self, monkeypatch):
+        # a planted one-row action that fixes every outer changes the character
+        # the check reads: at r = 4 every class fixes the 4 quotient pairs
+        monkeypatch.setattr(diagrams, "act_on_set_partition", lambda sp, d: (0, sp))
+        with pytest.raises(verify.CheckFailure, match="r=4"):
             verify.check_module_vs_stable(False)
 
     def test_weighted_dimension_sum(self):
