@@ -4,8 +4,8 @@ The package computes the stable values of rectangle plethysm coefficients by
 the no-singleton-orbit character sum, read off one power-sum plethysm
 kernel, and realises the diagrammatic module whose decomposition produces
 that formula.  Brute-force fixed-point counting on the set-partitions of
-each shape, the module's own permutation matrices on its depth quotient,
-and the explicit diagram action on small tensor powers check it in
+each shape, permutation diagrams acting on the depth quotient's own
+basis, and the explicit diagram action on small tensor powers check it in
 ``verify``.
 
 Submodules and the names re-exported here load on first access (PEP 562),

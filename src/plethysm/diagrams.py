@@ -40,6 +40,10 @@ class PartitionDiagram:
     partition: SetPartition
 
     def __post_init__(self):
+        if not isinstance(self.size, int):
+            raise MalformedPartitionError(f"strand count {shown(self.size)} is not an integer")
+        if not isinstance(self.partition, SetPartition):
+            raise MalformedPartitionError(f"not a set-partition: {shown(self.partition)}")
         if self.partition.size != 2 * self.size:
             raise MalformedPartitionError(
                 f"diagram on {self.size} strands needs a partition of {2 * self.size} points"
@@ -60,7 +64,8 @@ class PartitionDiagram:
     @cached_property
     def propagating_count(self) -> int:
         """Number of blocks meeting both the northern and the southern row."""
-        return _propagating(self.partition.labels, self.size)
+        labels = self.partition.labels
+        return len(set(labels[: self.size]).intersection(labels[self.size :]))
 
 
 def p_diagram(r: int, i: int = 1) -> PartitionDiagram:
@@ -99,11 +104,6 @@ def generators(r: int) -> dict[str, PartitionDiagram]:
         table["p12"] = p12_diagram(r)
     table.update((f"s{i}", swap_diagram(r, i)) for i in range(1, r))
     return table
-
-
-def _propagating(labels: tuple[int, ...], size: int) -> int:
-    """Blocks of a 2*size-point growth string meeting both rows."""
-    return len(set(labels[:size]).intersection(labels[size:]))
 
 
 def _glue(

@@ -6,10 +6,12 @@ coordinate; the closed-component counts become exponents of d1 and d2.  So a
 diagram sends each pair to exactly one pair times d1^t1 d2^t2, and its action
 matrix is held as one image per column.  ``action_matrix`` stacks the diagram
 once under each of the Bell(r) partitions of {1..r} and reads every pair's
-image off those.  The matrices are the only path from a diagram to pair
-images: the filtration layers are blocks read from a built matrix
-(``layer_matrix``), and verify and the tensor oracle follow columns through
-the built matrices too.
+image off those.  The filtration layers are blocks read from a built matrix
+(``layer_matrix``), and verify's module checks and the tensor oracle follow
+columns through the built matrices.  The depth quotient is built on its own
+basis, without the pair basis (``depth_quotient_basis``); verify acts on it
+with permutation diagrams through ``act_on_set_partition``, not through a
+matrix.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .characters import (
 from .errors import InternalConsistencyError, MalformedPartitionError
 from .diagrams import PartitionDiagram, act_on_set_partition, check_diagram
 from .setpartitions import (
+    PAIR_BASIS_CAP,
     FoulkesPair,
     SetPartition,
     check_ground_size,
     foulkes_pairs,
     pair_counts_by_depth,
+    set_partitions,
 )
 
 MODULE_CAP = 7
@@ -121,13 +125,17 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     The basis is sorted by depth, so layer k is one contiguous block of
     columns, placed by ``pair_counts_by_depth``.  A column whose image falls
     below depth k is zero (None), and the other images stay in the block and
-    are shifted to its start.
+    are shifted to its start.  Anything but a full rank-r matrix is refused.
     """
-    r = matrix.basis[0].size
+    r = matrix.basis[0].size if matrix.basis else 0
+    counts = pair_counts_by_depth(r) if r else ()
+    if not counts or len(matrix.entries) != sum(counts):
+        raise MalformedPartitionError(
+            f"not a full rank-{r} action matrix: {len(matrix.entries)} columns"
+        )
     k = check_int(k, "layer index")
     if not 0 <= k < r:
         raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
-    counts = pair_counts_by_depth(r)
     start = sum(counts[:k])
     stop = start + counts[k]
     entries = tuple(
@@ -147,9 +155,13 @@ def depth_radical_basis(r: int) -> tuple[FoulkesPair, ...]:
 
 
 def depth_quotient_basis(r: int) -> tuple[FoulkesPair, ...]:
-    """The basis pairs outside the radical (all singletons; outer with no
-    singleton block): the cached basis's own pair objects, in basis order."""
-    return tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
+    """The pairs outside the radical, in basis order, built without the pair
+    basis: only the all-singleton inner qualifies, so it is paired with each
+    outer, and a stable sort by depth keeps the outers' lex order."""
+    r = check_cap("r", check_ground_size(r), PAIR_BASIS_CAP, "PAIR_BASIS_CAP")
+    inner = SetPartition.singletons(r)
+    pairs = (FoulkesPair(inner, outer) for outer in set_partitions(r))
+    return tuple(sorted((p for p in pairs if not in_depth_radical(p)), key=lambda p: p.depth))
 
 
 def block_filling(mu: Partition) -> SetPartition:

@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .characters import check_cap, check_int, max_ground_size
+from .characters import check_cap, check_int, max_ground_size, shown
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
@@ -62,12 +62,19 @@ class SetPartition:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a bool reads as its int; a float equal to an int would compare equal
+        if not isinstance(self.size, int):
+            raise MalformedPartitionError(f"ground size {shown(self.size)} is not an integer")
+        if not isinstance(self.labels, tuple):
+            raise MalformedPartitionError(f"labels {shown(self.labels)} are not a tuple")
         if self.size < 0 or len(self.labels) != self.size:
             raise MalformedPartitionError(
                 f"label string of length {len(self.labels)} for ground size {self.size}"
             )
         count = 0  # a growth string opens block `count` or reuses one of 0..count-1
         for v in self.labels:
+            if not isinstance(v, int):
+                raise MalformedPartitionError(f"label {shown(v)} is not an integer")
             if v == count:
                 count += 1
             elif not 0 <= v < count:

@@ -515,13 +515,11 @@ def check_oracle_stabilization(full: bool) -> str:
 
 
 def _quotient_character(r: int) -> dict[Partition, int]:
-    """For each cycle type rho of S_r: the depth-quotient pairs, those of the
-    all-singleton inner partition that ``foulkes.in_depth_radical`` leaves out,
+    """For each cycle type rho of S_r: the pairs of ``foulkes.depth_quotient_basis``
     fixed by the diagram of ``cycle_representative(rho)``.  A permutation keeps
-    the inner partition, so a pair counts when the one-row action fixes its outer."""
-    inner = SetPartition.singletons(r)
-    pairs = (setpartitions.FoulkesPair(inner, sp) for sp in set_partitions(r))
-    outers = [p.outer for p in pairs if not foulkes.in_depth_radical(p)]
+    their all-singleton inner partition, so a pair counts when the one-row
+    action fixes its outer."""
+    outers = [p.outer for p in foulkes.depth_quotient_basis(r)]
     character = {}
     for rho in characters.partitions(r):
         strands = enumerate(characters.cycle_representative(rho), start=1)

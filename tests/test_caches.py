@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import plethysm
-from plethysm.characters import ORACLE_CAP, partitions
+from plethysm.characters import ORACLE_CAP, partitions, singleton_free_count
 from plethysm.foulkes import MODULE_CAP
 from plethysm.setpartitions import PAIR_BASIS_CAP
 
@@ -151,3 +151,27 @@ def test_verify_builds_no_module_rank_above_its_top():
     generator matrices: the depth quotient's character is read on its own basis."""
     names = ["setpartitions._pair_basis", "foulkes._basis_index", "verify._generator_matrices"]
     assert run_fresh(TOP_RANKS_AFTER_VERIFY, names) == dict.fromkeys(names, VERIFY_TOP_RANK)
+
+
+# run with the caches' names as arguments; prints the size of the quotient
+# basis at PAIR_BASIS_CAP and then each cache's size
+QUOTIENT_AT_THE_BASIS_CAP = """
+import importlib, json, sys
+from plethysm.foulkes import depth_quotient_basis
+from plethysm.setpartitions import PAIR_BASIS_CAP
+sizes = {"quotient": len(depth_quotient_basis(PAIR_BASIS_CAP))}
+for name in sys.argv[1:]:
+    module, _, function = name.rpartition(".")
+    cache = getattr(importlib.import_module("plethysm." + module), function)
+    sizes[name] = cache.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def test_the_quotient_basis_builds_no_pair_basis():
+    """The rank-9 quotient holds 3,425 pairs of the 1,606,137 in the pair
+    basis, and is built without it or its index."""
+    names = ["setpartitions._pair_basis", "foulkes._basis_index"]
+    expected = {"quotient": singleton_free_count(PAIR_BASIS_CAP), **dict.fromkeys(names, 0)}
+    assert expected["quotient"] == 3425
+    assert run_fresh(QUOTIENT_AT_THE_BASIS_CAP, names) == expected

@@ -24,7 +24,7 @@ from plethysm.characters import (
 from plethysm.coefficients import stable_plethysm, stable_table
 from plethysm.diagrams import PartitionDiagram, generators
 from plethysm.errors import ResourceCapError
-from plethysm.foulkes import action_matrix, orbit_decomposition
+from plethysm.foulkes import action_matrix, depth_quotient_basis, orbit_decomposition
 from plethysm.setpartitions import (
     ENUMERATION_CAP,
     FoulkesPair,
@@ -78,6 +78,9 @@ CAP_SITES = {
     "generators": (lambda: generators(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None),
     "pair_runs": (lambda: next(pair_runs(10)), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
     "foulkes_pairs": (lambda: foulkes_pairs(10), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
+    "depth_quotient_basis": (
+        lambda: depth_quotient_basis(10), "r=10 exceeds PAIR_BASIS_CAP = 9", None
+    ),
     "action_matrix": (
         lambda: action_matrix(generators(8)["p1"], 8), "r=8 exceeds MODULE_CAP = 7", None
     ),

@@ -123,6 +123,24 @@ class TestGenerators:
         assert str(refused.value) == message
 
 
+class TestConstructor:
+    def test_float_strand_count_rejected(self):
+        # PartitionDiagram(1.0, ...) used to print {1,1.0'} and break multiply_diagrams
+        one_block_of_two = SetPartition(2, (0, 0))
+        with pytest.raises(MalformedPartitionError, match=r"^strand count 1\.0 is not an integer$"):
+            PartitionDiagram(1.0, one_block_of_two)
+
+    def test_non_partition_rejected(self):
+        # a string used to raise AttributeError
+        with pytest.raises(MalformedPartitionError, match=r"^not a set-partition: 'ab'$"):
+            PartitionDiagram(1, "ab")
+
+    def test_bool_strand_count_reads_as_an_int(self):
+        d = PartitionDiagram(True, SetPartition(2, (0, 0)))
+        assert d == PartitionDiagram(1, SetPartition(2, (0, 0)))
+        assert multiply_diagrams(d, d) == (0, d)
+
+
 class TestMultiply:
     def test_identity_neutral(self):
         for r in (1, 2, 3):

@@ -400,6 +400,14 @@ class TestLayers:
         with pytest.raises(ResourceCapError, match="r=8 exceeds MODULE_CAP = 7"):
             layer_matrix(action_matrix(p_diagram(8), 8), 0)
 
+    def test_refuses_anything_but_a_full_matrix(self):
+        # a layer of a layer would be cut at the full matrix's offsets
+        layer = layer_matrix(action_matrix(generators(3)["s1"], 3), 1)
+        for matrix, r, columns in ((layer, 3, 6), (foulkes.ActionMatrix((), ()), 0, 0)):
+            message = f"^not a full rank-{r} action matrix: {columns} columns$"
+            with pytest.raises(MalformedPartitionError, match=message):
+                layer_matrix(matrix, 0)
+
 
 class TestDepthRadical:
     def test_examples(self):
@@ -433,19 +441,18 @@ class TestDepthRadical:
         assert len(depth_quotient_basis(4)) == 4
 
     def test_quotient_basis_matches_filtered_pairs(self):
-        # the reference builds the pairs afresh: only the singleton inner can
-        # qualify, so each outer is paired with it, and a stable sort by depth
-        # keeps the outers' lex order within each depth
-        for r in range(1, 8):
-            inner = SetPartition.singletons(r)
-            pairs = (FoulkesPair(inner, outer) for outer in set_partitions(r))
-            expected = sorted((p for p in pairs if not in_depth_radical(p)), key=lambda p: p.depth)
-            assert depth_quotient_basis(r) == tuple(expected)
+        # the reference filters the whole pair basis: the same pairs in the same order
+        for r in range(1, 9):
+            expected = tuple(p for p in foulkes_pairs(r) if not in_depth_radical(p))
+            assert depth_quotient_basis(r) == expected
+            assert all(type(p) is FoulkesPair for p in depth_quotient_basis(r))
 
-    def test_quotient_basis_holds_the_basis_objects(self):
-        for r in range(1, 7):
-            basis, index = foulkes_pairs(r), foulkes._basis_index(r)
-            assert all(basis[index[p]] is p for p in depth_quotient_basis(r))
+    def test_quotient_basis_refuses_the_pair_cap_then_the_enumeration_cap(self, monkeypatch):
+        monkeypatch.setenv("PLETHYSM_MAX_R", "5")
+        with pytest.raises(ResourceCapError, match=r"^r=10 exceeds PAIR_BASIS_CAP = 9$"):
+            depth_quotient_basis(10)
+        with pytest.raises(ResourceCapError, match=r"^r=7 exceeds PLETHYSM_MAX_R = 5$"):
+            depth_quotient_basis(7)
 
     def test_closed_form_quotient_count(self):
         for r in range(1, 8):

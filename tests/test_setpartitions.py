@@ -123,6 +123,24 @@ class TestCanonicalize:
             with pytest.raises(MalformedPartitionError):
                 SetPartition(size, labels)
 
+    def test_float_labels_rejected(self):
+        # (0.0, 1.0) compared equal to (0, 1) and then broke .blocks with a bare TypeError
+        with pytest.raises(MalformedPartitionError, match=r"^label 0\.0 is not an integer$"):
+            SetPartition(2, (0.0, 1.0))
+
+    def test_float_size_rejected(self):
+        with pytest.raises(MalformedPartitionError, match=r"^ground size 2\.0 is not an integer$"):
+            SetPartition(2.0, (0, 1))
+
+    def test_list_of_labels_rejected(self):
+        # a list used to raise TypeError from the hash
+        with pytest.raises(MalformedPartitionError, match=r"^labels \[0, 1\] are not a tuple$"):
+            SetPartition(2, [0, 1])
+
+    def test_bools_read_as_ints(self):
+        assert SetPartition(True, (False,)) == SetPartition(1, (0,))
+        assert SetPartition(2, (False, True)).blocks == ((1,), (2,))
+
     @given(growth_strings())
     def test_idempotent(self, sp):
         assert SetPartition.from_blocks(sp.blocks, sp.size) == sp
