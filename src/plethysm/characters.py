@@ -327,17 +327,16 @@ def _plethystic_exp(low: int, high: int, d: int) -> ClassFunction:
     return out
 
 
-@lru_cache(maxsize=None)
 def _shape_characteristic(mu: Partition) -> ClassFunction:
     """Permutation character of the shape-mu set-partition module.
 
     The module is induced from a product of wreath products, one per distinct
     part a of multiplicity b, so its characteristic is the product of h_b[h_a].
+    The product starts from the first factor, so a rectangle's character is
+    the memoized h_b[h_a] itself.
     """
-    out: ClassFunction = {(): 1}
-    for a, group in itertools.groupby(mu):
-        out = _multiply(out, _plethystic_exp(a, a, a * len(list(group))))
-    return out
+    factors = [_plethystic_exp(a, a, a * len(list(group))) for a, group in itertools.groupby(mu)]
+    return reduce(_multiply, factors or [{(): 1}])
 
 
 def singleton_free_character(r: int) -> ClassFunction:
@@ -359,15 +358,6 @@ def multiplicities(chi: ClassFunction, labels: Sequence[Partition]) -> list[int]
                 f"pairing with chi^{lam} is {total}/{sum(lam)}!, not a nonnegative integer"
             )
     return [total // factorial(sum(lam)) for lam, total in zip(labels, totals)]
-
-
-def stab_permutation_character(mu: Partition, rho: Partition) -> int:
-    """Fixed shape-mu set-partitions under a permutation of cycle type rho."""
-    mu, rho = check_partition(mu), check_partition(rho)
-    if sum(mu) != sum(rho):
-        raise SizeMismatchError(f"|{mu}| != |{rho}|")
-    check_cap("|mu|", sum(mu), ORACLE_CAP, "ORACLE_CAP")
-    return _shape_characteristic(mu).get(rho, 0)
 
 
 def generalized_plethysm(mu: Partition, lam: Partition) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .characters import check_cap, max_ground_size, shown
+from .characters import check_cap, check_int, max_ground_size, shown
 from .errors import MalformedPartitionError, SizeMismatchError
 from .setpartitions import SetPartition, check_ground_size
 
@@ -70,6 +70,7 @@ class PartitionDiagram:
 
 def p_diagram(r: int, i: int = 1) -> PartitionDiagram:
     """Strand i cut into two singletons; every other strand passes through."""
+    r, i = check_ground_size(r), check_int(i, "strand")
     if not 1 <= i <= r:
         raise MalformedPartitionError(f"strand {i} out of range 1..{r}")
     blocks = [[i], [r + i]]
@@ -79,6 +80,7 @@ def p_diagram(r: int, i: int = 1) -> PartitionDiagram:
 
 def p12_diagram(r: int) -> PartitionDiagram:
     """Strands 1 and 2 merged into a single four-point block."""
+    r = check_ground_size(r)
     if r < 2:
         raise MalformedPartitionError("needs at least 2 strands")
     blocks = [[1, 2, r + 1, r + 2]]
@@ -88,6 +90,7 @@ def p12_diagram(r: int) -> PartitionDiagram:
 
 def swap_diagram(r: int, i: int) -> PartitionDiagram:
     """The transposition of strands i and i+1."""
+    r, i = check_ground_size(r), check_int(i, "swap index")
     if not 1 <= i < r:
         raise MalformedPartitionError(f"swap index {i} out of range 1..{r - 1}")
     blocks = [[i, r + i + 1], [i + 1, r + i]]
@@ -178,6 +181,8 @@ def act_on_set_partition(sp: SetPartition, d: PartitionDiagram) -> tuple[int, Se
     Returns (closed components avoiding the southern row, induced southern
     partition); the module value is delta**closed times that partition.
     """
-    if sp.size != d.size:
+    if not isinstance(sp, SetPartition):
+        raise MalformedPartitionError(f"not a set-partition: {shown(sp)}")
+    if sp.size != check_diagram(d).size:
         raise SizeMismatchError(f"sizes differ: {sp.size} vs {d.size}")
     return _stack(sp, d.partition, sp.size)

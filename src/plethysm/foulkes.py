@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .characters import (
-    Partition, check_cap, check_int, max_ground_size, partitions_no_ones, shape_count,
+    Partition, check_cap, check_int, max_ground_size, partitions_no_ones, shape_count, shown,
     singleton_free_count,
 )
 from .errors import InternalConsistencyError, MalformedPartitionError
@@ -125,14 +125,20 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     The basis is sorted by depth, so layer k is one contiguous block of
     columns, placed by ``pair_counts_by_depth``.  A column whose image falls
     below depth k is zero (None), and the other images stay in the block and
-    are shifted to its start.  Anything but a full rank-r matrix is refused.
+    are shifted to its start.  Anything but a full rank-r matrix is refused:
+    another object, a basis of other than pairs, a column held as None.
     """
-    r = matrix.basis[0].size if matrix.basis else 0
+    if not isinstance(matrix, ActionMatrix):
+        raise MalformedPartitionError(f"not an action matrix: {shown(matrix)}")
+    first = matrix.basis[0] if matrix.basis else None
+    r = first.size if isinstance(first, FoulkesPair) else 0
     counts = pair_counts_by_depth(r) if r else ()
     if not counts or len(matrix.entries) != sum(counts):
         raise MalformedPartitionError(
             f"not a full rank-{r} action matrix: {len(matrix.entries)} columns"
         )
+    if None in matrix.entries:
+        raise MalformedPartitionError(f"not a full rank-{r} action matrix: a zero column")
     k = check_int(k, "layer index")
     if not 0 <= k < r:
         raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
@@ -148,10 +154,6 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
 def in_depth_radical(pair: FoulkesPair) -> bool:
     """Radical membership: a non-singleton inner block or a singleton outer block."""
     return pair.inner.block_count < pair.size or 1 in Counter(pair.outer.labels).values()
-
-
-def depth_radical_basis(r: int) -> tuple[FoulkesPair, ...]:
-    return tuple(p for p in foulkes_pairs(r) if in_depth_radical(p))
 
 
 def depth_quotient_basis(r: int) -> tuple[FoulkesPair, ...]:

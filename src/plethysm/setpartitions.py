@@ -205,6 +205,9 @@ class FoulkesPair(tuple):
     __slots__ = ()
 
     def __new__(cls, inner: SetPartition, outer: SetPartition) -> "FoulkesPair":
+        for sp in (inner, outer):
+            if not isinstance(sp, SetPartition):
+                raise MalformedPartitionError(f"not a set-partition: {shown(sp)}")
         if not inner.refines(outer):
             raise MalformedPartitionError(f"inner {inner} does not refine outer {outer}")
         return tuple.__new__(cls, (inner, outer))

@@ -1,10 +1,12 @@
 """Self-contained invariant suites behind the ``verify`` CLI command.
 
-Each check is a small named function; ``fast`` keeps ranks at 4 and tensor
-dimensions at 9, ``full`` pushes ranks to 6 (8 for pure counting) and tensor
-dimensions to 16.  Checks raise CheckFailure with a message on violation and
-return a one-line summary on success, so a run produces a deterministic
-per-check report.
+Each check is a small named function.  ``fast`` keeps ranks at 4 (6 for the
+characters and the stable labels) and tensor dimensions at 9.  ``full`` takes
+the action-matrix checks to rank 5, the set-partition checks and the depth
+quotient to 6 (8 for the pair count), the characters to 8, the stable labels
+to size 10 and tensor dimensions to 16.  Checks raise CheckFailure with a
+message on violation and return a one-line summary on success, so a run
+produces a deterministic per-check report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import characters, coefficients, diagrams, foulkes, setpartitions, tensor
 from .characters import Partition
@@ -109,10 +111,8 @@ def check_pair_count(full: bool) -> str:
     refines: ``pair_runs`` builds its outers without the constructor's check.
     A run is re-checked at once on its outers' label columns: each point's
     column must equal the column of the first point of its inner block.  The
-    cached ``foulkes_pairs`` is counted too, at the ranks whose pairs the later
-    checks build anyway, at most 5: no check builds the rank-6 basis."""
+    cached ``foulkes_pairs`` is counted by ``truncation-bounds``, at m = n = r."""
     top = 8 if full else 4
-    cached_top = 5 if full else 4
     labels_of = attrgetter("labels")
     for r in range(1, top + 1):
         expected = _truncated_pair_count(r, r, r)
@@ -127,8 +127,6 @@ def check_pair_count(full: bool) -> str:
                 by_depth[d] += len(same_depth)
         if sum(by_depth) != expected:
             raise CheckFailure(f"pair count at r={r}: {sum(by_depth)} != {expected}")
-        if r <= cached_top and len(foulkes_pairs(r)) != expected:
-            raise CheckFailure(f"pair count at r={r}: {len(foulkes_pairs(r))} != {expected}")
         if tuple(by_depth) != pair_counts_by_depth(r):
             raise CheckFailure(f"depth counts at r={r}: {by_depth} != {pair_counts_by_depth(r)}")
     return f"pair counts match the blockwise Bell product sum and Stirling depth counts (r<={top})"
@@ -293,29 +291,32 @@ def check_depth_step(full: bool) -> str:
     return f"every generator moves depth by 0 or -1 (r<={top})"
 
 
-def check_layer_entries(full: bool) -> str:
-    top = 5 if full else 4
-    allowed = {(0, 0), (1, 1)}  # the exponents (t1, t2) of 1 and d1*d2
+def _layer_exponents(top: int) -> Iterator[tuple[int, int, str, int, int]]:
+    """(r, k, generator name, t1, t2) of each nonzero entry of each layer block
+    of the rank-r generator matrices, for r <= top."""
     for r in range(1, top + 1):
         for name, matrix in _generator_matrices(r).items():
             for k in range(r):
                 for _, t1, t2 in filter(None, foulkes.layer_matrix(matrix, k).entries):
-                    if (t1, t2) not in allowed:
-                        raise CheckFailure(
-                            f"layer entry {foulkes.monomial_text(t1, t2)} at r={r}, k={k}, "
-                            f"generator {name}"
-                        )
+                    yield r, k, name, t1, t2
+
+
+def check_layer_entries(full: bool) -> str:
+    top = 5 if full else 4
+    allowed = {(0, 0), (1, 1)}  # the exponents (t1, t2) of 1 and d1*d2
+    for r, k, name, t1, t2 in _layer_exponents(top):
+        if (t1, t2) not in allowed:
+            raise CheckFailure(
+                f"layer entry {foulkes.monomial_text(t1, t2)} at r={r}, k={k}, generator {name}"
+            )
     return f"layer entries all lie in {{0, 1, d1*d2}} (r<={top})"
 
 
 def check_layer_parameter_swap(full: bool) -> str:
     top = 5 if full else 4
-    for r in range(1, top + 1):
-        for name, matrix in _generator_matrices(r).items():
-            for k in range(r):
-                entries = filter(None, foulkes.layer_matrix(matrix, k).entries)
-                if any(t1 != t2 for _, t1, t2 in entries):
-                    raise CheckFailure(f"layer swap broke at r={r}, k={k}, {name}")
+    for r, k, name, t1, t2 in _layer_exponents(top):
+        if t1 != t2:
+            raise CheckFailure(f"layer swap broke at r={r}, k={k}, {name}")
     return f"layer matrices invariant under parameter swap (r<={top})"
 
 
@@ -362,7 +363,7 @@ def check_small_generator_matrices(full: bool) -> str:
 
 def check_rank4_dimensions(full: bool) -> str:
     total = len(foulkes_pairs(4))
-    radical = len(foulkes.depth_radical_basis(4))
+    radical = sum(map(foulkes.in_depth_radical, foulkes_pairs(4)))
     quotient = len(foulkes.depth_quotient_basis(4))
     orbits = {o.shape: o.size for o in foulkes.orbit_decomposition(4)}
     if (total, radical, quotient) != (60, 56, 4):
@@ -438,8 +439,9 @@ def check_fixed_counts(full: bool) -> str:
     top = 8 if full else 6
     for r in range(1, top + 1):
         for mu, by_rho in _brute_fixed_counts(r).items():
+            character = characters._shape_characteristic(mu)
             for rho, count in by_rho.items():
-                if characters.stab_permutation_character(mu, rho) != count:
+                if character.get(rho, 0) != count:
                     raise CheckFailure(f"fixed-point count off for mu={mu}, rho={rho}")
     return f"permutation characters match brute-force fixed-point counts (r<={top})"
 
@@ -448,7 +450,7 @@ def check_permutation_module_dimension(full: bool) -> str:
     """The multiplicities weighted by dimension sum to the coset count, which
     comes from its closed form.  The enumeration of shape-mu partitions is
     still counted: ``fixed-count-identity`` compares it, at rho = (1^r), with
-    ``stab_permutation_character``."""
+    the shape character."""
     top = 8 if full else 5
     for r in range(1, top + 1):
         labels = tuple(characters.partitions(r))

@@ -33,14 +33,13 @@ VERIFY_TOP_RANK = 5
 
 # "module.function": (the cap that bounds its keys, its size after MIX at most);
 # a ceiling is what the cap allows where that is small, else the size that MIX
-# left when measured (77 and 96 entries) rounded up
+# left when measured (77 entries) rounded up
 CACHES = {
     "characters.cycle_type_centralizer": (
         "cycle types of at most max(PLETHYSM_MAX_R, ORACLE_CAP) points", CYCLE_TYPES
     ),
     "characters._power_sum_of_h": ("k*a at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 50),
     "characters._plethystic_exp": ("degree at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 80),
-    "characters._shape_characteristic": ("shapes of at most ORACLE_CAP points", 100),
     "foulkes.monomial_text": ("exponents at most MODULE_CAP", (MODULE_CAP + 1) ** 2),
     "foulkes._basis_index": ("rank at most MODULE_CAP", MODULE_CAP),
     "setpartitions._pair_basis": ("rank at most PAIR_BASIS_CAP", PAIR_BASIS_CAP),

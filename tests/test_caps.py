@@ -19,7 +19,6 @@ from plethysm.characters import (
     character_value,
     generalized_plethysm,
     homogeneous_plethysm,
-    stab_permutation_character,
 )
 from plethysm.coefficients import stable_plethysm, stable_table
 from plethysm.diagrams import PartitionDiagram, generators
@@ -49,9 +48,6 @@ CAP_SITES = {
     ),
     "generalized_plethysm": (
         lambda: generalized_plethysm((17,), (17,)), "|mu|=17 exceeds ORACLE_CAP = 16", None
-    ),
-    "stab_permutation_character": (
-        lambda: stab_permutation_character((17,), (17,)), "|mu|=17 exceeds ORACLE_CAP = 16", None
     ),
     "character_value": (
         lambda: character_value((51,), (1,) * 51), "|lam|=51 exceeds CHARACTER_CAP = 50", None

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -27,7 +28,6 @@ from plethysm.characters import (
     shape_count,
     singleton_free_character,
     singleton_free_count,
-    stab_permutation_character,
 )
 from plethysm.errors import (
     InternalConsistencyError,
@@ -237,23 +237,32 @@ class TestShapeEnumeration:
 
 
 class TestStabCharacter:
+    """The shape character at rho counts the shape-mu set-partitions that a
+    permutation of cycle type rho fixes; a class it misses reads 0."""
+
     def test_examples(self):
-        assert stab_permutation_character((2, 2), (1, 1, 1, 1)) == 3
-        assert stab_permutation_character((2, 2), (2, 1, 1)) == 1
+        assert characters._shape_characteristic((2, 2)).get((1, 1, 1, 1), 0) == 3
+        assert characters._shape_characteristic((2, 2)).get((2, 1, 1), 0) == 1
         for rho in partitions(5):
-            assert stab_permutation_character((5,), rho) == 1
+            assert characters._shape_characteristic((5,)).get(rho, 0) == 1
+        assert characters._shape_characteristic(()) == {(): 1}
 
     def test_against_slow_filtering(self):
         for r in range(1, 7):
             for mu in partitions(r):
+                chi = characters._shape_characteristic(mu)
                 for rho in partitions(r):
-                    assert stab_permutation_character(mu, rho) == slow_fixed_count(
-                        mu, rho
-                    )
+                    assert chi.get(rho, 0) == slow_fixed_count(mu, rho)
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            stab_permutation_character((2, 2), (3,))
+        # every cycle type in the character has the shape's size
+        chi = characters._shape_characteristic((2, 2))
+        assert set(map(sum, chi)) == {4} and chi.get((3,), 0) == 0
+
+    def test_a_rectangle_reads_the_memoized_factor(self):
+        for mu in ((3,), (2, 2), (1, 1, 1), (4, 4, 4)):
+            a, b = mu[0], len(mu)
+            assert characters._shape_characteristic(mu) is characters._plethystic_exp(a, a, a * b)
 
 
 def frozenset_fixed_count(mu, rho):
@@ -277,12 +286,15 @@ class TestVerifyFixedCounts:
                     assert count == frozenset_fixed_count(mu, rho), (mu, rho)
 
     def test_check_catches_one_wrong_value(self, monkeypatch):
-        exact = characters.stab_permutation_character
+        exact = characters._shape_characteristic
 
-        def off_by_one(mu, rho):
-            return exact(mu, rho) + ((mu, rho) == ((3, 2), (2, 2, 1)))
+        def off_by_one(mu):
+            chi = dict(exact(mu))
+            if mu == (3, 2):
+                chi[2, 2, 1] += 1
+            return chi
 
-        monkeypatch.setattr(characters, "stab_permutation_character", off_by_one)
+        monkeypatch.setattr(characters, "_shape_characteristic", off_by_one)
         message = r"mu=\(3, 2\), rho=\(2, 2, 1\)"
         with pytest.raises(verify.CheckFailure, match=message):
             verify.check_fixed_counts(False)
@@ -298,6 +310,18 @@ class TestVerifyFixedCounts:
         monkeypatch.setattr(setpartitions, "_growth_strings", drop_one)
         with pytest.raises(verify.CheckFailure, match=r"mu=\(2, 2\)"):
             verify.check_fixed_counts(False)
+
+    def test_check_reads_each_shape_character_once(self, monkeypatch):
+        calls = Counter()
+        exact = characters._shape_characteristic
+
+        def counted(mu):
+            calls[mu] += 1
+            return exact(mu)
+
+        monkeypatch.setattr(characters, "_shape_characteristic", counted)
+        verify.check_fixed_counts(True)
+        assert calls == Counter(mu for r in range(1, 9) for mu in partitions(r))
 
 
 class TestGeneralizedPlethysm:

@@ -199,7 +199,7 @@ class TestModule:
             pairs = foulkes_pairs(r)
             assert dims["result"] == {
                 "pairs": len(pairs),
-                "depth_radical": len(foulkes.depth_radical_basis(r)),
+                "depth_radical": sum(map(foulkes.in_depth_radical, pairs)),
                 "depth_quotient": len(foulkes.depth_quotient_basis(r)),
             }
             assert [row["dimension"] for row in layers["result"]] == [

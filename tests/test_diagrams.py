@@ -96,6 +96,22 @@ class TestGenerators:
         with pytest.raises(MalformedPartitionError):
             p12_diagram(1)
 
+    def test_p_diagram_reads_its_rank_as_a_ground_size(self):
+        with pytest.raises(MalformedPartitionError, match=r"^ground size 2\.0 is not an integer$"):
+            p_diagram(2.0, 1)
+        with pytest.raises(MalformedPartitionError, match=r"^strand 1\.0 is not an integer$"):
+            p_diagram(2, 1.0)
+
+    def test_p12_diagram_reads_its_rank_as_a_ground_size(self):
+        with pytest.raises(MalformedPartitionError, match=r"^ground size 2\.5 is not an integer$"):
+            p12_diagram(2.5)
+
+    def test_swap_diagram_reads_its_rank_as_a_ground_size(self):
+        with pytest.raises(MalformedPartitionError, match="^ground size 'a' is not an integer$"):
+            swap_diagram("a", 1)
+        with pytest.raises(MalformedPartitionError, match="^swap index 'b' is not an integer$"):
+            swap_diagram(2, "b")
+
     def test_string_roundtrip(self):
         for d in all_diagrams(2):
             assert diagram_from_string(str(d), 2) == d
@@ -248,6 +264,14 @@ class TestOneRowAction:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             act_on_set_partition(SetPartition.singletons(2), identity_diagram(3))
+
+    def test_refuses_a_non_partition(self):
+        with pytest.raises(MalformedPartitionError, match="^not a set-partition: 1$"):
+            act_on_set_partition(1, identity_diagram(1))
+
+    def test_refuses_a_non_diagram(self):
+        with pytest.raises(MalformedPartitionError, match="^not a partition diagram: 1$"):
+            act_on_set_partition(SetPartition.singletons(1), 1)
 
 
 class TestAlgebraElement:

@@ -19,7 +19,6 @@ from plethysm.foulkes import (
     action_matrix,
     block_filling,
     depth_quotient_basis,
-    depth_radical_basis,
     follow_word,
     in_depth_radical,
     layer_matrix,
@@ -408,6 +407,22 @@ class TestLayers:
             with pytest.raises(MalformedPartitionError, match=message):
                 layer_matrix(matrix, 0)
 
+    @pytest.mark.parametrize("matrix", ["abc", None], ids=["string", "None"])
+    def test_refuses_another_object(self, matrix):
+        with pytest.raises(MalformedPartitionError, match=f"^not an action matrix: {matrix!r}$"):
+            layer_matrix(matrix, 0)
+
+    def test_refuses_a_basis_of_other_than_pairs(self):
+        matrix = foulkes.ActionMatrix((1, 2, 3), ((0, 0, 0),) * 3)
+        with pytest.raises(MalformedPartitionError, match="^not a full rank-0 action matrix"):
+            layer_matrix(matrix, 0)
+
+    def test_refuses_a_zero_column(self):
+        matrix = foulkes.ActionMatrix(foulkes_pairs(2), (None,) * 3)
+        message = "^not a full rank-2 action matrix: a zero column$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            layer_matrix(matrix, 0)
+
 
 class TestDepthRadical:
     def test_examples(self):
@@ -462,7 +477,7 @@ class TestDepthRadical:
         for r in (2, 3, 4, 5):
             for d in generators(r).values():
                 images = pair_images(action_matrix(d, r))
-                for p in depth_radical_basis(r):
+                for p in filter(in_depth_radical, foulkes_pairs(r)):
                     assert in_depth_radical(images[p][2])
 
     @staticmethod

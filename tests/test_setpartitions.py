@@ -434,6 +434,14 @@ class TestFoulkesPoset:
         with pytest.raises(SizeMismatchError):
             FoulkesPair(SetPartition.singletons(2), one_block(3))
 
+    def test_non_partition_inner_rejected(self):
+        with pytest.raises(MalformedPartitionError, match="^not a set-partition: 1$"):
+            FoulkesPair(1, 2)
+
+    def test_non_partition_outer_rejected(self):
+        with pytest.raises(MalformedPartitionError, match="^not a set-partition: 'x'$"):
+            FoulkesPair(SetPartition.singletons(2), "x")
+
     def test_values_of_the_dataclass_form(self):
         for r in range(1, 5):
             pairs = foulkes_pairs(r)
@@ -546,8 +554,30 @@ class TestFoulkesPoset:
         verify.check_pair_count(True)
         # the streamed runs; the Bell total is read from shapes
         assert calls[8] == calls[7] == 1
-        # the cached pairs are counted only at the ranks that later checks build
-        assert sorted(set(built)) == [1, 2, 3, 4, 5]
+        # the cached pairs are counted by truncation-bounds, not here
+        assert built == []
+
+    def test_truncation_bounds_counts_the_cached_basis(self, monkeypatch):
+        basis = setpartitions._pair_basis
+        dropped = basis(3)[-1]  # ({1|2|3} ; {1,2,3}), the one depth-2 pair
+
+        def one_missing(size):
+            return basis(size)[:-1] if size == 3 else basis(size)
+
+        # the pair index is built on the cached basis; it is emptied before and after
+        monkeypatch.setattr(setpartitions, "_pair_basis", one_missing)
+        foulkes._basis_index.cache_clear()
+        try:
+            results = {r.name: r for r in verify.run_suite("fast")}
+        finally:
+            foulkes._basis_index.cache_clear()
+        assert str(dropped) == "{1|2|3} ; {1,2,3}"
+        # the bound m = 3, n = 1 is the first that keeps the dropped pair
+        truncation = results["setpartitions.truncation-bounds"]
+        assert not truncation.ok
+        assert truncation.detail == "truncation m=3, n=1 at r=3 keeps 4, not 5"
+        # the pair count streams the runs and reads no cached basis
+        assert results["setpartitions.pair-count"].ok
 
     def test_shape_grouped_bell_total_matches_the_enumerated_outers(self):
         for r in range(1, 10):
