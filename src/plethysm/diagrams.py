@@ -6,7 +6,7 @@ total order 1 < ... < r < 1' < ... < r'.  Multiplying two basis diagrams
 stacks the first above the second; the product is (d1*d2)**closed times one
 diagram, where ``closed`` counts the middle components that touch neither
 outer row, so ``multiply_diagrams`` returns that count and the diagram.
-The generators of a rank, p1, p12 and s_i, are one table, ``generators(r)``.
+The named p_i, p12 and s_i share one builder; ``generators(r)`` tables them.
 
 Stacking works on label strings: ``_stack`` reads two partitions' growth
 strings and block counts.  The glued points identify blocks of the two strings,
@@ -68,14 +68,20 @@ class PartitionDiagram:
         return len(set(labels[: self.size]).intersection(labels[self.size :]))
 
 
+def _named_diagram(r: int, *moved: list[int]) -> PartitionDiagram:
+    """The ``moved`` blocks, and the through strand {j, r + j} for every point j
+    in 1..r that they leave out; r is held to ``PLETHYSM_MAX_R`` before a block is built."""
+    check_cap("r", r, max_ground_size(), "PLETHYSM_MAX_R")
+    through = ([j, r + j] for j in set(range(1, r + 1)).difference(*moved))
+    return PartitionDiagram.from_blocks([*moved, *through], r)
+
+
 def p_diagram(r: int, i: int = 1) -> PartitionDiagram:
     """Strand i cut into two singletons; every other strand passes through."""
     r, i = check_ground_size(r), check_int(i, "strand")
     if not 1 <= i <= r:
         raise MalformedPartitionError(f"strand {i} out of range 1..{r}")
-    blocks = [[i], [r + i]]
-    blocks += [[j, r + j] for j in range(1, r + 1) if j != i]
-    return PartitionDiagram.from_blocks(blocks, r)
+    return _named_diagram(r, [i], [r + i])
 
 
 def p12_diagram(r: int) -> PartitionDiagram:
@@ -83,9 +89,7 @@ def p12_diagram(r: int) -> PartitionDiagram:
     r = check_ground_size(r)
     if r < 2:
         raise MalformedPartitionError("needs at least 2 strands")
-    blocks = [[1, 2, r + 1, r + 2]]
-    blocks += [[j, r + j] for j in range(3, r + 1)]
-    return PartitionDiagram.from_blocks(blocks, r)
+    return _named_diagram(r, [1, 2, r + 1, r + 2])
 
 
 def swap_diagram(r: int, i: int) -> PartitionDiagram:
@@ -93,20 +97,15 @@ def swap_diagram(r: int, i: int) -> PartitionDiagram:
     r, i = check_ground_size(r), check_int(i, "swap index")
     if not 1 <= i < r:
         raise MalformedPartitionError(f"swap index {i} out of range 1..{r - 1}")
-    blocks = [[i, r + i + 1], [i + 1, r + i]]
-    blocks += [[j, r + j] for j in range(1, r + 1) if j not in (i, i + 1)]
-    return PartitionDiagram.from_blocks(blocks, r)
+    return _named_diagram(r, [i, r + i + 1], [i + 1, r + i])
 
 
 def generators(r: int) -> dict[str, PartitionDiagram]:
-    """The rank-r generators by name, in the order ``p1``, ``p12``, ``s1`` ..
-    ``s{r-1}``; r is held to ``PLETHYSM_MAX_R``."""
-    r = check_cap("r", check_ground_size(r), max_ground_size(), "PLETHYSM_MAX_R")
-    table = {"p1": p_diagram(r, 1)}
-    if r >= 2:
-        table["p12"] = p12_diagram(r)
-    table.update((f"s{i}", swap_diagram(r, i)) for i in range(1, r))
-    return table
+    """The rank-r generators by name: ``p1``, ``p12``, ``s1`` .. ``s{r-1}``."""
+    p1 = p_diagram(r, 1)  # which reads r and holds it to PLETHYSM_MAX_R
+    r = p1.size
+    p12 = {"p12": p12_diagram(r)} if r >= 2 else {}
+    return {"p1": p1, **p12, **{f"s{i}": swap_diagram(r, i) for i in range(1, r)}}
 
 
 def _glue(

@@ -126,13 +126,19 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
     columns, placed by ``pair_counts_by_depth``.  A column whose image falls
     below depth k is zero (None), and the other images stay in the block and
     are shifted to its start.  Anything but a full rank-r matrix is refused:
-    another object, a basis of other than pairs, a column held as None.
+    another object, a basis of other than pairs, entries held other than as a
+    tuple, a column held as None, or, in the block read, an entry that is not
+    a (row, t1, t2) triple of ints with its row in the basis.
     """
     if not isinstance(matrix, ActionMatrix):
         raise MalformedPartitionError(f"not an action matrix: {shown(matrix)}")
     first = matrix.basis[0] if matrix.basis else None
     r = first.size if isinstance(first, FoulkesPair) else 0
     counts = pair_counts_by_depth(r) if r else ()
+    if not isinstance(matrix.entries, tuple):
+        raise MalformedPartitionError(
+            f"not a full rank-{r} action matrix: entries {shown(matrix.entries)}"
+        )
     if not counts or len(matrix.entries) != sum(counts):
         raise MalformedPartitionError(
             f"not a full rank-{r} action matrix: {len(matrix.entries)} columns"
@@ -144,9 +150,15 @@ def layer_matrix(matrix: ActionMatrix, k: int) -> ActionMatrix:
         raise MalformedPartitionError(f"layer index {k} out of range 0..{r - 1}")
     start = sum(counts[:k])
     stop = start + counts[k]
+    block = matrix.entries[start:stop]
+    for entry in block:
+        if not (
+            isinstance(entry, tuple) and len(entry) == 3 and all(isinstance(x, int) for x in entry)
+            and 0 <= entry[0] < len(matrix.entries)
+        ):
+            raise MalformedPartitionError(f"not a full rank-{r} action matrix: entry {shown(entry)}")
     entries = tuple(
-        (row - start, t1, t2) if start <= row < stop else None
-        for row, t1, t2 in matrix.entries[start:stop]
+        (row - start, t1, t2) if start <= row < stop else None for row, t1, t2 in block
     )
     return ActionMatrix(matrix.basis[start:stop], entries)
 

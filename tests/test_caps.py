@@ -21,7 +21,7 @@ from plethysm.characters import (
     homogeneous_plethysm,
 )
 from plethysm.coefficients import stable_plethysm, stable_table
-from plethysm.diagrams import PartitionDiagram, generators
+from plethysm.diagrams import PartitionDiagram, generators, p12_diagram, p_diagram, swap_diagram
 from plethysm.errors import ResourceCapError
 from plethysm.foulkes import action_matrix, depth_quotient_basis, orbit_decomposition
 from plethysm.setpartitions import (
@@ -72,6 +72,9 @@ CAP_SITES = {
         lambda: orbit_decomposition(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None
     ),
     "generators": (lambda: generators(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None),
+    "p_diagram": (lambda: p_diagram(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None),
+    "p12_diagram": (lambda: p12_diagram(13), "r=13 exceeds PLETHYSM_MAX_R = 12", None),
+    "swap_diagram": (lambda: swap_diagram(13, 1), "r=13 exceeds PLETHYSM_MAX_R = 12", None),
     "pair_runs": (lambda: next(pair_runs(10)), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
     "foulkes_pairs": (lambda: foulkes_pairs(10), "r=10 exceeds PAIR_BASIS_CAP = 9", None),
     "depth_quotient_basis": (

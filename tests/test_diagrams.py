@@ -14,7 +14,7 @@ from plethysm.diagrams import (
     p_diagram,
     swap_diagram,
 )
-from plethysm.errors import MalformedPartitionError, SizeMismatchError
+from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import SetPartition, set_partitions
 
 from helpers import diagram_from_string, identity_diagram, one_block
@@ -137,6 +137,38 @@ class TestGenerators:
         with pytest.raises(MalformedPartitionError) as refused:
             generators(r)
         assert str(refused.value) == message
+
+    def test_named_diagrams_match_their_written_out_blocks(self):
+        def through(r, *moved):
+            return [[j, r + j] for j in range(1, r + 1) if j not in moved]
+
+        for r in range(1, 7):
+            for i in range(1, r + 1):
+                expected = [[i], [r + i], *through(r, i)]
+                assert p_diagram(r, i) == PartitionDiagram.from_blocks(expected, r)
+            for i in range(1, r):
+                expected = [[i, r + i + 1], [i + 1, r + i], *through(r, i, i + 1)]
+                assert swap_diagram(r, i) == PartitionDiagram.from_blocks(expected, r)
+            if r >= 2:
+                expected = [[1, 2, r + 1, r + 2], *through(r, 1, 2)]
+                assert p12_diagram(r) == PartitionDiagram.from_blocks(expected, r)
+
+    def test_the_cap_refuses_before_any_block_is_built(self, monkeypatch):
+        # p_diagram(10**8) used to build 10**8 blocks before anything refused it
+        def unbuilt(blocks, size):
+            raise AssertionError("a block list was built")
+
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        monkeypatch.setattr(PartitionDiagram, "from_blocks", unbuilt)
+        with pytest.raises(ResourceCapError, match=r"^r=100000000 exceeds PLETHYSM_MAX_R = 12$"):
+            p_diagram(10**8)
+
+    def test_argument_checks_come_before_the_cap(self, monkeypatch):
+        monkeypatch.delenv("PLETHYSM_MAX_R", raising=False)
+        with pytest.raises(MalformedPartitionError, match=r"^strand 20 out of range 1\.\.13$"):
+            p_diagram(13, 20)
+        with pytest.raises(MalformedPartitionError, match=r"^swap index 13 out of range 1\.\.12$"):
+            swap_diagram(13, 13)
 
 
 class TestConstructor:

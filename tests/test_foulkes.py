@@ -423,6 +423,31 @@ class TestLayers:
         with pytest.raises(MalformedPartitionError, match=message):
             layer_matrix(matrix, 0)
 
+    def test_refuses_entries_held_other_than_as_a_tuple(self):
+        # len(None) used to raise a bare TypeError
+        matrix = foulkes.ActionMatrix(foulkes_pairs(2), None)
+        message = "^not a full rank-2 action matrix: entries None$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            layer_matrix(matrix, 0)
+
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [
+            ((1, 2, 3), "1"),  # used to raise "cannot unpack non-iterable int object"
+            (((0, 0, 0), (0, 0), (0, 0, 0)), r"\(0, 0\)"),
+            (((0, 0, 0), (0, 0.5, 0), (0, 0, 0)), r"\(0, 0\.5, 0\)"),
+            # a row past the basis, or before it, used to read as "below the layer"
+            (((0, 0, 0), (3, 0, 0), (0, 0, 0)), r"\(3, 0, 0\)"),
+            (((0, 0, 0), (-1, 0, 0), (0, 0, 0)), r"\(-1, 0, 0\)"),
+        ],
+        ids=["int", "pair", "float exponent", "row past the basis", "negative row"],
+    )
+    def test_refuses_an_entry_other_than_a_triple_in_the_basis(self, entries, bad):
+        matrix = foulkes.ActionMatrix(foulkes_pairs(2), entries)
+        message = f"^not a full rank-2 action matrix: entry {bad}$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            layer_matrix(matrix, 0)
+
 
 class TestDepthRadical:
     def test_examples(self):
