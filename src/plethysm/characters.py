@@ -11,9 +11,9 @@ singleton-free character that the stable values pair with; one size a gives
 h_b[h_a], and their product over the distinct parts of mu the shape-mu
 character behind the generalized plethysm multiplicities and the rectangle
 plethysm h_n[h_m].
-The enumeration cap and the singleton-free count (A000296) live here too, so
-the stable queries need no set-partition code; the module code imports
-them from here.
+The table of every resource cap and the singleton-free count (A000296) live
+here too, so the stable queries need no set-partition code; the module code
+imports them from here.
 """
 
 from __future__ import annotations
@@ -38,29 +38,44 @@ if TYPE_CHECKING:
 Partition = tuple[int, ...]
 ClassFunction = dict[Partition, int]
 
-ORACLE_CAP = 16
-# the border-strip walk at rho = (1^n) visits every partition inside lam; the
-# heaviest found at |lam| = 50, (13,9,6,5,4,3,2,2,2,1,1,1,1), takes 0.37 s and
-# 21 MB cold on a 2-CPU VM
-CHARACTER_CAP = 50
-DEFAULT_MAX_GROUND_SIZE = 12
+# every resource cap: name -> (default, the environment variable that
+# overrides it, or None); ``cap`` reads a limit and ``check_cap`` refuses by name
+CAPS: dict[str, tuple[int, str | None]] = {
+    "PLETHYSM_MAX_R": (12, "PLETHYSM_MAX_R"),
+    # _growth_strings nests one generator frame per point, so whatever
+    # PLETHYSM_MAX_R says, set_partitions stays well below the interpreter's
+    # recursion limit of 1000; Bell(100) is about 4.8e115, so no such enumeration
+    # could finish, and its first partition comes in well under a millisecond
+    "ENUMERATION_CAP": (100, None),
+    "MODULE_CAP": (7, None),
+    # foulkes_pairs(9) holds 1,606,137 pairs (2.7 s, 148 MB peak, cold); r = 10
+    # would hold 16,733,779 (A000258), so the cached basis stops at 9
+    "PAIR_BASIS_CAP": (9, None),
+    "ORACLE_CAP": (16, None),
+    # the border-strip walk at rho = (1^n) visits every partition inside lam; the
+    # heaviest found at |lam| = 50, (13,9,6,5,4,3,2,2,2,1,1,1,1), takes 0.37 s and
+    # 21 MB cold on a 2-CPU VM
+    "CHARACTER_CAP": (50, None),
+    "VECTOR_CAP": (10**5, None),
+}
 # 640 digits is the least limit Python lets int-to-str conversion have, so
 # every integer that the readers accept can be printed in a message
 MAX_DIGITS = 640
 _DIGIT_BOUND = 10**MAX_DIGITS
 
 
-def max_ground_size() -> int:
-    """Enumeration cap on r; override via the PLETHYSM_MAX_R environment variable."""
-    raw = os.environ.get("PLETHYSM_MAX_R")
+def cap(name: str) -> int:
+    """The named cap's limit: its default, unless its environment variable is set."""
+    default, variable = CAPS[name]
+    raw = os.environ.get(variable) if variable else None
     if raw is None:
-        return DEFAULT_MAX_GROUND_SIZE
+        return default
     try:
         value = parse_int(raw)
     except ValueError:
         value = -1
     if value < 0:
-        raise MalformedPartitionError(f"PLETHYSM_MAX_R={raw!r} is not a nonnegative integer")
+        raise MalformedPartitionError(f"{variable}={raw!r} is not a nonnegative integer")
     return value
 
 
@@ -111,12 +126,13 @@ def check_factors(m, n) -> tuple[int, int]:
     return m, n
 
 
-def check_cap(what: str, value: int, cap: int, name: str) -> int:
+def check_cap(what: str, value: int, name: str) -> int:
     """The value, or the one refusal of every resource cap, naming the value
     and the cap; a value too long to print is named by its length."""
-    if value > cap:
+    limit = cap(name)
+    if value > limit:
         size = f" of more than {MAX_DIGITS} digits" if value >= _DIGIT_BOUND else f"={value}"
-        raise ResourceCapError(f"{what}{size} exceeds {name} = {cap}")
+        raise ResourceCapError(f"{what}{size} exceeds {name} = {limit}")
     return value
 
 
@@ -208,7 +224,7 @@ def character_value(lam: Partition, rho: Partition) -> int:
     lam, rho = check_partition(lam), check_partition(rho)
     if sum(lam) != sum(rho):
         raise SizeMismatchError(f"|{lam}| != |{rho}|")
-    check_cap("|lam|", sum(lam), CHARACTER_CAP, "CHARACTER_CAP")
+    check_cap("|lam|", sum(lam), "CHARACTER_CAP")
     return _pairings({rho: 1}, (lam,))[0]
 
 
@@ -365,7 +381,7 @@ def generalized_plethysm(mu: Partition, lam: Partition) -> int:
     mu, lam = check_partition(mu), check_partition(lam)
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{mu}| != |{lam}|")
-    check_cap("|mu|", sum(mu), ORACLE_CAP, "ORACLE_CAP")
+    check_cap("|mu|", sum(mu), "ORACLE_CAP")
     return multiplicities(_shape_characteristic(mu), (lam,))[0]
 
 
@@ -376,7 +392,7 @@ def homogeneous_plethysm(m: int, n: int, alpha: Partition) -> int:
     generalized plethysm multiplicity of that rectangle, up to the oracle cap.
     """
     m, n = check_factors(m, n)
-    check_cap("mn", m * n, ORACLE_CAP, "ORACLE_CAP")
+    check_cap("mn", m * n, "ORACLE_CAP")
     alpha = check_partition(alpha)
     if sum(alpha) != m * n:
         raise SizeMismatchError(f"|alpha|={sum(alpha)} but mn={m * n}")

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import coefficients
 from .characters import (
-    check_cap, format_partition, max_ground_size, parse_int, parse_partition,
+    check_cap, format_partition, parse_int, parse_partition,
     singleton_free_count,
 )
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REGIME = 2
-EXIT_CAP = 3
+EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
@@ -161,13 +161,8 @@ def _module_output(r: int, info: str):
 
 
 def _cmd_module(args) -> int:
-    from . import foulkes
-
     # the matrices are built pair by pair; the other infos are counted or walk partitions
-    if args.info == "matrices":
-        check_cap("r", args.r, foulkes.MODULE_CAP, "MODULE_CAP")
-    else:
-        check_cap("r", args.r, max_ground_size(), "PLETHYSM_MAX_R")
+    check_cap("r", args.r, "MODULE_CAP" if args.info == "matrices" else "PLETHYSM_MAX_R")
     payload, text, csv_rows, json_text = _module_output(args.r, args.info)
     record = {"command": "module", "query": {"r": args.r, "info": args.info}, "result": payload}
     _emit(record, args.format, text, csv_rows, json_text)
@@ -309,7 +304,7 @@ def main(argv=None) -> int:
         return EXIT_REGIME
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_RESOURCE
     except (MalformedPartitionError, SizeMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

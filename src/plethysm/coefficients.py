@@ -13,16 +13,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .characters import (
-    CHARACTER_CAP,
-    ORACLE_CAP,
     Partition,
+    cap,
     check_cap,
     check_factors,
     check_int,
     check_partition,
     dimension,
     homogeneous_plethysm,
-    max_ground_size,
     multiplicities,
     pad_partition,
     partitions,
@@ -42,8 +40,8 @@ ORACLE_REGIME = "oracle"
 def stable_plethysm(lam: Partition) -> int:
     """The common value of p_{(m^n), lam_[mn]} for all m, n >= |lam|."""
     lam = check_partition(lam)
-    check_cap("|lam|", sum(lam), max_ground_size(), "PLETHYSM_MAX_R")
-    check_cap("|lam|", sum(lam), CHARACTER_CAP, "CHARACTER_CAP")  # before its character is built
+    check_cap("|lam|", sum(lam), "PLETHYSM_MAX_R")
+    check_cap("|lam|", sum(lam), "CHARACTER_CAP")  # before its character is built
     return multiplicities(singleton_free_character(sum(lam)), (lam,))[0]
 
 
@@ -61,10 +59,11 @@ def coefficient_regime(m: int, n: int, lam: Partition) -> str:
         ) from None
     if m >= size and n >= size:
         return STABLE_REGIME
-    if m * n <= ORACLE_CAP:
+    oracle_cap = cap("ORACLE_CAP")
+    if m * n <= oracle_cap:
         return ORACLE_REGIME
     raise UnsupportedRegimeError(
-        f"m={m}, n={n}, lam={lam}: need m,n >= {size} or mn <= ORACLE_CAP = {ORACLE_CAP}"
+        f"m={m}, n={n}, lam={lam}: need m,n >= {size} or mn <= ORACLE_CAP = {oracle_cap}"
     )
 
 
@@ -86,8 +85,8 @@ def stable_table(r: int) -> StableTable:
     r = check_int(r, "r")
     if r < 0:
         raise MalformedPartitionError(f"r={r} is negative")
-    check_cap("r", r, max_ground_size(), "PLETHYSM_MAX_R")
-    check_cap("|lam|", r, CHARACTER_CAP, "CHARACTER_CAP")  # before its character is built
+    check_cap("r", r, "PLETHYSM_MAX_R")
+    check_cap("|lam|", r, "CHARACTER_CAP")  # before its character is built
     labels = tuple(partitions(r))
     rows = tuple(zip(labels, multiplicities(singleton_free_character(r), labels)))
     weighted = sum(v * dimension(lam) for lam, v in rows)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .characters import check_cap, check_int, max_ground_size, shown
+from .characters import check_cap, check_int, shown
 from .errors import MalformedPartitionError, SizeMismatchError
 from .setpartitions import SetPartition, check_ground_size
 
@@ -71,7 +71,7 @@ class PartitionDiagram:
 def _named_diagram(r: int, *moved: list[int]) -> PartitionDiagram:
     """The ``moved`` blocks, and the through strand {j, r + j} for every point j
     in 1..r that they leave out; r is held to ``PLETHYSM_MAX_R`` before a block is built."""
-    check_cap("r", r, max_ground_size(), "PLETHYSM_MAX_R")
+    check_cap("r", r, "PLETHYSM_MAX_R")
     through = ([j, r + j] for j in set(range(1, r + 1)).difference(*moved))
     return PartitionDiagram.from_blocks([*moved, *through], r)
 

@@ -34,22 +34,12 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .characters import check_cap, check_int, max_ground_size, shown
+from .characters import check_cap, check_int, shown
 from .errors import (
     InternalConsistencyError,
     MalformedPartitionError,
     SizeMismatchError,
 )
-
-# foulkes_pairs(9) holds 1,606,137 pairs (2.7 s, 148 MB peak, cold); r = 10
-# would hold 16,733,779 (A000258), so the cached basis stops at 9
-PAIR_BASIS_CAP = 9
-
-# _growth_strings nests one generator frame per point, so whatever
-# PLETHYSM_MAX_R says, set_partitions stays well below the interpreter's
-# recursion limit of 1000; Bell(100) is about 4.8e115, so no such enumeration
-# could finish, and its first partition comes in well under a millisecond
-ENUMERATION_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -188,8 +178,8 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 def set_partitions(size: int) -> Iterator[SetPartition]:
     """All set-partitions of {1..size}, canonical, in growth-string lex order."""
-    size = check_cap("r", check_ground_size(size), max_ground_size(), "PLETHYSM_MAX_R")
-    check_cap("r", size, ENUMERATION_CAP, "ENUMERATION_CAP")
+    size = check_cap("r", check_ground_size(size), "PLETHYSM_MAX_R")
+    check_cap("r", size, "ENUMERATION_CAP")
     for labels in _growth_strings(size):
         yield SetPartition(size, labels)
 
@@ -258,7 +248,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[list[SetPartition]
     among the enumerated partitions, and every run shares one validated object
     per outer.  Ranks above ``PAIR_BASIS_CAP`` are refused before enumerating.
     """
-    check_cap("r", check_ground_size(size), PAIR_BASIS_CAP, "PAIR_BASIS_CAP")
+    check_cap("r", check_ground_size(size), "PAIR_BASIS_CAP")
     partitions = {sp.labels: sp for sp in set_partitions(size)}
     # merges[k][d]: the merge strings over k blocks with k - d blocks, in lex order
     merges: list[list[list[tuple[int, ...]]]] = [[]]
@@ -281,7 +271,7 @@ def pair_runs(size: int) -> Iterator[tuple[SetPartition, list[list[SetPartition]
 
 def foulkes_pairs(size: int) -> tuple[FoulkesPair, ...]:
     """All refining pairs on {1..size}, sorted by (depth, inner, outer)."""
-    return _pair_basis(check_cap("r", check_ground_size(size), PAIR_BASIS_CAP, "PAIR_BASIS_CAP"))
+    return _pair_basis(check_cap("r", check_ground_size(size), "PAIR_BASIS_CAP"))
 
 
 @lru_cache(maxsize=None)

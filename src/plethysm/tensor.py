@@ -25,7 +25,6 @@ from .characters import MAX_DIGITS, check_cap, check_factors, check_int
 from .diagrams import PartitionDiagram
 from .errors import SizeMismatchError
 from .setpartitions import (
-    PAIR_BASIS_CAP,
     FoulkesPair,
     SetPartition,
     check_ground_size,
@@ -35,8 +34,6 @@ from .setpartitions import (
 
 if TYPE_CHECKING:
     from .foulkes import ActionMatrix
-
-VECTOR_CAP = 10**5
 
 Vector = dict[int, int]  # flat index -> nonzero coefficient
 RowMap = dict[int, list[int]]  # row -> columns holding a 1
@@ -49,7 +46,7 @@ def _tensor_dimension(r: int, m: int, n: int) -> int:
     mn, r = prod(check_factors(m, n)), check_ground_size(r)
     bound = 10**MAX_DIGITS
     dim = bound if r * (mn.bit_length() - 1) >= bound.bit_length() else mn**r
-    return check_cap("tensor dimension", dim, VECTOR_CAP, "VECTOR_CAP")
+    return check_cap("tensor dimension", dim, "VECTOR_CAP")
 
 
 def digit_to_pair(c: int, m: int) -> tuple[int, int]:
@@ -79,7 +76,7 @@ def diagram_tensor_matrix(d: PartitionDiagram, m: int, n: int) -> RowMap:
     """
     r = d.size
     mn = prod(check_factors(m, n))
-    check_cap("tensor support", mn**d.partition.block_count, VECTOR_CAP, "VECTOR_CAP")
+    check_cap("tensor support", mn**d.partition.block_count, "VECTOR_CAP")
     blocks = [(sum(mn ** (2 * r - p) for p in block), mn) for block in d.partition.blocks]
     size = mn**r
     matrix: RowMap = {}
@@ -107,7 +104,7 @@ def block_constant_support(pair: FoulkesPair, m: int, n: int) -> list[int]:
     r = pair.size
     mn = prod(check_factors(m, n))
     support = m**pair.inner.block_count * n**pair.outer.block_count
-    check_cap("tensor support", support, VECTOR_CAP, "VECTOR_CAP")
+    check_cap("tensor support", support, "VECTOR_CAP")
     inner = [(sum(mn ** (r - p) for p in block), m) for block in pair.inner.blocks]
     outer = [(m * sum(mn ** (r - p) for p in block), n) for block in pair.outer.blocks]
     return _block_constant_flats(inner + outer)
@@ -165,9 +162,9 @@ def foulkes_image_rank(r: int, m: int, n: int) -> int:
     column per support index.
     """
     m, n = check_factors(m, n)
-    check_cap("r", check_ground_size(r), PAIR_BASIS_CAP, "PAIR_BASIS_CAP")
+    check_cap("r", check_ground_size(r), "PAIR_BASIS_CAP")
     _tensor_dimension(r, m, n)  # the all-singletons pair's support
-    check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2, VECTOR_CAP, "VECTOR_CAP")
+    check_cap("Gram matrix size", sum(pair_counts_by_depth(r)) ** 2, "VECTOR_CAP")
     pairs = foulkes_pairs(r)
     supports = [set(block_constant_support(p, m, n)) for p in pairs]
     return integer_matrix_rank([[len(a & b) for b in supports] for a in supports])

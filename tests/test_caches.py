@@ -18,15 +18,13 @@ import sys
 from pathlib import Path
 
 import plethysm
-from plethysm.characters import ORACLE_CAP, partitions, singleton_free_count
-from plethysm.foulkes import MODULE_CAP
-from plethysm.setpartitions import PAIR_BASIS_CAP
+from plethysm.characters import cap, partitions, singleton_free_count
 
 PACKAGE = Path(plethysm.__file__).resolve().parent
 
 # the cycle types of at most ORACLE_CAP points: every class function's keys
 # under the default caps, since ORACLE_CAP is above PLETHYSM_MAX_R
-CYCLE_TYPES = sum(1 for size in range(ORACLE_CAP + 1) for _ in partitions(size))
+CYCLE_TYPES = sum(1 for size in range(cap("ORACLE_CAP") + 1) for _ in partitions(size))
 
 # the largest rank whose pair basis, index or matrices a verify check builds
 VERIFY_TOP_RANK = 5
@@ -40,9 +38,9 @@ CACHES = {
     ),
     "characters._power_sum_of_h": ("k*a at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 50),
     "characters._plethystic_exp": ("degree at most max(PLETHYSM_MAX_R, ORACLE_CAP)", 80),
-    "foulkes.monomial_text": ("exponents at most MODULE_CAP", (MODULE_CAP + 1) ** 2),
-    "foulkes._basis_index": ("rank at most MODULE_CAP", MODULE_CAP),
-    "setpartitions._pair_basis": ("rank at most PAIR_BASIS_CAP", PAIR_BASIS_CAP),
+    "foulkes.monomial_text": ("exponents at most MODULE_CAP", (cap("MODULE_CAP") + 1) ** 2),
+    "foulkes._basis_index": ("rank at most MODULE_CAP", cap("MODULE_CAP")),
+    "setpartitions._pair_basis": ("rank at most PAIR_BASIS_CAP", cap("PAIR_BASIS_CAP")),
     "verify._generator_matrices": ("rank at most 5, verify's top module rank", VERIFY_TOP_RANK),
 }
 
@@ -157,8 +155,8 @@ def test_verify_builds_no_module_rank_above_its_top():
 QUOTIENT_AT_THE_BASIS_CAP = """
 import importlib, json, sys
 from plethysm.foulkes import depth_quotient_basis
-from plethysm.setpartitions import PAIR_BASIS_CAP
-sizes = {"quotient": len(depth_quotient_basis(PAIR_BASIS_CAP))}
+from plethysm.characters import cap
+sizes = {"quotient": len(depth_quotient_basis(cap("PAIR_BASIS_CAP")))}
 for name in sys.argv[1:]:
     module, _, function = name.rpartition(".")
     cache = getattr(importlib.import_module("plethysm." + module), function)
@@ -171,6 +169,6 @@ def test_the_quotient_basis_builds_no_pair_basis():
     """The rank-9 quotient holds 3,425 pairs of the 1,606,137 in the pair
     basis, and is built without it or its index."""
     names = ["setpartitions._pair_basis", "foulkes._basis_index"]
-    expected = {"quotient": singleton_free_count(PAIR_BASIS_CAP), **dict.fromkeys(names, 0)}
+    expected = {"quotient": singleton_free_count(cap("PAIR_BASIS_CAP")), **dict.fromkeys(names, 0)}
     assert expected["quotient"] == 3425
     assert run_fresh(QUOTIENT_AT_THE_BASIS_CAP, names) == expected

@@ -9,6 +9,7 @@ on stderr.
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 
 from plethysm import cli
 from plethysm.characters import (
+    CAPS,
+    cap,
     character_value,
     generalized_plethysm,
     homogeneous_plethysm,
@@ -25,7 +28,6 @@ from plethysm.diagrams import PartitionDiagram, generators, p12_diagram, p_diagr
 from plethysm.errors import ResourceCapError
 from plethysm.foulkes import action_matrix, depth_quotient_basis, orbit_decomposition
 from plethysm.setpartitions import (
-    ENUMERATION_CAP,
     FoulkesPair,
     SetPartition,
     foulkes_pairs,
@@ -39,7 +41,8 @@ from plethysm.tensor import (
     tensor_basis_orbits,
 )
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plethysm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "plethysm"
 
 # (call, message, CLI arguments or None); the default PLETHYSM_MAX_R of 12
 CAP_SITES = {
@@ -137,7 +140,7 @@ def test_each_cap_refuses_in_the_one_wording(call, message, argv, capsys, monkey
         call()
     assert str(refused.value) == message
     if argv is not None:
-        assert cli.main(argv) == cli.EXIT_CAP == 3
+        assert cli.main(argv) == cli.EXIT_RESOURCE == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -145,12 +148,13 @@ def test_a_raised_cap_stops_enumeration_at_its_ceiling(monkeypatch):
     # the growth strings nest one generator frame per point, so the ceiling
     # refuses before the recursion limit does, however far PLETHYSM_MAX_R goes
     monkeypatch.setenv("PLETHYSM_MAX_R", "2000")
-    assert ENUMERATION_CAP * 4 <= sys.getrecursionlimit()
-    first = next(set_partitions(ENUMERATION_CAP))
-    assert first == SetPartition(ENUMERATION_CAP, (0,) * ENUMERATION_CAP)
+    ceiling = cap("ENUMERATION_CAP")
+    assert ceiling * 4 <= sys.getrecursionlimit()
+    first = next(set_partitions(ceiling))
+    assert first == SetPartition(ceiling, (0,) * ceiling)
     with pytest.raises(ResourceCapError) as refused:
         next(set_partitions(1000))
-    assert str(refused.value) == f"r=1000 exceeds ENUMERATION_CAP = {ENUMERATION_CAP}"
+    assert str(refused.value) == f"r=1000 exceeds ENUMERATION_CAP = {ceiling}"
 
 
 def cap_raises():
@@ -170,3 +174,42 @@ def cap_raises():
 
 def test_only_check_cap_raises_a_cap_error():
     assert list(cap_raises()) == ["characters.check_cap"]
+
+
+def cap_sources():
+    """Each name ending in ``_CAP`` that the package binds, and each read of
+    the environment, as "module.name"."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.endswith("_CAP"):
+                    yield f"{path.stem}.{node.id}"
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                name = getattr(node, "attr", getattr(node, "name", None))
+                if name in ("environ", "getenv"):
+                    yield f"{path.stem}.{name}"
+
+
+def test_only_the_cap_table_holds_a_cap_or_reads_the_environment():
+    # every limit is a row of characters.CAPS, and only characters.cap reads a variable
+    assert list(cap_sources()) == ["characters.environ"]
+
+
+def readme_caps():
+    """The README's Caps table as {name: (default, the "raised by" cell)}."""
+    section = (ROOT / "README.md").read_text().split("\n## Caps\n")[1].split("\n## ")[0]
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in section.splitlines()]
+    return {
+        row[0].strip(" `"): (int(row[1]), row[3]) for row in rows if row and row[0].startswith(" `")
+    }
+
+
+def test_the_readme_caps_table_is_the_cap_table():
+    table = readme_caps()
+    assert {name: default for name, (default, _) in table.items()} == {
+        name: default for name, (default, _) in CAPS.items()
+    }
+    for name, (_, variable) in CAPS.items():
+        raised_by = table[name][1]
+        assert ("environment variable" in raised_by) == (variable is not None), name
+        assert f"`{variable}`" in raised_by if variable else f"`{name}` row of" in raised_by

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plethysm import characters, setpartitions, verify
 from plethysm.characters import (
-    CHARACTER_CAP,
+    cap,
     cayley_sylvester,
     character_value,
     check_partition,
@@ -196,8 +196,8 @@ class TestCharacterValues:
         for lam, rho in (((10**600,), (10**600,)), ((10**5,), (1,) * 10**5), ((51,), (51,))):
             with pytest.raises(ResourceCapError, match="exceeds CHARACTER_CAP = 50$"):
                 character_value(lam, rho)
-        assert character_value((CHARACTER_CAP,), (1,) * CHARACTER_CAP) == 1
-        assert CHARACTER_CAP >= characters.ORACLE_CAP  # the oracle pairs at |lam| = mn
+        assert character_value((cap("CHARACTER_CAP"),), (1,) * cap("CHARACTER_CAP")) == 1
+        assert cap("CHARACTER_CAP") >= cap("ORACLE_CAP")  # the oracle pairs at |lam| = mn
 
     def test_bead_kernel_matches_the_beta_list_reference(self):
         # orthogonality alone cannot see a relabelling of the irreducibles

@@ -257,6 +257,16 @@ class TestActionMatrix:
         with pytest.raises(verify.CheckFailure, match="disagrees"):
             verify.check_action_homomorphism(False)
 
+    def test_a_malformed_matrix_is_refused_when_built(self):
+        # each used to build, and then raise a bare TypeError when read
+        with pytest.raises(MalformedPartitionError, match="^not an action matrix: entry 1$"):
+            foulkes.ActionMatrix(foulkes_pairs(2), (1, 2, 3)).coordinate_dump()
+        with pytest.raises(MalformedPartitionError, match="^not an action matrix: entries None"):
+            follow_word({"a": foulkes.ActionMatrix(foulkes_pairs(2), None)}, "a", 0)
+        message = r"^not an action matrix: entries \(\(0, 0, 0\),\), not a tuple of 3$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            foulkes.ActionMatrix(foulkes_pairs(2), ((0, 0, 0),))
+
     def test_homomorphism_check_catches_a_wrong_row(self):
         # s1 fixes every rank-2 pair; send column 1 to row 2 with its exponents kept
         matrices = verify._generator_matrices(2)
@@ -413,9 +423,9 @@ class TestLayers:
             layer_matrix(matrix, 0)
 
     def test_refuses_a_basis_of_other_than_pairs(self):
-        matrix = foulkes.ActionMatrix((1, 2, 3), ((0, 0, 0),) * 3)
-        with pytest.raises(MalformedPartitionError, match="^not a full rank-0 action matrix"):
-            layer_matrix(matrix, 0)
+        message = r"^not an action matrix: basis \(1, 2, 3\)$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            foulkes.ActionMatrix((1, 2, 3), ((0, 0, 0),) * 3)
 
     def test_refuses_a_zero_column(self):
         matrix = foulkes.ActionMatrix(foulkes_pairs(2), (None,) * 3)
@@ -425,10 +435,9 @@ class TestLayers:
 
     def test_refuses_entries_held_other_than_as_a_tuple(self):
         # len(None) used to raise a bare TypeError
-        matrix = foulkes.ActionMatrix(foulkes_pairs(2), None)
-        message = "^not a full rank-2 action matrix: entries None$"
+        message = "^not an action matrix: entries None, not a tuple of 3$"
         with pytest.raises(MalformedPartitionError, match=message):
-            layer_matrix(matrix, 0)
+            foulkes.ActionMatrix(foulkes_pairs(2), None)
 
     @pytest.mark.parametrize(
         "entries, bad",
@@ -443,10 +452,8 @@ class TestLayers:
         ids=["int", "pair", "float exponent", "row past the basis", "negative row"],
     )
     def test_refuses_an_entry_other_than_a_triple_in_the_basis(self, entries, bad):
-        matrix = foulkes.ActionMatrix(foulkes_pairs(2), entries)
-        message = f"^not a full rank-2 action matrix: entry {bad}$"
-        with pytest.raises(MalformedPartitionError, match=message):
-            layer_matrix(matrix, 0)
+        with pytest.raises(MalformedPartitionError, match=f"^not an action matrix: entry {bad}$"):
+            foulkes.ActionMatrix(foulkes_pairs(2), entries)
 
 
 class TestDepthRadical:

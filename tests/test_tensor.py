@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from plethysm import foulkes, tensor, verify
-from plethysm.characters import homogeneous_plethysm
+from plethysm.characters import cap, homogeneous_plethysm
 from plethysm.diagrams import (
     PartitionDiagram,
     generators,
@@ -17,7 +17,6 @@ from plethysm.diagrams import (
 from plethysm.errors import MalformedPartitionError, ResourceCapError, SizeMismatchError
 from plethysm.setpartitions import FoulkesPair, SetPartition, foulkes_pairs, set_partitions
 from plethysm.tensor import (
-    VECTOR_CAP,
     block_constant_support,
     block_constant_vector,
     diagram_tensor_matrix,
@@ -339,7 +338,7 @@ def test_tensor_ground_size_must_be_positive(function, r):
 class TestOracleReferences:
     def test_gram_rank_equals_dense_elimination(self):
         for r, m, n in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4)):
-            assert (m * n) ** r <= VECTOR_CAP
+            assert (m * n) ** r <= cap("VECTOR_CAP")
             assert foulkes_image_rank(r, m, n) == dense_image_rank(r, m, n), (r, m, n)
 
     def test_rank_refuses_a_large_dimension(self):
@@ -351,7 +350,7 @@ class TestOracleReferences:
         built = []
         monkeypatch.setattr(tensor, "foulkes_pairs", built.append)
         for r, m, n, pairs in ((5, 1, 1, 358), (6, 2, 3, 2471)):
-            assert (m * n) ** r <= VECTOR_CAP
+            assert (m * n) ** r <= cap("VECTOR_CAP")
             message = f"Gram matrix size={pairs**2} exceeds VECTOR_CAP = 100000"
             with pytest.raises(ResourceCapError, match=message):
                 foulkes_image_rank(r, m, n)
